@@ -7,8 +7,7 @@ band; this package constructs the couplings, simulates them, and verifies the
 constructions both algebraically and by Monte Carlo.
 """
 
-from .coupling import (CouplingMatrices, TwoPlaneParams, build_a_phi, build_euclidean,
-                       build_hyperbolic, build_sphere, frame_from_pair, psd_sqrt_2x2)
+from .coupling import CouplingMatrices, build_euclidean, build_hyperbolic, build_sphere
 from .errors import (AdmissibilityError, DegenerateStateError, DetcoupleError,
                      ValidationError)
 from .model_space import (SpaceKind, SpaceSpec, canonical_start, euclidean,
@@ -19,11 +18,8 @@ from .profiles import (AdmissibilityReport, ClampedProfile, DistanceProfile, Pro
                        euclidean_max_growth, eval_profile, hyperbolic_lower,
                        hyperbolic_upper, sphere_contracting, sphere_repulsive, tabulated,
                        tabulated_from_csv)
-from .sde import (CoupledState, EnsembleResult, NoiseStream, PathRecord, Scheme,
-                  StepConfig, driving_increments, simulate_ensemble, simulate_path, step,
-                  time_grid)
+from .sde import EnsembleResult, NoiseStream, PathRecord, simulate_ensemble, simulate_path, time_grid
 from .verify import (VerifyReport, convergence_study, distance_error_stats, identity_scan,
-                     identity_scan_all, mean_decay_check, rotation_ensemble,
-                     rotation_oracle)
+                     identity_scan_all, mean_decay_check, rotation_ensemble)
 
 __version__ = "0.1.0"

@@ -174,6 +174,8 @@ def parse_config(argv) -> tuple[str, RunConfig]:
     for key in ("paths", "csv_stride", "samples"):
         if merged[key] < 1:
             raise ValidationError(f"field {key}: must be >= 1, got {merged[key]}")
+    if not 0 <= merged["seed"] < 2**64:
+        raise ValidationError(f"field seed: must lie in [0, 2**64), got {merged['seed']}")
 
     profile = _PROFILE_ALIASES.get(merged["profile"], merged["profile"])
     known = {k.value for k in pf.ProfileKind}

@@ -1,25 +1,27 @@
-"""Coupling matrices (J, K) that make the pairwise distance deterministic.
+"""The coupling: the increment dW = J dB + K dC that keeps the distance deterministic.
 
-Given the current pair of points and the requested instantaneous distance
-derivative, these constructors return square ambient-dimension matrices J, K
-with J J' + K K' = I.  Driving the second Brownian motion with
-dW = J dB + K dC then cancels the martingale part of the distance and
-realizes the requested drift exactly:
+The second Brownian motion is driven by dW = J dB + K dC, with J J' + K K' = I
+and dB, dC independent.  The right (J, K) cancels the martingale part of the
+distance and gives its deterministic part the prescribed rate.  Each space
+works with a function eta of the distance rho (``eta_from_rho``):
 
-* Euclidean:  J' fixes Z = X - Y and scales its orthogonal complement by
-  lambda = 1 - rho rho' / (n-1); the realized drift is n - tr J = rho rho'.
-* Sphere:     J' reflects X -> -Y, Y -> -X on span{X, Y} and scales the
-  orthogonal complement by gamma = eta + eta'/(n-1) where eta = cos rho.
-  (The drift-consistent gamma; the realized drift -(n-1) eta + (n-1) gamma
-  must equal eta', which pins this formula down.)
-* Hyperbolic: on the plane spanned by e_1 and the boundary displacement
-  Z-tilde, J' acts as the two-plane map A_phi with
-  phi = -eta'/(n-1) + (X_1^2 + Y_1^2)/(X_1 Y_1), eta = cosh rho - 1;
+* Euclidean, eta = rho^2 / 2:  J' fixes Z = X - Y and scales its orthogonal
+  complement by lambda = 1 - eta'/(n-1); the realized drift is
+  n - tr J = eta'.
+* Sphere, eta = cos rho:  J' reflects X -> -Y, Y -> -X on span{X, Y} and
+  scales the orthogonal complement by gamma = eta + eta'/(n-1).  (The
+  realized drift -(n-1) eta + (n-1) gamma must equal eta', which pins this
+  formula down.)
+* Hyperbolic half-space, eta = cosh rho - 1:  on the plane spanned by e_1
+  and the boundary displacement Z-tilde, J' acts as the two-plane map A_phi
+  with phi = -eta'/(n-1) + (X_1^2 + Y_1^2)/(X_1 Y_1), whose determinant is d;
   the orthogonal complement is scaled by gamma = 1 + eta - eta'/(n-1).
 
-The ``*_matrices`` functions are batched (arbitrary leading axes, coordinate
-axis last) and perform no validation; ``build_*`` are the validating
-single-state entry points.
+``drive`` is the only implementation of this algebra.  It returns dW without
+forming J or K, batched over leading axes, and it is what the simulator runs.
+The ``*_matrices`` functions read J and K off ``drive`` applied to basis
+vectors, so the identity scans check the same code; they perform no
+validation.  ``build_*`` are the validating single-state entry points.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateStateError, ValidationError
-from .model_space import SpaceKind, SpaceSpec
+from .model_space import SpaceKind
 
 BAND_TOL = 1e-10        # admissible-band slack absorbed before raising
 DEGENERATE_ETA = 1e-9   # sphere states with |X.Y| >= 1 - this are rejected
@@ -50,87 +52,111 @@ class CouplingMatrices:
         return float(np.linalg.svd(self.J, compute_uv=False)[0])
 
 
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
-
-
-def _eye_like(template, N):
-    return np.broadcast_to(np.eye(N), template.shape[:-1] + (N, N)).copy()
+def eta_from_rho(kind: SpaceKind, rho, rho_prime):
+    """(eta, eta') of a unit-model distance rho moving at rate rho'."""
+    if kind is SpaceKind.EUCLIDEAN:
+        return 0.5 * rho * rho, rho * rho_prime
+    if kind is SpaceKind.SPHERE:
+        return np.cos(rho), -np.sin(rho) * rho_prime
+    return np.cosh(rho) - 1.0, np.sinh(rho) * rho_prime
 
 
 # ---------------------------------------------------------------------------
-# batched assembly
+# the matrix-free kernel
 
 
-def euclidean_matrices(Z, lam):
-    """J, K for Euclidean space from the unit direction of Z and lambda."""
-    Z = np.asarray(Z, dtype=float)
-    n = Z.shape[-1]
-    if n == 1:
-        J = np.ones(Z.shape[:-1] + (1, 1))
-        return J, np.zeros_like(J)
-    lam = np.asarray(lam, dtype=float)[..., None, None]
-    xi = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
-    P = _outer(xi, xi)
-    eye = _eye_like(Z, n)
-    J = lam * eye + (1.0 - lam) * P
-    K = np.sqrt(np.maximum(0.0, 1.0 - lam**2)) * (eye - P)
-    return J, K
+def _dots(a, b):
+    return (a * b).sum(axis=-1)
 
 
-def sphere_matrices_from_gamma(X, Y, gamma):
-    """J, K on the sphere from an explicit transverse eigenvalue gamma.
+def _col(a):
+    """A per-state scalar as a factor of the coordinate axis."""
+    return a[..., None] if np.ndim(a) else a
 
-    J is the reflection X -> -Y, Y -> -X on span{X, Y} extended by gamma
-    times the identity on the orthogonal complement; K vanishes on
-    span{X, Y} and is sqrt(1 - gamma^2) times the identity transversally.
+
+def drive(kind: SpaceKind, n: int, X, Y, eta, eta_prime, dB, dC):
+    """Increment dW = J dB + K dC of the second motion at the state (X, Y).
+
+    ``X, Y`` are unit-model points with the coordinate axis last; ``eta``
+    and ``eta_prime`` are the space's distance function and its prescribed
+    rate; ``dB, dC`` are the increments of the two independent drivers.
+    Everything broadcasts over leading axes.  The band-derived eigenvalues
+    are clipped into [-1, 1] to absorb floating-point noise at
+    band-saturating profiles.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)[..., None, None]
-    N = X.shape[-1]
-    c = (X * Y).sum(axis=-1)                      # cos of the actual angle
+    if n == 1 and kind is not SpaceKind.SPHERE:
+        return dB   # translation / synchronous coupling: the only admissible one
+    k = n - 1
+
+    if kind is SpaceKind.EUCLIDEAN:
+        lam = np.clip(1.0 - eta_prime / k, -1.0, 1.0)
+        Z = X - Y
+        xi = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
+        a = _dots(xi, dB)
+        c = _dots(xi, dC)
+        return _col(lam) * dB + ((1.0 - lam) * a)[..., None] * xi \
+            + _col(np.sqrt(np.maximum(0.0, 1.0 - lam**2))) * (dC - c[..., None] * xi)
+
+    if kind is SpaceKind.SPHERE:
+        gamma = np.clip(eta + eta_prime / k, -1.0, 1.0) if n >= 2 else np.zeros(np.shape(eta))
+        return _sphere_drive(X, Y, gamma, dB, dC)
+
+    gamma, d, (m, l, p, q, u, zt, small, M2) = _hyperbolic_plane(X, Y, eta, eta_prime)
+    gamma = np.clip(gamma, -1.0, 1.0)
+    d = np.clip(d, -1.0, 1.0)
+    xi2t = zt / np.where(small, 1.0, u)[..., None]
+    b11 = np.where(small, 1.0, (m * p + d * l * q) / M2)
+    b12 = np.where(small, 0.0, (l * p - d * m * q) / M2)
+    b21 = np.where(small, 0.0, (m * q - d * l * p) / M2)
+    b22 = np.where(small, d, (l * q + d * m * p) / M2)
+    # K's plane block (I - A'A)^{1/2} = sqrt(1 - d^2) u2 u2', u2 = (-l, m)/|(m, l)|,
+    # is exact: a generic matrix square root would blur its null direction
+    fk = np.sqrt(np.maximum(0.0, 1.0 - d * d)) / M2
+    ra = np.where(small, 0.0, fk * l * l)
+    rb = np.where(small, 0.0, -fk * m * l)
+    rc = np.where(small, np.sqrt(np.maximum(0.0, 1.0 - d * d)), fk * m * m)
+
+    a1 = dB[..., 0]
+    a2 = _dots(xi2t, dB[..., 1:])
+    c1 = dC[..., 0]
+    c2 = _dots(xi2t, dC[..., 1:])
+    gperp = np.sqrt(np.maximum(0.0, 1.0 - gamma**2))
+    # J = A_phi' on the plane (transposed block) and gamma transversally;
+    # K = the plane block (ra, rb; rb, rc) and gperp transversally
+    w1 = (gamma * dB[..., 0] + ((b11 * a1 + b21 * a2) - gamma * a1)) \
+        + (gperp * dC[..., 0] + ((ra * c1 + rb * c2) - gperp * c1))
+    wt = (_col(gamma) * dB[..., 1:] + ((b12 * a1 + b22 * a2) - gamma * a2)[..., None] * xi2t) \
+        + (_col(gperp) * dC[..., 1:] + ((rb * c1 + rc * c2) - gperp * c2)[..., None] * xi2t)
+    return np.concatenate([w1[..., None], wt], axis=-1)
+
+
+def _sphere_drive(X, Y, gamma, dB, dC):
+    """Sphere dW for an explicit transverse eigenvalue gamma.
+
+    J is the reflection X -> -Y, Y -> -X on span{X, Y} extended by gamma on
+    the orthogonal complement; K vanishes on span{X, Y} and is
+    sqrt(1 - gamma^2) transversally.  The reflection uses the actual points.
+    """
+    c = _dots(X, Y)                               # cos of the actual angle
     w = Y - c[..., None] * X
     s = np.linalg.norm(w, axis=-1)
     xi2 = w / s[..., None]
-    P = _outer(X, X) + _outer(xi2, xi2)
-    cross = _outer(X, xi2) + _outer(xi2, X)
-    R = -c[..., None, None] * (_outer(X, X) - _outer(xi2, xi2)) - s[..., None, None] * cross
-    eye = _eye_like(X, N)
-    J = R + gamma * (eye - P)
-    K = np.sqrt(np.maximum(0.0, 1.0 - gamma**2)) * (eye - P)
-    return J, K
-
-
-def sphere_gamma(eta, eta_prime, n):
-    """Drift-consistent transverse eigenvalue eta + eta'/(n-1)."""
-    return np.asarray(eta, dtype=float) + np.asarray(eta_prime, dtype=float) / (n - 1)
-
-
-def sphere_matrices(X, Y, eta, eta_prime):
-    """J, K realizing d(eta)/dt = eta_prime at the sphere state (X, Y)."""
-    n = np.asarray(X).shape[-1] - 1
-    if n == 1:
-        gamma = np.zeros(np.shape(eta))   # no transverse subspace
-    else:
-        gamma = np.clip(sphere_gamma(eta, eta_prime, n), -1.0, 1.0)
-    return sphere_matrices_from_gamma(X, Y, gamma)
-
-
-def two_plane_k_entries(m, l, d, M2):
-    """Entries of (I - A'A)^{1/2} on the plane, in the (xi1, xi2) basis.
-
-    A = V diag(1, d) U' with U the rotation sending e1 to (m, l)/|(m, l)|,
-    so I - A'A = (1 - d^2) u2 u2' with u2 = (-l, m)/|(m, l)| and the square
-    root is exact: no generic matrix square root is needed (whose rounding
-    would blur the null direction to sqrt(eps)).
-    """
-    f = np.sqrt(np.maximum(0.0, 1.0 - d * d)) / M2
-    return f * l * l, -f * m * l, f * m * m
+    a1 = _dots(X, dB)
+    a2 = _dots(xi2, dB)
+    dW = _col(gamma) * (dB - a1[..., None] * X - a2[..., None] * xi2) \
+        + (-c * a1 - s * a2)[..., None] * X + (-s * a1 + c * a2)[..., None] * xi2
+    b1 = _dots(X, dC)
+    b2 = _dots(xi2, dC)
+    return dW + _col(np.sqrt(np.maximum(0.0, 1.0 - gamma**2))) \
+        * (dC - b1[..., None] * X - b2[..., None] * xi2)
 
 
 def hyperbolic_two_plane_scalars(X, Y):
-    """The scalars (m, l, p, q) of the half-space two-plane construction."""
+    """The scalars (m, l, p, q) of the half-space two-plane construction.
+
+    The two-plane map sends m e1 + l xi2 to p e1 + q xi2, where xi2 is the
+    unit boundary displacement; m^2 + l^2 = p^2 + q^2.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     x1, y1 = X[..., 0], Y[..., 0]
@@ -143,230 +169,82 @@ def hyperbolic_two_plane_scalars(X, Y):
     return m, l, p, q, u, zt
 
 
-def hyperbolic_matrices(X, Y, eta, eta_prime, clip: bool = True):
-    """J, K realizing d(eta)/dt = eta_prime at the half-space state (X, Y).
+def _hyperbolic_plane(X, Y, eta, eta_prime):
+    """Unclipped transverse eigenvalue gamma and two-plane determinant d (n >= 2).
 
-    Returns (J, K, gamma, d).  With ``clip`` the transverse eigenvalue and
-    the two-plane determinant are clipped into [-1, 1] (floating-point noise
-    at band-saturating profiles); callers that must reject out-of-band input
-    should inspect d before clipping via build_hyperbolic.
+    Also returns the plane scalars (m, l, p, q, u, zt), the mask of
+    vertical pairs (zero boundary displacement, where the plane degenerates
+    and d = gamma) and m^2 + l^2 with those pairs set to 1.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    eta_prime = np.asarray(eta_prime, dtype=float)
-    n = X.shape[-1]
-    if n == 1:
-        # only the synchronous driver keeps |log(X/Y)| fixed
-        shape = np.broadcast_shapes(X.shape[:-1], eta.shape)
-        J = np.ones(shape + (1, 1))
-        return J, np.zeros_like(J), np.ones(shape), np.ones(shape)
-
+    k = X.shape[-1] - 1
     x1, y1 = X[..., 0], Y[..., 0]
     m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
-    gamma = 1.0 + eta - eta_prime / (n - 1)
-    if clip:
-        gamma = np.clip(gamma, -1.0, 1.0)
-
+    gamma = 1.0 + eta - eta_prime / k
     small = u <= 1e-13 * (x1 + y1)
-    u_safe = np.where(small, 1.0, u)
-    xi2 = np.zeros(np.broadcast_shapes(X.shape, Y.shape), dtype=float)
-    xi2[..., 1:] = zt / u_safe[..., None]
-
-    M2 = m * m + l * l
-    r_ = 1.0 + eta
-    phi = -eta_prime / (n - 1) + (x1 * x1 + y1 * y1) / (x1 * y1)
-    denom = r_ * l * q + m * p
-    denom_safe = np.where(denom == 0, 1.0, denom)
-    d = (phi * M2 - (r_ * m * p + l * q)) / denom_safe
+    M2 = np.where(small, 1.0, m * m + l * l)
+    phi = -eta_prime / k + (x1 * x1 + y1 * y1) / (x1 * y1)
+    denom = (1.0 + eta) * l * q + m * p
+    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+    d = (phi * M2 - ((1.0 + eta) * m * p + l * q)) / denom
     d = np.where(small, gamma, d)
-    if clip:
-        d = np.clip(d, -1.0, 1.0)
+    return gamma, d, (m, l, p, q, u, zt, small, M2)
 
-    M2_safe = np.where(small, 1.0, M2)
-    b11 = (m * p + d * l * q) / M2_safe
-    b12 = (l * p - d * m * q) / M2_safe
-    b21 = (m * q - d * l * p) / M2_safe
-    b22 = (l * q + d * m * p) / M2_safe
-    ra, rb, rc = two_plane_k_entries(m, l, d, M2_safe)
 
-    e1 = np.zeros_like(xi2)
-    e1[..., 0] = 1.0
-    E11 = _outer(e1, e1)
-    E22 = _outer(xi2, xi2)
-    E12 = _outer(e1, xi2)
-    E21 = _outer(xi2, e1)
-    eye = _eye_like(xi2, n)
+# ---------------------------------------------------------------------------
+# J and K read off the kernel
 
-    def two_plane(t11, t12, t21, t22):
-        return (t11[..., None, None] * E11 + t12[..., None, None] * E12
-                + t21[..., None, None] * E21 + t22[..., None, None] * E22)
 
-    gq = gamma[..., None, None]
-    P_U = E11 + E22
-    # J = A_phi' on the plane: the transpose block
-    J_gen = two_plane(b11, b21, b12, b22) + gq * (eye - P_U)
-    K_gen = two_plane(ra, rb, rb, rc) + np.sqrt(np.maximum(0.0, 1.0 - gq * gq)) * (eye - P_U)
+def _read_off(step, X, Y, *scalars):
+    """J, K of the linear map (dB, dC) -> step(X, Y, *scalars, dB, dC).
 
-    J_small = E11 + gq * (eye - E11)
-    K_small = np.sqrt(np.maximum(0.0, 1.0 - gq * gq)) * (eye - E11)
+    The drivers are one unbatched (N, N) identity, whose row i is e_i, and
+    an (N,) zero vector.  They broadcast against states of shape
+    (..., 1, N), so row i of the result is J e_i (or K e_i).
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    lead = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1], *map(np.shape, scalars))
+    args = [X[..., None, :], Y[..., None, :]]
+    args += [np.broadcast_to(np.asarray(s, dtype=float), lead)[..., None] for s in scalars]
+    N = X.shape[-1]
+    eye, zero = np.eye(N), np.zeros(N)
+    J = np.broadcast_to(step(*args, eye, zero), lead + (N, N)).swapaxes(-1, -2)
+    K = np.broadcast_to(step(*args, zero, eye), lead + (N, N)).swapaxes(-1, -2)
+    return J, K
 
-    mask = small[..., None, None]
-    J = np.where(mask, J_small, J_gen)
-    K = np.where(mask, K_small, K_gen)
+
+def euclidean_matrices(X, Y, eta, eta_prime):
+    """J, K realizing d(eta)/dt = eta' in Euclidean space, eta = |X - Y|^2 / 2."""
+    n = np.shape(X)[-1]
+    return _read_off(lambda *a: drive(SpaceKind.EUCLIDEAN, n, *a), X, Y, eta, eta_prime)
+
+
+def sphere_matrices(X, Y, eta, eta_prime):
+    """J, K realizing d(eta)/dt = eta' at the sphere state (X, Y), eta = cos rho."""
+    n = np.shape(X)[-1] - 1
+    return _read_off(lambda *a: drive(SpaceKind.SPHERE, n, *a), X, Y, eta, eta_prime)
+
+
+def sphere_matrices_from_gamma(X, Y, gamma):
+    """J, K on the sphere from an explicit transverse eigenvalue gamma."""
+    return _read_off(_sphere_drive, X, Y, gamma)
+
+
+def hyperbolic_matrices(X, Y, eta, eta_prime):
+    """J, K realizing d(eta)/dt = eta' at the half-space state (X, Y).
+
+    Returns (J, K, gamma, d).  J and K are built from gamma and d clipped
+    into [-1, 1]; the returned gamma and d are unclipped, so callers can
+    reject out-of-band input (d is 1 in dimension 1).
+    """
+    n = np.shape(X)[-1]
+    J, K = _read_off(lambda *a: drive(SpaceKind.HYPERBOLIC, n, *a), X, Y, eta, eta_prime)
+    if n == 1:
+        ones = np.ones(J.shape[:-2])
+        return J, K, ones, ones
+    gamma, d, _ = _hyperbolic_plane(np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
+                                    eta, eta_prime)
     return J, K, gamma, d
-
-
-# ---------------------------------------------------------------------------
-# two-plane map of the hyperbolic construction
-
-
-@dataclass(frozen=True)
-class TwoPlaneParams:
-    """Scalars and orthonormal plane vectors of the two-plane map.
-
-    Requires m^2 + l^2 = p^2 + q^2 > 0 (the map sends m xi1 + l xi2 to
-    p xi1 + q xi2 without expansion) and orthonormal xi1, xi2.
-    """
-
-    m: float
-    l: float
-    p: float
-    q: float
-    rr: float
-    ss: float
-    xi1: np.ndarray
-    xi2: np.ndarray
-
-    def __post_init__(self):
-        ml = self.m**2 + self.l**2
-        pq = self.p**2 + self.q**2
-        if ml <= 0:
-            raise ValidationError("two-plane scalars must not vanish")
-        if abs(ml - pq) > 1e-10 * ml:
-            raise ValidationError(f"norm mismatch: m^2+l^2 = {ml:.6g}, p^2+q^2 = {pq:.6g}")
-        for v in (self.xi1, self.xi2):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValidationError("plane vectors must be unit")
-        if abs(float(np.dot(self.xi1, self.xi2))) > 1e-12:
-            raise ValidationError("plane vectors must be orthogonal")
-
-    def phi_band(self) -> tuple[float, float]:
-        """Interval of realizable rr*A11 + ss*A22 values."""
-        ml = self.m**2 + self.l**2
-        center = (self.rr * self.m * self.p + self.ss * self.l * self.q) / ml
-        half = abs(self.rr * self.l * self.q + self.ss * self.m * self.p) / ml
-        return center - half, center + half
-
-
-def hyperbolic_two_plane(X, Y, eta) -> TwoPlaneParams:
-    """TwoPlaneParams of the half-space state (X, Y) with eta = cosh(rho)-1."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
-    if u <= 0:
-        raise DegenerateStateError("two-plane construction requires a nonzero boundary displacement")
-    xi1 = np.zeros(X.shape[-1])
-    xi1[0] = 1.0
-    xi2 = np.zeros(X.shape[-1])
-    xi2[1:] = zt / u
-    return TwoPlaneParams(float(m), float(l), float(p), float(q), 1.0 + float(eta), 1.0, xi1, xi2)
-
-
-def build_a_phi(params: TwoPlaneParams, phi: float) -> np.ndarray:
-    """2x2 matrix of the two-plane map on (xi1, xi2) realizing the trace value phi.
-
-    Columns are the images of xi1 and xi2.  The determinant of the block is
-    d = (phi (m^2+l^2) - (rr m p + ss l q)) / (rr l q + ss m p), which must
-    lie in [-1, 1] for the map to be a contraction.
-    """
-    m, l, p, q = params.m, params.l, params.p, params.q
-    M2 = m * m + l * l
-    denom = params.rr * l * q + params.ss * m * p
-    if denom == 0:
-        raise ValidationError("two-plane map undefined: rr*l*q + ss*m*p vanishes")
-    d = (phi * M2 - (params.rr * m * p + params.ss * l * q)) / denom
-    if abs(d) > 1.0 + 1e-10:
-        lo, hi = params.phi_band()
-        raise AdmissibilityError(f"phi = {phi:.6g} outside the realizable band [{lo:.6g}, {hi:.6g}]")
-    d = float(np.clip(d, -1.0, 1.0))
-    return np.array([
-        [(m * p + d * l * q) / M2, (l * p - d * m * q) / M2],
-        [(m * q - d * l * p) / M2, (l * q + d * m * p) / M2],
-    ])
-
-
-def psd_sqrt_2x2(Msym: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of a symmetric PSD 2x2 matrix.
-
-    Eigenvalues below -1e-12 are rejected; small negative ones are clamped
-    to zero so that near-singular inputs stay PSD.
-    """
-    M = np.asarray(Msym, dtype=float)
-    if M.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {M.shape}")
-    if abs(M[0, 1] - M[1, 0]) > 1e-12 * max(1.0, np.abs(M).max()):
-        raise ValidationError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if np.any(vals < -1e-12):
-        raise ValidationError(f"matrix is not positive semidefinite (eigenvalue {vals.min():.3g})")
-    root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
-# ---------------------------------------------------------------------------
-# orthonormal frames
-
-
-def complete_frame(vectors, dim: int) -> np.ndarray:
-    """Orthonormal basis of R^dim whose first columns span the given vectors.
-
-    Modified Gram-Schmidt over the inputs followed by the standard basis;
-    raises on (near-)dependent inputs.
-    """
-    cols = []
-    for v in vectors:
-        v = np.asarray(v, dtype=float).copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 <= 0:
-            raise DegenerateStateError("zero vector cannot start a frame")
-        for c in cols:
-            v -= np.dot(c, v) * c
-        norm = np.linalg.norm(v)
-        if norm <= 1e-9 * norm0:
-            raise DegenerateStateError("frame vectors are (nearly) linearly dependent")
-        cols.append(v / norm)
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for c in cols:
-            v -= np.dot(c, v) * c
-        norm = np.linalg.norm(v)
-        if norm > 0.5:   # keep only well-conditioned completions
-            cols.append(v / norm)
-    if len(cols) != dim:
-        raise DegenerateStateError("could not complete the frame")
-    return np.stack(cols, axis=1)
-
-
-def frame_from_pair(spec: SpaceSpec, X, Y) -> np.ndarray:
-    """Ordered orthonormal ambient basis whose first vectors span the
-    distinguished plane of the construction: span{X, Y} on the sphere,
-    span{e1, Z-tilde} on hyperbolic space, span{Z} in Euclidean space."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    N = spec.ambient_dim
-    if spec.kind is SpaceKind.SPHERE:
-        return complete_frame([X, Y], N)
-    if spec.kind is SpaceKind.HYPERBOLIC:
-        zt = X - Y
-        zt[0] = 0.0
-        e1 = np.zeros(N)
-        e1[0] = 1.0
-        return complete_frame([e1, zt], N)
-    return complete_frame([X - Y], N)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +262,10 @@ def build_euclidean(n: int, Z, rho: float, rho_prime: float) -> CouplingMatrices
     if n == 1:
         if abs(drift) > BAND_TOL:
             raise AdmissibilityError("in dimension 1 only a constant distance is admissible")
-        return CouplingMatrices(np.ones((1, 1)), np.zeros((1, 1)))
-    lam = 1.0 - drift / (n - 1)
-    if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
+    elif not -1.0 - 1e-12 <= 1.0 - drift / (n - 1) <= 1.0 + 1e-12:
         raise AdmissibilityError(
             f"rho rho' = {drift:.6g} outside the admissible range [0, {2*(n-1):.6g}]")
-    J, K = euclidean_matrices(Z, np.clip(lam, -1.0, 1.0))
+    J, K = euclidean_matrices(Z, np.zeros(n), 0.5 * rho * rho, drift)
     return CouplingMatrices(J, K)
 
 
@@ -432,8 +308,7 @@ def build_hyperbolic(n: int, X, Y, eta: float, eta_prime: float) -> CouplingMatr
     if not k * eta - BAND_TOL <= eta_prime <= k * eta + 2.0 * k + BAND_TOL:
         raise AdmissibilityError(
             f"eta' = {eta_prime:.6g} outside the band [{k*eta:.6g}, {k*eta + 2*k:.6g}]")
-    J, K, gamma, d = hyperbolic_matrices(X, Y, eta, eta_prime, clip=False)
+    J, K, _, d = hyperbolic_matrices(X, Y, eta, eta_prime)
     if np.any(np.abs(d) > 1.0 + 1e-10):
         raise AdmissibilityError(f"two-plane determinant {float(np.max(np.abs(d))):.6g} exceeds 1")
-    J2, K2, _, _ = hyperbolic_matrices(X, Y, eta, eta_prime, clip=True)
-    return CouplingMatrices(J2, K2)
+    return CouplingMatrices(J, K)

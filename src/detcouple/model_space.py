@@ -132,21 +132,17 @@ def require_valid_point(spec: SpaceSpec, x: np.ndarray) -> np.ndarray:
 # distances
 
 
-def _sphere_unit_distance(x, y):
-    # chord form 2*arcsin(|x-y|/2): stable near 0, exact at antipodes
-    chord = np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1)
-    return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
-
-
-def sphere_distance_arccos(x, y):
-    """Unit-sphere distance via arccos(x.y); cross-check of the chord form."""
-    return np.arccos(np.clip((np.asarray(x) * np.asarray(y)).sum(axis=-1), -1.0, 1.0))
-
-
-def _hyperbolic_unit_distance(x, y):
-    # arccosh(1+u) evaluated as log1p for stability near u = 0
+def unit_distance(kind: SpaceKind, x, y):
+    """Geodesic distance in the unit-curvature model of ``kind`` (batched)."""
     x = np.asarray(x)
     y = np.asarray(y)
+    if kind is SpaceKind.EUCLIDEAN:
+        return np.linalg.norm(x - y, axis=-1)
+    if kind is SpaceKind.SPHERE:
+        # chord form 2*arcsin(|x-y|/2): stable near 0, exact at antipodes
+        chord = np.linalg.norm(x - y, axis=-1)
+        return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
+    # arccosh(1+u) evaluated as log1p for stability near u = 0
     d2 = ((x - y) ** 2).sum(axis=-1)
     u = d2 / (2.0 * x[..., 0] * y[..., 0])
     return np.log1p(u + np.sqrt(u * (u + 2.0)))
@@ -164,11 +160,9 @@ def geodesic_distance(spec: SpaceSpec, x: np.ndarray, y: np.ndarray, validate: b
     if validate and x.ndim == 1 and y.ndim == 1:
         require_valid_point(spec, x)
         require_valid_point(spec, y)
-    if spec.kind is SpaceKind.EUCLIDEAN:
-        return np.linalg.norm(x - y, axis=-1)
     if spec.kind is SpaceKind.SPHERE:
-        return spec.r * _sphere_unit_distance(x / spec.r, y / spec.r)
-    return spec.r * _hyperbolic_unit_distance(x, y)
+        return spec.r * unit_distance(spec.kind, x / spec.r, y / spec.r)
+    return spec.r * unit_distance(spec.kind, x, y)
 
 
 # ---------------------------------------------------------------------------

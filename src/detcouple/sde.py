@@ -1,12 +1,13 @@
-"""Euler-Maruyama time stepping of the coupled pair.
+"""Euler-Maruyama time stepping of coupled ensembles.
 
 Both motions are advanced in the unit-curvature model; general curvature is
 handled by rescaling time (and, on spheres, coordinates) at the boundary.
-Per step the first motion is driven by dB, the second by dW = J dB + K dC
-with (J, K) evaluated at the left endpoint from the profile's target
-(rho, rho') and the current state geometry.
+Per step the first motion is driven by dB and the second by
+dW = coupling.drive(...), evaluated at the left endpoint from the profile's
+target (rho, rho') and the current state: the simulator runs the same
+coupling kernel that the identity scans verify.
 
-Schemes: Euclidean plain Euler; sphere Ito Euler of the tangential SDE
+Integrators: Euclidean plain Euler; sphere Ito Euler of the tangential SDE
 followed by renormalization; hyperbolic first coordinate advanced by its
 exact lognormal solution X1 <- X1 exp(dB1 - (n-1) dt / 2) (unconditional
 positivity) and remaining coordinates by Euler with the pre-step X1.
@@ -18,7 +19,6 @@ or worker order with identical results.
 
 from __future__ import annotations
 
-import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,38 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .coupling import drive, eta_from_rho
 from .errors import ValidationError
 from .model_space import (SpaceKind, SpaceSpec, from_unit_model, geodesic_distance,
                           point_at_distance, require_valid_point, to_unit_model)
-from .profiles import admissible_bounds, check_admissibility
+from .model_space import unit_distance as _unit_distance
+from .profiles import check_admissibility
 
 # Paths are simulated in fixed-size chunks; worker count never changes which
 # chunks exist, so results are bit-identical for any thread count.
 CHUNK_PATHS = 256
 NOISE_BLOCK_STEPS = 1024
-
-
-class Scheme(enum.Enum):
-    EULER_PROJECT = "euler-project"            # sphere: Euler + renormalize
-    EULER_LOG_FIRST_COORD = "euler-log-x1"     # half-space: exact X1, Euler tail
-
-
-@dataclass(frozen=True)
-class StepConfig:
-    dt: float
-    enforce_distance: bool = False
-    scheme: Scheme | None = None   # None: pick the space's default
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
-
-
-@dataclass(frozen=True)
-class CoupledState:
-    t: float
-    X: np.ndarray
-    Y: np.ndarray
+KEY_LIMIT = 2**64     # seeds and path indices are Philox key words
 
 
 @dataclass(frozen=True)
@@ -111,15 +91,16 @@ class EnsembleResult:
             return float(np.sqrt(np.mean((self.d_emp - self.target) ** 2)))
         return float(np.sqrt(np.mean((self.mean_d_emp - self.target) ** 2)))
 
-    def path_record(self, i: int) -> PathRecord:
-        if self.paths_X is None:
-            raise ValidationError("ensemble was run without record_paths=True")
-        return PathRecord(self.spec, self.times, self.paths_X[i], self.paths_Y[i],
-                          self.d_emp[i], self.target, self.seed, i)
-
 
 # ---------------------------------------------------------------------------
 # counter-based noise
+
+
+def _key_word(name: str, value) -> int:
+    value = int(value)
+    if not 0 <= value < KEY_LIMIT:
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 class NoiseStream:
@@ -131,17 +112,14 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int, path_index: int = 0, counter: int = 0):
-        self.seed = int(seed)
-        self.path_index = int(path_index)
+        self.seed = _key_word("seed", seed)
+        self.path_index = _key_word("path_index", path_index)
         self.counter = int(counter)
 
     def gaussians(self, count: int) -> np.ndarray:
         z = block_gaussians(self.seed, self.path_index, self.counter, 1, count)[0]
         self.counter += blocks_per_draw(count)
         return z
-
-    def copy(self) -> "NoiseStream":
-        return NoiseStream(self.seed, self.path_index, self.counter)
 
 
 def blocks_per_draw(words: int) -> int:
@@ -152,20 +130,11 @@ def block_gaussians(seed: int, path_index: int, counter: int, n_draws: int, word
     """(n_draws, words) standard normals; draw i starts at block
     counter + i * blocks_per_draw(words)."""
     bpd = blocks_per_draw(words)
-    bg = np.random.Philox(key=[seed & (2**64 - 1), path_index & (2**64 - 1)],
+    bg = np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64),
                           counter=int(counter))
     raw = bg.random_raw(n_draws * bpd * 4).reshape(n_draws, bpd * 4)[:, :words]
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     return ndtri(u)
-
-
-def driving_increments(stream: NoiseStream, ambient_dim: int, dt: float):
-    """Independent increments (dB, dC), each N(0, dt I) in R^ambient_dim."""
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
-    z = stream.gaussians(2 * ambient_dim)
-    root = np.sqrt(dt)
-    return root * z[:ambient_dim], root * z[ambient_dim:]
 
 
 # ---------------------------------------------------------------------------
@@ -177,46 +146,22 @@ def _dots(a, b):
 
 
 def _advance_batch(kind: SpaceKind, n: int, X, Y, rho_t, drho_t, dt, zB, zC):
-    """One Euler step for a batch of states; mutates nothing, returns (X, Y).
+    """One step for a batch of unit-model states; mutates nothing, returns (X, Y).
 
-    ``rho_t, drho_t`` are the profile targets at the step's left endpoint;
-    the band-derived eigenvalues are clipped into [-1, 1] to absorb
-    floating-point noise at band-saturating profiles.
+    ``rho_t, drho_t`` are the profile targets at the step's left endpoint
+    and ``zB, zC`` standard normals; the space's integrator advances X by
+    dB and Y by the coupling's dW.
     """
     root = np.sqrt(dt)
     dB = root * zB
     dC = root * zC
-    k = n - 1
+    eta, eta_prime = eta_from_rho(kind, rho_t, drho_t)
+    dW = drive(kind, n, X, Y, eta, eta_prime, dB, dC)
 
     if kind is SpaceKind.EUCLIDEAN:
-        if n == 1:
-            dW = dB
-        else:
-            lam = np.clip(1.0 - rho_t * drho_t / k, -1.0, 1.0)
-            Z = X - Y
-            xi = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
-            a = _dots(xi, dB)
-            c = _dots(xi, dC)
-            dW = lam * dB + ((1.0 - lam) * a)[..., None] * xi \
-                + np.sqrt(np.maximum(0.0, 1.0 - lam**2)) * (dC - c[..., None] * xi)
         return X + dB, Y + dW
 
     if kind is SpaceKind.SPHERE:
-        eta = np.cos(rho_t)
-        etap = -np.sin(rho_t) * drho_t
-        gamma = np.clip(eta + etap / k, -1.0, 1.0) if n >= 2 else 0.0
-        c = _dots(X, Y)
-        w = Y - c[..., None] * X
-        s = np.linalg.norm(w, axis=-1)
-        xi2 = w / s[..., None]
-        a1 = _dots(X, dB)
-        a2 = _dots(xi2, dB)
-        dW = gamma * (dB - a1[..., None] * X - a2[..., None] * xi2) \
-            + (-c * a1 - s * a2)[..., None] * X + (-s * a1 + c * a2)[..., None] * xi2
-        b1 = _dots(X, dC)
-        b2 = _dots(xi2, dC)
-        dW = dW + np.sqrt(np.maximum(0.0, 1.0 - gamma**2)) \
-            * (dC - b1[..., None] * X - b2[..., None] * xi2)
         Xn = X + (dB - _dots(X, dB)[..., None] * X) - (n / 2.0) * dt * X
         Yn = Y + (dW - _dots(Y, dW)[..., None] * Y) - (n / 2.0) * dt * Y
         Xn /= np.linalg.norm(Xn, axis=-1, keepdims=True)
@@ -224,53 +169,7 @@ def _advance_batch(kind: SpaceKind, n: int, X, Y, rho_t, drho_t, dt, zB, zC):
         return Xn, Yn
 
     # hyperbolic half-space
-    eta = np.cosh(rho_t) - 1.0
-    etap = np.sinh(rho_t) * drho_t
-    if n == 1:
-        dW = dB
-    else:
-        gamma = np.clip(1.0 + eta - etap / k, -1.0, 1.0)
-        x1, y1 = X[..., 0], Y[..., 0]
-        zt = X[..., 1:] - Y[..., 1:]
-        u = np.linalg.norm(zt, axis=-1)
-        small = u <= 1e-13 * (x1 + y1)
-        u_safe = np.where(small, 1.0, u)
-        xi2t = zt / u_safe[..., None]
-        m = u * u + x1 * x1 - y1 * y1
-        l = 2.0 * y1 * u
-        p = -u * u + x1 * x1 - y1 * y1
-        q = 2.0 * x1 * u
-        M2 = np.where(small, 1.0, m * m + l * l)
-        phi = -etap / k + (x1 * x1 + y1 * y1) / (x1 * y1)
-        denom = (1.0 + eta) * l * q + m * p
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        d = (phi * M2 - ((1.0 + eta) * m * p + l * q)) / denom
-        d = np.clip(np.where(small, gamma, d), -1.0, 1.0)
-        b11 = np.where(small, 1.0, (m * p + d * l * q) / M2)
-        b12 = np.where(small, 0.0, (l * p - d * m * q) / M2)
-        b21 = np.where(small, 0.0, (m * q - d * l * p) / M2)
-        b22 = np.where(small, d, (l * q + d * m * p) / M2)
-        fk = np.sqrt(np.maximum(0.0, 1.0 - d * d)) / M2
-        ra = np.where(small, 0.0, fk * l * l)
-        rb = np.where(small, 0.0, -fk * m * l)
-        rc = np.where(small, np.sqrt(np.maximum(0.0, 1.0 - d * d)), fk * m * m)
-
-        a1 = dB[..., 0]
-        a2 = _dots(xi2t, dB[..., 1:])
-        gperp = np.sqrt(np.maximum(0.0, 1.0 - gamma**2))
-        # J = A_phi' on the plane (transposed block), gamma transversally
-        j1 = b11 * a1 + b21 * a2
-        j2 = b12 * a1 + b22 * a2
-        dW = gamma[..., None] * dB
-        dW[..., 0] += j1 - gamma * a1
-        dW[..., 1:] += ((j2 - gamma * a2))[..., None] * xi2t
-        c1 = dC[..., 0]
-        c2 = _dots(xi2t, dC[..., 1:])
-        dWC = gperp[..., None] * dC
-        dWC[..., 0] += (ra * c1 + rb * c2) - gperp * c1
-        dWC[..., 1:] += ((rb * c1 + rc * c2) - gperp * c2)[..., None] * xi2t
-        dW = dW + dWC
-
+    k = n - 1
     x1_pre = X[..., 0:1]
     y1_pre = Y[..., 0:1]
     Xn = np.empty_like(X)
@@ -282,25 +181,14 @@ def _advance_batch(kind: SpaceKind, n: int, X, Y, rho_t, drho_t, dt, zB, zC):
     return Xn, Yn
 
 
-def _unit_distance(kind: SpaceKind, X, Y):
-    if kind is SpaceKind.EUCLIDEAN:
-        return np.linalg.norm(X - Y, axis=-1)
-    if kind is SpaceKind.SPHERE:
-        chord = np.linalg.norm(X - Y, axis=-1)
-        return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
-    d2 = ((X - Y) ** 2).sum(axis=-1)
-    u = d2 / (2.0 * X[..., 0] * Y[..., 0])
-    return np.log1p(u + np.sqrt(u * (u + 2.0)))
-
-
 # ---------------------------------------------------------------------------
 # time grid and unit-model reduction
 
 
 def time_grid(dt: float, T: float) -> np.ndarray:
     """Fixed-dt grid on [0, T]; the final partial step lands exactly on T."""
-    if T < 0 or not dt > 0:
-        raise ValidationError("need T >= 0 and dt > 0")
+    if not (np.isfinite(T) and T >= 0 and np.isfinite(dt) and dt > 0):
+        raise ValidationError(f"need finite T >= 0 and finite dt > 0, got T = {T}, dt = {dt}")
     steps = int(np.floor(T / dt + 1e-9))
     ts = dt * np.arange(steps + 1)
     if T - ts[-1] > 1e-12 * max(1.0, T):
@@ -323,45 +211,7 @@ class _UnitProfile:
 
 
 # ---------------------------------------------------------------------------
-# public stepping API
-
-
-_SCHEMES = {
-    SpaceKind.SPHERE: Scheme.EULER_PROJECT,
-    SpaceKind.HYPERBOLIC: Scheme.EULER_LOG_FIRST_COORD,
-}
-
-
-def step(spec: SpaceSpec, state: CoupledState, profile, cfg: StepConfig,
-         stream: NoiseStream) -> CoupledState:
-    """Advance both motions by one step of cfg.dt from state.t."""
-    required = _SCHEMES.get(spec.kind)
-    if cfg.scheme is not None and required is not None and cfg.scheme is not required:
-        raise ValidationError(
-            f"{spec.kind.value} space uses the {required.value} scheme, not {cfg.scheme.value}")
-    X = require_valid_point(spec, state.X)
-    Y = require_valid_point(spec, state.Y)
-    r = spec.r
-    xu, tu = to_unit_model(spec, X, state.t)
-    yu, _ = to_unit_model(spec, Y, state.t)
-    rho, drho = profile.eval(state.t)
-    lo, hi = admissible_bounds(spec, rho)
-    if not lo - 1e-8 <= drho <= hi + 1e-8:
-        raise ValidationError(
-            f"profile not admissible at t = {state.t:.6g}: rho' = {drho:.6g} "
-            f"outside [{lo:.6g}, {hi:.6g}]")
-    N = spec.ambient_dim
-    z = stream.gaussians(2 * N)
-    dt_u = cfg.dt / r**2
-    Xn, Yn = _advance_batch(spec.kind, spec.n, xu, yu, rho / r, drho * r, dt_u,
-                            z[:N], z[N:])
-    t_next = state.t + cfg.dt
-    if cfg.enforce_distance:
-        rho_next, _ = profile.eval(t_next)
-        Yn = point_at_distance(spec.unit(), Xn, Yn, rho_next / r)
-    Xn, _ = from_unit_model(spec, Xn, 0.0)
-    Yn, _ = from_unit_model(spec, Yn, 0.0)
-    return CoupledState(t_next, Xn, Yn)
+# ensembles
 
 
 def simulate_path(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
@@ -403,6 +253,12 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
     into fixed chunks of CHUNK_PATHS and each path's noise depends only on
     (seed, path index, step).
     """
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValidationError(f"n_paths must be a positive integer, got {n_paths}")
+    _key_word("seed", seed)
+    _key_word("first_path_index", first_path_index)
+    _key_word("last path index", first_path_index + n_paths - 1)
+    times = time_grid(dt, T)
     x0 = require_valid_point(spec, x0)
     y0 = require_valid_point(spec, y0)
     rho0, _ = profile.eval(0.0)
@@ -413,7 +269,6 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
         raise ValidationError(f"profile only defined up to t = {profile.end_time:.6g}")
 
     r = spec.r
-    times = time_grid(dt, T)
     target = np.atleast_1d(np.asarray(profile.eval(times)[0], dtype=float))
     if times.size > 1:
         rep = check_admissibility(spec, profile, grid=times)
@@ -485,7 +340,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
             partial = list(pool.map(run_chunk, chunks))
     for _, dsum in sorted(partial, key=lambda kv: kv[0]):
         mean_d += dsum
-    mean_d /= max(n_paths, 1)
+    mean_d /= n_paths
 
     # map unit-model states back to the space's own coordinates
     fX, _ = from_unit_model(spec, final_X, 0.0)

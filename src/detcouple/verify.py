@@ -21,9 +21,8 @@ import numpy as np
 from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_plane_scalars,
                        sphere_matrices)
 from .errors import ValidationError
-from .model_space import SpaceKind, SpaceSpec, sphere, to_unit_model
-from .sde import (EnsembleResult, NoiseStream, PathRecord, block_gaussians,
-                  simulate_ensemble, time_grid)
+from .model_space import SpaceKind, SpaceSpec, to_unit_model
+from .sde import EnsembleResult, block_gaussians, simulate_ensemble, time_grid
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ def _scan_euclidean(n, size, rng):
     Z[norm < 1e-3] *= (1e-3 / norm[norm < 1e-3])[:, None]
     rho = np.linalg.norm(Z, axis=-1)
     drho = rng.uniform(0.0, 2.0 * (n - 1) / rho) if n >= 2 else np.zeros(size)
-    lam = 1.0 - rho * drho / (n - 1) if n >= 2 else np.ones(size)
-    J, K = euclidean_matrices(Z, lam)
+    J, K = euclidean_matrices(Z, np.zeros(n), 0.5 * rho * rho, rho * drho)
     res = {
         "cancel": max(_max_abs(np.einsum("pji,pj->pi", J, Z) - Z),
                       _max_abs(np.einsum("pji,pj->pi", K, Z))),
@@ -171,7 +169,7 @@ def _scan_hyperbolic(n, size, rng, boundary_aligned_fraction=0.25):
     eta = ((X - Y) ** 2).sum(-1) / (2.0 * X[:, 0] * Y[:, 0])
     k = n - 1
     etap = k * eta + rng.uniform(0.0, 2.0 * k, size) if n >= 2 else np.zeros(size)
-    J, K, gamma, d = hyperbolic_matrices(X, Y, eta, etap, clip=False)
+    J, K, gamma, d = hyperbolic_matrices(X, Y, eta, etap)
     m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
     M2 = m * m + l * l
     xi2 = np.zeros_like(X)
@@ -328,27 +326,6 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
             d = np.arccos(np.clip(np.einsum("pij,j,pik,k->p", Z, x, Z, y), -1.0, 1.0))
             sup = np.maximum(sup, np.abs(d - rho0))
     return times, sup, Z @ x, Z @ y
-
-
-def rotation_oracle(rho0: float, dt: float, T: float, seed: int) -> PathRecord:
-    """Single-path rotation-coupling record with constant target rho0."""
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([np.cos(rho0), np.sin(rho0), 0.0])
-    times = time_grid(dt, T)
-    M = times.size - 1
-    X = np.empty((M + 1, 3))
-    Y = np.empty((M + 1, 3))
-    X[0], Y[0] = x, y
-    Z = np.eye(3)
-    stream = NoiseStream(seed, 0)
-    for i in range(M):
-        delta = np.sqrt(times[i + 1] - times[i]) * stream.gaussians(3)
-        Z = Z @ _rodrigues(delta)
-        X[i + 1] = Z @ x
-        Y[i + 1] = Z @ y
-    d = np.arccos(np.clip((X * Y).sum(-1), -1.0, 1.0))
-    target = np.full(M + 1, float(np.arccos(np.clip(np.dot(x, y), -1, 1))))
-    return PathRecord(sphere(2), times, X, Y, d, target, seed, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from detcouple import model_space as ms
 from detcouple.errors import AdmissibilityError, DegenerateStateError, ValidationError
 
 S2 = ms.sphere(2)
-H2 = ms.hyperbolic(2)
-E2 = ms.euclidean(2)
 
 
 def unitarity(M: cp.CouplingMatrices) -> float:
@@ -140,8 +138,9 @@ def test_sphere_reflection_on_span():
     X = ms.random_points(S2, 1, rng)[0]
     Y = ms.random_points(S2, 1, rng)[0]
     M = cp.build_sphere(2, X, Y, float(X @ Y), 0.3)
-    F = cp.frame_from_pair(S2, X, Y)
-    B = F[:, :2].T @ M.J.T @ F[:, :2]
+    w = Y - (X @ Y) * X
+    F = np.stack([X, w / np.linalg.norm(w)], axis=1)   # orthonormal basis of span{X, Y}
+    B = F.T @ M.J.T @ F
     assert np.allclose(B @ B.T, np.eye(2), atol=1e-12)     # orthogonal
     assert np.allclose(B, B.T, atol=1e-12)                 # symmetric
     assert np.linalg.det(B) == pytest.approx(-1.0, abs=1e-12)   # a reflection
@@ -201,86 +200,6 @@ def test_sphere_drift_consistent_gamma_vs_one_minus_variant():
 
 
 # ---------------------------------------------------------------------------
-# two-plane map and PSD square root
-
-
-def plane_params(m, l, p, q, rr=1.0, ss=1.0):
-    return cp.TwoPlaneParams(m, l, p, q, rr, ss, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-def test_a_phi_fixes_xi1():
-    d0 = 0.3
-    B = cp.build_a_phi(plane_params(1, 0, 1, 0), 1.0 + d0)
-    assert np.allclose(B, np.diag([1.0, d0]), atol=1e-15)
-
-
-def test_a_phi_fixes_xi2():
-    d0 = -0.4
-    B = cp.build_a_phi(plane_params(0, 1, 0, 1), 1.0 + d0)
-    assert np.allclose(B, np.diag([d0, 1.0]), atol=1e-15)
-
-
-def test_a_phi_band_center_is_singular():
-    params = plane_params(3.0, 4.0, 4.0, 3.0, rr=1.7, ss=1.0)
-    lo, hi = params.phi_band()
-    B = cp.build_a_phi(params, 0.5 * (lo + hi))
-    assert np.linalg.det(B) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_a_phi_postconditions():
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        m, l = rng.standard_normal(2)
-        ang = rng.uniform(0, 2 * np.pi)
-        norm = np.hypot(m, l)
-        p, q = norm * np.cos(ang), norm * np.sin(ang)
-        rr = rng.uniform(1.0, 3.0)
-        params = plane_params(m, l, p, q, rr=rr)
-        lo, hi = params.phi_band()
-        if hi - lo < 1e-9:
-            continue
-        phi = rng.uniform(lo, hi)
-        B = cp.build_a_phi(params, phi)
-        assert B @ [m, l] == pytest.approx([p, q], abs=1e-10 * max(1, norm))
-        assert rr * B[0, 0] + 1.0 * B[1, 1] == pytest.approx(phi, abs=1e-10)
-        d = (phi * norm**2 - (rr * m * p + l * q)) / (rr * l * q + m * p)
-        assert np.linalg.det(B) == pytest.approx(d, abs=1e-10)
-        assert np.linalg.svd(B, compute_uv=False)[0] <= 1 + 1e-12
-        with pytest.raises(AdmissibilityError):
-            cp.build_a_phi(params, hi + abs(hi - lo) + 1.0)
-
-
-def test_a_phi_degenerate_denominator():
-    with pytest.raises(ValidationError):
-        cp.build_a_phi(plane_params(1, 0, 0, 1), 0.5)   # rr*l*q + ss*m*p = 0
-
-
-def test_two_plane_params_validation():
-    with pytest.raises(ValidationError):
-        plane_params(1, 0, 2, 0)   # norm mismatch
-    with pytest.raises(ValidationError):
-        cp.TwoPlaneParams(1, 0, 1, 0, 1, 1, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-
-
-def test_psd_sqrt_examples():
-    assert np.array_equal(cp.psd_sqrt_2x2(np.eye(2)), np.eye(2))
-    assert np.allclose(cp.psd_sqrt_2x2(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-15)
-    M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    R = cp.psd_sqrt_2x2(M)
-    assert np.max(np.abs(R @ R - M)) <= 1e-12
-    assert np.allclose(R, R.T, atol=0)
-
-
-def test_psd_sqrt_errors_and_clamping():
-    with pytest.raises(ValidationError):
-        cp.psd_sqrt_2x2(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValidationError):
-        cp.psd_sqrt_2x2(np.diag([1.0, -1.0]))
-    R = cp.psd_sqrt_2x2(np.diag([1.0, -1e-13]))   # tiny negative eigenvalue clamps
-    assert np.allclose(R, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
 # hyperbolic
 
 
@@ -310,9 +229,9 @@ def test_hyperbolic_two_plane_example():
     etap = eta + 1.3    # inside [eta, eta + 2] for n = 2
     M = cp.build_hyperbolic(2, X, Y, eta, etap)
     gamma = 1 + eta - etap
-    # the two-plane determinant equals the transverse eigenvalue
-    F = cp.frame_from_pair(H2, X, Y)
-    B = F[:, :2].T @ M.J.T @ F[:, :2]
+    # the two-plane determinant equals the transverse eigenvalue; the plane
+    # is spanned by e1 and the unit boundary displacement, here e1 and e2
+    B = M.J.T
     assert np.linalg.det(B) == pytest.approx(gamma, abs=1e-12)
 
 
@@ -354,11 +273,71 @@ def test_hyperbolic_gamma_saturation():
     k = 2
     for etap, gamma in ((k * eta, 1.0), (k * eta + 2 * k, -1.0)):
         M = cp.build_hyperbolic(3, X, Y, eta, etap)
-        # K vanishes transversally at the band endpoints
-        F = cp.frame_from_pair(ms.hyperbolic(3), X, Y)
-        f = F[:, 2]
+        # K vanishes transversally at the band endpoints: f is orthogonal to
+        # e1 and to the boundary displacement (0, 0.7, -0.3)
+        f = np.array([0.0, 0.3, 0.7]) / np.hypot(0.3, 0.7)
         assert np.max(np.abs(M.Kmat @ f)) <= 1e-12
         assert f @ M.J @ f == pytest.approx(gamma, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the two-plane map A_phi inside the hyperbolic kernel
+
+
+def plane_block(X, Y, M):
+    """J' on span{e1, xi2} in the (e1, xi2) basis: columns are the images."""
+    n = len(X)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    xi2 = np.zeros(n)
+    zt = X[1:] - Y[1:]
+    if np.linalg.norm(zt) > 0:
+        xi2[1:] = zt / np.linalg.norm(zt)
+    else:
+        xi2[1] = 1.0   # vertical pair: every boundary direction is transverse
+    F = np.stack([e1, xi2], axis=1)
+    return F.T @ M.J.T @ F
+
+
+def test_a_phi_fixes_xi1():
+    # a vertical pair has (m, l) = (p, q) direction e1: A_phi = diag(1, d)
+    d0 = 0.3
+    X = np.array([1.0, 0.0])
+    Y = np.array([2.0, 0.0])
+    eta = 0.25
+    M = cp.build_hyperbolic(2, X, Y, eta, 1.0 + eta - d0)   # gamma = d = d0
+    assert np.allclose(plane_block(X, Y, M), np.diag([1.0, d0]), atol=1e-15)
+
+
+def test_a_phi_band_center_is_singular():
+    X = np.array([1.0, 1.0, 0.0])
+    Y = np.array([1.5, 0.2, -0.4])
+    eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
+    k = 2
+    M = cp.build_hyperbolic(3, X, Y, eta, k * (eta + 1.0))   # centre of the band: d = 0
+    assert np.linalg.det(plane_block(X, Y, M)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_a_phi_postconditions():
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        spec = ms.hyperbolic(n)
+        X = ms.random_points(spec, 1, rng)[0]
+        Y = ms.random_points(spec, 1, rng)[0]
+        eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
+        k = n - 1
+        etap = k * eta + rng.uniform(0, 2 * k)
+        B = plane_block(X, Y, cp.build_hyperbolic(n, X, Y, eta, etap))
+        m, l, p, q, _, _ = cp.hyperbolic_two_plane_scalars(X, Y)
+        norm = np.hypot(m, l)
+        phi = -etap / k + (X[0] ** 2 + Y[0] ** 2) / (X[0] * Y[0])
+        assert B @ [m, l] == pytest.approx([p, q], abs=1e-10 * max(1, norm))
+        assert (1.0 + eta) * B[0, 0] + B[1, 1] == pytest.approx(phi, abs=1e-10)
+        assert np.linalg.det(B) == pytest.approx(1.0 + eta - etap / k, abs=1e-10)   # d = gamma
+        assert np.linalg.svd(B, compute_uv=False)[0] <= 1 + 1e-12
+        with pytest.raises(AdmissibilityError):
+            cp.build_hyperbolic(n, X, Y, eta, k * eta + 2 * k + 1.0)
 
 
 def test_hyperbolic_errors():
@@ -372,32 +351,6 @@ def test_hyperbolic_errors():
         cp.build_hyperbolic(2, X, X, 0.0, 0.0)
     with pytest.raises(ValidationError):
         cp.build_hyperbolic(2, np.array([-1.0, 0.0]), Y, 0.25, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# frames
-
-
-def test_frame_examples():
-    F = cp.frame_from_pair(S2, np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    assert np.array_equal(F, np.eye(3))
-    F = cp.frame_from_pair(S2, np.array([1.0, 0, 0]), np.array([1.0, 1, 0]) / np.sqrt(2))
-    assert np.allclose(F, np.eye(3), atol=1e-15)
-    with pytest.raises(DegenerateStateError):
-        cp.frame_from_pair(S2, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
-
-
-def test_frame_gram_identity():
-    rng = np.random.default_rng(16)
-    for spec in (ms.sphere(3), ms.hyperbolic(4), ms.euclidean(3)):
-        for _ in range(50):
-            X = ms.random_points(spec, 1, rng)[0]
-            Y = ms.random_points(spec, 1, rng)[0]
-            try:
-                F = cp.frame_from_pair(spec, X, Y)
-            except DegenerateStateError:
-                continue
-            assert np.max(np.abs(F.T @ F - np.eye(spec.ambient_dim))) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,27 +2,18 @@ import numpy as np
 import pytest
 
 import detcouple.sde as sde_mod
+from detcouple import cli
+from detcouple import coupling as cp
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple.errors import ValidationError
-from detcouple.sde import (CoupledState, NoiseStream, StepConfig, block_gaussians,
-                           driving_increments, simulate_ensemble, simulate_path, step,
-                           time_grid)
+from detcouple.sde import (NoiseStream, _advance_batch, block_gaussians, simulate_ensemble,
+                           simulate_path, time_grid)
 
 S2 = ms.sphere(2)
 H2 = ms.hyperbolic(2)
 H3 = ms.hyperbolic(3)
 E2 = ms.euclidean(2)
-
-
-class ZeroStream:
-    """Stand-in stream: zero increments isolate the deterministic drift."""
-
-    seed = 0
-    path_index = 0
-
-    def gaussians(self, count):
-        return np.zeros(count)
 
 
 def test_noise_replay_determinism():
@@ -64,49 +55,169 @@ def test_driving_increment_moments():
             assert abs(cov) <= 3 * dt / np.sqrt(n)
 
 
-def test_driving_increments_api():
-    s = NoiseStream(9, 0)
-    dB, dC = driving_increments(s, 3, 1e-2)
-    assert dB.shape == (3,) and dC.shape == (3,)
-    assert s.counter == 2   # ceil(6/4) blocks
-    with pytest.raises(ValidationError):
-        driving_increments(s, 3, 0.0)
-
-
 def test_zero_noise_sphere_step_is_fixed_point():
     # radial drift is removed by renormalization
     x0, y0 = ms.canonical_start(S2, np.pi / 2)
-    state = CoupledState(0.0, x0, y0)
-    out = step(S2, state, pf.constant(np.pi / 2), StepConfig(dt=1e-3), ZeroStream())
-    assert np.max(np.abs(out.X - x0)) <= 1e-15
-    assert np.max(np.abs(out.Y - y0)) <= 1e-15
-    assert out.t == pytest.approx(1e-3)
+    zero = np.zeros((1, 3))
+    X, Y = _advance_batch(ms.SpaceKind.SPHERE, 2, x0[None], y0[None], np.pi / 2, 0.0, 1e-3,
+                          zero, zero)
+    assert np.max(np.abs(X - x0)) <= 1e-15
+    assert np.max(np.abs(Y - y0)) <= 1e-15
 
 
 def test_euclidean_translation_coupling_keeps_z_exactly():
     x0, y0 = ms.canonical_start(E2, 1.5)
-    state = CoupledState(0.0, x0, y0)
-    cfg = StepConfig(dt=1e-2)
-    stream = NoiseStream(5, 0)
-    for _ in range(50):
-        state = step(E2, state, pf.constant(1.5), cfg, stream)
+    res = simulate_ensemble(E2, pf.constant(1.5), x0, y0, 1e-2, 0.5, 5, 4, workers=1)
+    assert res.times.size == 51
     # J = I, K = 0: both points receive bitwise-identical increments, so Z
     # only moves by the rounding of the two running sums
-    assert np.max(np.abs((state.X - state.Y) - (x0 - y0))) <= 1e-13
+    assert np.max(np.abs((res.final_X - res.final_Y) - (x0 - y0))) <= 1e-13
 
 
 def test_sphere_single_step_distance_error_order_dt():
     dt = 1e-4
     prof = pf.constant(np.pi / 2)
     x0, y0 = ms.canonical_start(S2, np.pi / 2)
-    errs = []
-    for k in range(50):
-        out = step(S2, CoupledState(0.0, x0, y0), prof, StepConfig(dt=dt), NoiseStream(77, k))
-        errs.append(abs(ms.geodesic_distance(S2, out.X, out.Y) - np.pi / 2))
-    assert max(errs) <= 100 * dt
-    out = step(S2, CoupledState(0.0, x0, y0), prof,
-               StepConfig(dt=dt, enforce_distance=True), NoiseStream(77, 0))
-    assert abs(ms.geodesic_distance(S2, out.X, out.Y) - np.pi / 2) <= 1e-14
+    res = simulate_ensemble(S2, prof, x0, y0, dt, dt, 77, 50, workers=1)
+    assert res.times.size == 2
+    assert res.max_sup_err <= 100 * dt
+    res = simulate_ensemble(S2, prof, x0, y0, dt, dt, 77, 1, enforce_distance=True, workers=1)
+    assert res.max_sup_err <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the simulator's step is the verified (J, K)
+
+
+def _matrix_step(kind, n, X, Y, rho, drho, dt, zB, zC):
+    """The space's integrator applied to J dB + K dC, with J and K from *_matrices."""
+    dB, dC = np.sqrt(dt) * zB, np.sqrt(dt) * zC
+    eta, etap = cp.eta_from_rho(kind, rho, drho)
+    if kind is ms.SpaceKind.EUCLIDEAN:
+        J, K = cp.euclidean_matrices(X, Y, eta, etap)
+    elif kind is ms.SpaceKind.SPHERE:
+        J, K = cp.sphere_matrices(X, Y, eta, etap)
+    else:
+        J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+    dW = np.einsum("pij,pj->pi", J, dB) + np.einsum("pij,pj->pi", K, dC)
+    if kind is ms.SpaceKind.EUCLIDEAN:
+        return X + dB, Y + dW
+    if kind is ms.SpaceKind.SPHERE:
+        def euler_project(P, d):
+            P = P + d - (P * d).sum(-1, keepdims=True) * P - (n / 2.0) * dt * P
+            return P / np.linalg.norm(P, axis=-1, keepdims=True)
+        return euler_project(X, dB), euler_project(Y, dW)
+
+    def log_first_coord(P, d):
+        out = P + P[:, :1] * d
+        out[:, 0] = P[:, 0] * np.exp(d[:, 0] - (n - 1) * dt / 2.0)
+        return out
+    return log_first_coord(X, dB), log_first_coord(Y, dW)
+
+
+KERNEL_SPACES = [ms.euclidean(n) for n in (1, 2, 3)] + [ms.sphere(n) for n in (1, 2, 3)] \
+    + [ms.hyperbolic(n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPACES, ids=lambda s: f"{s.kind.value}{s.n}")
+def test_kernel_step_equals_matrix_step(spec):
+    rng = np.random.default_rng(31 + spec.n)
+    P, dt, rho = 64, 1e-2, 0.9
+    X = ms.random_points(spec, P, rng)
+    Y = ms.point_at_distance(spec, X, ms.random_points(spec, P, rng), rho)
+    if spec.kind is ms.SpaceKind.HYPERBOLIC and spec.n > 1:
+        # vertical pairs: the degenerate branch of the two-plane map
+        Y[:8] = X[:8]
+        Y[:8, 0] *= np.exp(rho)
+    lo, hi = pf.admissible_bounds(spec, rho)
+    N = spec.ambient_dim
+    for drho in (lo, hi, lo + 0.3 * (hi - lo)):
+        zB, zC = rng.standard_normal((2, P, N))
+        got = _advance_batch(spec.kind, spec.n, X, Y, rho, drho, dt, zB, zC)
+        want = _matrix_step(spec.kind, spec.n, X, Y, rho, drho, dt, zB, zC)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec,prof", [
+    (ms.sphere(2, K=2.0), lambda s: pf.sphere_contracting(s, 1.0)),
+    (ms.hyperbolic(3, K=-0.5), lambda s: pf.hyperbolic_upper(s, 1.0)),
+], ids=["sphere2-K2", "hyperbolic3-K-0.5"])
+def test_general_curvature_step_equals_matrix_step(spec, prof):
+    # one simulated step, through the unit-model rescaling, against the
+    # verified matrices driven by the same noise
+    profile = prof(spec)
+    x0, y0 = ms.canonical_start(spec, 1.0)
+    dt, P, seed = 1e-2, 5, 3
+    res = simulate_ensemble(spec, profile, x0, y0, dt, dt, seed, P, workers=1)
+    r, N = spec.r, spec.ambient_dim
+    z = np.stack([block_gaussians(seed, j, 0, 1, 2 * N)[0] for j in range(P)])
+    xu, _ = ms.to_unit_model(spec, x0, 0.0)
+    yu, _ = ms.to_unit_model(spec, y0, 0.0)
+    rho, drho = profile.eval(0.0)
+    want = _matrix_step(spec.kind, spec.n, np.tile(xu, (P, 1)), np.tile(yu, (P, 1)),
+                        rho / r, drho * r, dt / r**2, z[:, :N], z[:, N:])
+    for g, w in zip((res.final_X, res.final_Y), want):
+        assert np.max(np.abs(g - ms.from_unit_model(spec, w, 0.0)[0])) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+
+@pytest.mark.parametrize("seed", [-1, -2, 2**64, 2**70])
+def test_out_of_range_seed_rejected(seed):
+    with pytest.raises(ValidationError):
+        NoiseStream(seed)
+    with pytest.raises(ValidationError):
+        NoiseStream(0, path_index=seed)
+    x0, y0 = ms.canonical_start(E2, 1.0)
+    with pytest.raises(ValidationError):
+        simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, seed, 2)
+    with pytest.raises(ValidationError):
+        simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 0, 2,
+                          first_path_index=seed)
+
+
+def test_large_seeds_do_not_alias():
+    # seeds are Philox key words: every value in [0, 2**64) is its own stream
+    draws = [NoiseStream(s).gaussians(4) for s in (0, 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)]
+    for i in range(len(draws)):
+        for j in range(i):
+            assert not np.array_equal(draws[i], draws[j])
+    assert np.array_equal(NoiseStream(2**63 + 1).gaussians(4), draws[3])
+    x0, y0 = ms.canonical_start(E2, 1.0)
+    with pytest.raises(ValidationError):   # the last path index would pass 2**64
+        simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 0, 3,
+                          first_path_index=2**64 - 2)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_negative_seed_exits_2(command, tmp_path, capsys):
+    code = cli.main([command, "--space", "euclidean", "--dim", "2", "--profile", "constant",
+                     "--rho0", "1", "--paths", "2", "--dt", "0.01", "--T", "0.1",
+                     "--seed", "-1", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt,T,n_paths", [
+    (1e-2, np.inf, 2),
+    (1e-2, np.nan, 2),
+    (np.inf, 1.0, 2),
+    (np.nan, 1.0, 2),
+    (1e-2, -1.0, 2),
+    (0.0, 1.0, 2),
+    (1e-2, 1.0, 0),
+    (1e-2, 1.0, -3),
+], ids=["T-inf", "T-nan", "dt-inf", "dt-nan", "T-negative", "dt-zero", "paths-0", "paths-neg"])
+def test_bad_grid_and_ensemble_inputs_rejected(dt, T, n_paths):
+    x0, y0 = ms.canonical_start(E2, 1.0)
+    if n_paths >= 1:
+        with pytest.raises(ValidationError):
+            time_grid(dt, T)
+    with pytest.raises(ValidationError):
+        simulate_ensemble(E2, pf.constant(1.0), x0, y0, dt, T, 0, n_paths)
 
 
 def test_time_grid():
@@ -260,11 +371,3 @@ def test_chunked_ensembles_cross_chunk_boundary(monkeypatch):
     small = simulate_ensemble(E2, prof, x0, y0, 1e-2, 0.1, 5, 10, record_distances=True,
                               workers=2)
     assert np.array_equal(big.d_emp, small.d_emp)
-
-
-def test_step_scheme_validation():
-    x0, y0 = ms.canonical_start(S2, 1.0)
-    state = CoupledState(0.0, x0, y0)
-    with pytest.raises(ValidationError):
-        step(S2, state, pf.constant(1.0), StepConfig(dt=1e-3, scheme=sde_mod.Scheme.EULER_LOG_FIRST_COORD),
-             NoiseStream(0, 0))

@@ -73,8 +73,6 @@ def test_rodrigues_matches_expm():
 
 
 def test_rotation_oracle_distance_constant():
-    rec = vf.rotation_oracle(1.0, 1e-3, 1.0, seed=4)
-    assert rec.sup_error <= 1e-12
     times, sup, fX, fY = vf.rotation_ensemble(np.pi / 2, 1e-3, 1.0, seed=4, n_paths=50)
     assert sup.max() <= 1e-12
     assert np.allclose(np.linalg.norm(fX, axis=-1), 1.0, atol=1e-12)
