@@ -245,19 +245,34 @@ def _fmt(x: float) -> str:
 
 
 def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
-    """Per-sample rows ``t,path,dist,target,abs_err`` with 17 significant digits."""
+    """Per-sample rows ``t,path,dist,target,abs_err`` with 17 significant digits.
+
+    Rows are path-major: every kept sample of path 0, then of path 1, and so
+    on.  Every ``stride``-th sample is kept, plus the final one.
+    """
     if result.d_emp is None:
         raise ValidationError("ensemble was run without recorded distances")
-    idx = list(range(0, result.times.size, stride))
-    if idx[-1] != result.times.size - 1:
-        idx.append(result.times.size - 1)
+    if stride < 1:
+        raise ValidationError(f"stride must be >= 1, got {stride}")
+    last = result.times.size - 1
+    idx = list(range(0, last + 1, stride))
+    if idx[-1] != last:
+        idx.append(last)
+    idx = np.array(idx)
+    target = result.target[idx]
+    # t and target are shared by all paths: format them once into a per-path
+    # template whose %-slots take (path, dist, abs_err) of each row.
+    # '%.17g' % x gives the same text as f"{x:.17g}".
+    template = "".join(f"{_fmt(t)},%d,%.17g,{_fmt(g)},%.17g\n"
+                       for t, g in zip(result.times[idx], target))
+    rows = np.empty((idx.size, 3))
     with open(path, "w", newline="") as fh:
         fh.write("t,path,dist,target,abs_err\n")
         for p in range(result.n_paths):
-            dp = result.d_emp[p]
-            for i in idx:
-                t, d, g = result.times[i], dp[i], result.target[i]
-                fh.write(f"{_fmt(t)},{p},{_fmt(d)},{_fmt(g)},{_fmt(abs(d - g))}\n")
+            rows[:, 0] = p
+            rows[:, 1] = result.d_emp[p, idx]
+            np.abs(np.subtract(rows[:, 1], target, out=rows[:, 2]), out=rows[:, 2])
+            fh.write(template % tuple(rows.ravel().tolist()))
 
 
 def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: bool) -> None:

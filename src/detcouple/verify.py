@@ -22,7 +22,7 @@ from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_p
                        sphere_matrices)
 from .errors import ValidationError
 from .model_space import SpaceKind, SpaceSpec, to_unit_model
-from .sde import EnsembleResult, block_gaussians, simulate_ensemble, time_grid
+from .sde import EnsembleResult, _key_word, block_gaussians, simulate_ensemble, time_grid
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def _scan_hyperbolic(n, size, rng, boundary_aligned_fraction=0.25):
 
 def identity_scan(spec: SpaceSpec, num_samples: int, seed: int, tol: float = 1e-10) -> VerifyReport:
     """Residuals of all construction identities at random admissible states."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_key_word("seed", seed))
     n = spec.n
     if spec.kind is SpaceKind.EUCLIDEAN:
         J, K, res = _scan_euclidean(n, num_samples, rng)
@@ -221,6 +221,8 @@ def identity_scan(spec: SpaceSpec, num_samples: int, seed: int, tol: float = 1e-
 def identity_scan_all(num_samples_per_space: int, seed: int, tol: float = 1e-10,
                       dims=(2, 3, 1, 5)) -> list[VerifyReport]:
     """Identity scans over all three spaces, samples split across dimensions."""
+    _key_word("seed", seed)
+    _key_word("last scan seed", seed + 97 * 2 + len(dims) - 1)
     reports = []
     weights = [0.4, 0.4, 0.1, 0.1][: len(dims)]
     for offset, kind in enumerate([SpaceKind.EUCLIDEAN, SpaceKind.SPHERE, SpaceKind.HYPERBOLIC]):
@@ -309,6 +311,9 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     """
     if not 0 < rho0 < np.pi:
         raise ValidationError("rho0 must lie in (0, pi)")
+    _key_word("seed", seed)
+    if n_paths < 1:
+        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([np.cos(rho0), np.sin(rho0), 0.0])
     times = time_grid(dt, T)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -197,3 +199,103 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "admissible" in proc.stdout
+
+
+# SHA-256 of paths.csv and summary.json for P=3, dt=1e-2, seed 7, recorded
+# with the per-row writer that formatted all five fields of every row.
+_GOLDEN_ARGS = {
+    "e3": ["--space", "euclidean", "--dim", "3", "--profile", "euclidean-max-growth",
+           "--rho0", "1.0"],
+    "s2": ["--space", "sphere", "--dim", "2", "--profile", "sphere-contracting",
+           "--rho0", "1.5707963267948966"],
+    "h2": ["--space", "hyperbolic", "--dim", "2", "--profile", "hyperbolic-lower",
+           "--rho0", "1.0"],
+}
+_GOLDEN = [  # (case, T, stride, exit status, paths.csv, summary.json)
+    ("e3", "0.05", "1", 1,
+     "682e338ca2eaea68acd1fbf5998f1fc1bb9636eaaf3839eb1a700c27c74ff3bf",
+     "6125375501da67b9647a82be445da684a6d3b6b798ec0e757e60372a80181c52"),
+    ("e3", "0.05", "4", 1,
+     "75621101a4d1510356927d8ccef4c590fec789e20373433f1364d1f50510483d",
+     "6125375501da67b9647a82be445da684a6d3b6b798ec0e757e60372a80181c52"),
+    ("e3", "0", "1", 0,
+     "83664e038356857be9c8f3906d820d8250baf34c6532aace47f8c3fce82ed94d",
+     "e24d28a372fef3c72494a69a0f0cec2a246a7229c0914075e8ea2a7869fb2731"),
+    ("s2", "0.05", "1", 0,
+     "8085d70d069bd466295aa8780d8788ff5218f7876de91ddeb0cdc27f9c468bea",
+     "1f877031d2a1ec7defd04116f42b9a604443149ea8998887d6a1c164239dd0b5"),
+    ("s2", "0.05", "4", 0,
+     "905ff21647d984ea46c5490e020e79caabf9df2e0fd9d5c8fa1724439763e4a7",
+     "1f877031d2a1ec7defd04116f42b9a604443149ea8998887d6a1c164239dd0b5"),
+    ("s2", "0", "1", 0,
+     "a09137e055b0ea30159d3ed9640b7e7583797e7d67c50d46a2a1912d306967a4",
+     "9eac48d3ffa38dda491f0c79e86baeb90ea033cf323556b37f27508e591cbde2"),
+    ("h2", "0.05", "1", 0,
+     "947cfeec655fad2fcbec40df75fbcbc503393f2a7a62266c5e3ab45979bb46b7",
+     "689943e5015f9fe6ab62e387744086ff2959e348f4954c094ee4a2fd07c9b048"),
+    ("h2", "0.05", "4", 0,
+     "fe2d366e14251ff9f32703566c32e6ea3ef91176ebd20252d525a49774338091",
+     "689943e5015f9fe6ab62e387744086ff2959e348f4954c094ee4a2fd07c9b048"),
+    ("h2", "0", "1", 0,
+     "83664e038356857be9c8f3906d820d8250baf34c6532aace47f8c3fce82ed94d",
+     "afd7ec412d1e505e7c1dfbdee9be667688e6aea72e3d79ac76db90dd98bff2aa"),
+]
+
+
+@pytest.mark.parametrize("case,T,stride,code,csv_sha,json_sha", _GOLDEN,
+                         ids=[f"{c}-T{T}-stride{s}" for c, T, s, *_ in _GOLDEN])
+def test_simulate_golden_bytes(tmp_path, capsys, case, T, stride, code, csv_sha, json_sha):
+    rc = run_main(["simulate", *_GOLDEN_ARGS[case], "--dt", "1e-2", "--T", T, "--paths", "3",
+                   "--seed", "7", "--csv-stride", stride, "--out", str(tmp_path)])
+    assert rc == code
+    # samples 0..5 at T=0.05; stride 4 keeps 0, 4 and the final sample 5
+    per_path = 1 if T == "0" else {"1": 6, "4": 3}[stride]
+    text = (tmp_path / "paths.csv").read_bytes()
+    assert text.count(b"\n") == 1 + 3 * per_path
+    assert hashlib.sha256(text).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == json_sha
+
+
+def _reference_paths_csv(result, stride):
+    """The per-row writer: five formatted fields and one write per row."""
+    idx = list(range(0, result.times.size, stride))
+    if idx[-1] != result.times.size - 1:
+        idx.append(result.times.size - 1)
+    out = ["t,path,dist,target,abs_err\n"]
+    for p in range(result.n_paths):
+        for i in idx:
+            t, d, g = result.times[i], result.d_emp[p, i], result.target[i]
+            out.append(f"{t:.17g},{p},{d:.17g},{g:.17g},{abs(d - g):.17g}\n")
+    return "".join(out).encode()
+
+
+def test_write_paths_csv_matches_per_row_reference(tmp_path):
+    from detcouple import model_space as ms
+    from detcouple import profiles as pf
+    from detcouple.sde import simulate_ensemble
+    spec = ms.sphere(2)
+    x0, y0 = ms.canonical_start(spec, 1.0)
+    res = simulate_ensemble(spec, pf.sphere_contracting(spec, 1.0), x0, y0, 1e-2, 0.13, 2, 5,
+                            record_distances=True, workers=1)
+    d = res.d_emp.copy()
+    # values whose text is easy to get wrong: signed zero, non-finite, subnormal, huge
+    d[1, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+    d[2, 3] = res.target[3]          # abs_err exactly 0
+    res = dataclasses.replace(res, d_emp=d)
+    for stride in (1, 2, 3, 4, 5, 13, 14, 100):
+        out = tmp_path / f"paths-{stride}.csv"
+        cli.write_paths_csv(out, res, stride)
+        assert out.read_bytes() == _reference_paths_csv(res, stride), stride
+
+
+def test_write_paths_csv_rejects_bad_stride(tmp_path):
+    from detcouple import model_space as ms
+    from detcouple import profiles as pf
+    from detcouple.sde import simulate_ensemble
+    spec = ms.euclidean(2)
+    x0, y0 = ms.canonical_start(spec, 1.0)
+    res = simulate_ensemble(spec, pf.constant(1.0), x0, y0, 1e-2, 0.05, 0, 2,
+                            record_distances=True, workers=1)
+    for stride in (0, -1):
+        with pytest.raises(ValidationError, match="stride"):
+            cli.write_paths_csv(tmp_path / "paths.csv", res, stride)

@@ -95,6 +95,29 @@ def test_rotation_oracle_rho0_validation():
         vf.rotation_ensemble(np.pi, 1e-3, 1.0, 0, 1)
 
 
+def test_identity_scan_rejects_out_of_range_seed():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed"):
+            vf.identity_scan(S2, 10, seed)
+    assert vf.identity_scan(S2, 10, 2**64 - 1).passed
+
+
+def test_identity_scan_all_rejects_out_of_range_seed():
+    # the per-scan seeds run up to seed + 97 * 2 + len(dims) - 1
+    for seed in (-1, 2**64 - 1):
+        with pytest.raises(ValidationError, match="seed"):
+            vf.identity_scan_all(10, seed)
+
+
+def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed"):
+            vf.rotation_ensemble(1.0, 1e-2, 0.1, seed, 2)
+    for n_paths in (0, -3):
+        with pytest.raises(ValidationError, match="n_paths"):
+            vf.rotation_ensemble(1.0, 1e-2, 0.1, 0, n_paths)
+
+
 def test_mean_decay_euclidean_martingale():
     x0, y0 = ms.canonical_start(E2, 1.0)
     res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.5, 6, 600, workers=1)
