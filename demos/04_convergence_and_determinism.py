@@ -4,15 +4,16 @@
 The construction is exact in continuous time; the only error is the Euler
 discretization.  Halving dt should shrink the sup tracking error at a rate
 between strong order 1/2 and weak order 1.  Noise is counter-based, keyed by
-(seed, path index, step), so every number below reproduces bit-for-bit on
-any machine and for any worker count.
+(seed, path index, step), so every number below reproduces bit-for-bit, and
+any one path can be replayed on its own.
 
 Run:  python demos/04_convergence_and_determinism.py
 """
 
 import numpy as np
 
-from detcouple import NoiseStream, canonical_start, constant, simulate_path, sphere
+from detcouple import canonical_start, constant, simulate_ensemble, sphere
+from detcouple.sde import block_gaussians
 from detcouple.verify import convergence_study
 
 print(__doc__)
@@ -29,12 +30,14 @@ print(f"log-log slope: {rep.details['slope']:.3f}  "
       f"(strictly decreasing: {rep.details['strictly_decreasing']})\n")
 
 print("replay determinism:")
-a = simulate_path(spec, constant(np.pi / 2), x0, y0, 1e-3, 0.5, 99, path_index=3)
-b = simulate_path(spec, constant(np.pi / 2), x0, y0, 1e-3, 0.5, 99, path_index=3)
-print(f"  two runs, same (seed, path): identical = {np.array_equal(a.d_emp, b.d_emp)}")
+ens = simulate_ensemble(spec, constant(np.pi / 2), x0, y0, 1e-3, 0.5, 99, n_paths=5,
+                        record_paths=True)
+one = simulate_ensemble(spec, constant(np.pi / 2), x0, y0, 1e-3, 0.5, 99, n_paths=1,
+                        first_path_index=3, record_paths=True)
+print(f"  path 3 run alone equals path 3 of the ensemble: "
+      f"{np.array_equal(one.d_emp[0], ens.d_emp[3])}")
 
-s1 = NoiseStream(99, 3)
-z1 = s1.gaussians(6)
-z2 = NoiseStream(99, 3, counter=0).gaussians(6)
+z1 = block_gaussians(99, 3, 0, 2, 6)     # steps 0 and 1 of path 3
+z2 = block_gaussians(99, 3, 2, 1, 6)     # step 1 alone: 6 normals use 2 Philox blocks
 print(f"  same (seed, path, counter) regenerates identical increments: "
-      f"{np.array_equal(z1, z2)}")
+      f"{np.array_equal(z1[1], z2[0])}")

@@ -18,7 +18,7 @@ from .profiles import (AdmissibilityReport, ClampedProfile, DistanceProfile, Pro
                        euclidean_max_growth, eval_profile, hyperbolic_lower,
                        hyperbolic_upper, sphere_contracting, sphere_repulsive, tabulated,
                        tabulated_from_csv)
-from .sde import EnsembleResult, NoiseStream, PathRecord, simulate_ensemble, simulate_path, time_grid
+from .sde import EnsembleResult, simulate_ensemble, time_grid
 from .verify import (VerifyReport, convergence_study, distance_error_stats, identity_scan,
                      identity_scan_all, mean_decay_check, rotation_ensemble)
 

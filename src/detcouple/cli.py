@@ -3,7 +3,8 @@
 Configuration comes from flags, optionally seeded by a flat key=value config
 file (one key per line, ``#`` comments); flags override file values.  All
 outputs are written deterministically: identical configuration and seed give
-byte-identical files regardless of DETCOUPLE_THREADS.
+byte-identical files.  Bad input (an unparseable value, an unreadable config
+or table file) exits with status 2 and a message naming the field or file.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ class RunConfig:
 
 
 def _parse_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read config file: {exc.strerror}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -102,10 +107,15 @@ def _coerce(key: str, val):
             return False
         raise ValidationError(f"field {key}: expected a boolean, got {val!r}")
     if key in ("dim", "paths", "seed", "csv_stride", "samples"):
-        return int(val)
-    if key in ("K", "rho0", "rho0_deg", "dt", "T", "tolerance"):
-        return float(val)
-    return val
+        kind, what = int, "an integer"
+    elif key in ("K", "rho0", "rho0_deg", "dt", "T", "tolerance"):
+        kind, what = float, "a number"
+    else:
+        return val
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValidationError(f"field {key}: expected {what}, got {val!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -132,12 +132,21 @@ def tabulated(times, values) -> DistanceProfile:
 
 def tabulated_from_csv(path) -> DistanceProfile:
     """Read a two-column CSV with header ``t,rho``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "rho"]:
-            raise ValidationError(f"{path}: expected CSV header 't,rho'")
-        rows = [(float(row[0]), float(row[1])) for row in reader if row]
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["t", "rho"]:
+                raise ValidationError(f"{path}: expected CSV header 't,rho'")
+            for row in filter(None, reader):
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                except (ValueError, IndexError):
+                    raise ValidationError(f"{path}:{reader.line_num}: expected two numbers "
+                                          f"t,rho, got {','.join(row)!r}") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read table: {exc.strerror}") from None
     if not rows:
         raise ValidationError(f"{path}: empty table")
     arr = np.asarray(rows, dtype=float)

@@ -13,49 +13,29 @@ exact lognormal solution X1 <- X1 exp(dB1 - (n-1) dt / 2) (unconditional
 positivity) and remaining coordinates by Euler with the pre-step X1.
 
 Noise is counter-based: the increments of a path are a pure function of
-(seed, path_index, step index), so ensembles can be generated in any chunk
-or worker order with identical results.
+(seed, path_index, step index), so a path's trajectory does not depend on
+which chunk of the ensemble runs it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .coupling import drive, eta_from_rho
+from .coupling import _dots, drive, eta_from_rho
 from .errors import ValidationError
 from .model_space import (SpaceKind, SpaceSpec, from_unit_model, geodesic_distance,
                           point_at_distance, require_valid_point, to_unit_model)
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 
-# Paths are simulated in fixed-size chunks; worker count never changes which
-# chunks exist, so results are bit-identical for any thread count.
+# Paths are simulated in fixed-size chunks: they cap the noise block's memory
+# and fix the order in which mean_d_emp sums the paths.
 CHUNK_PATHS = 256
 NOISE_BLOCK_STEPS = 1024
 KEY_LIMIT = 2**64     # seeds and path indices are Philox key words
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Sampled trajectory of one coupled pair."""
-
-    spec: SpaceSpec
-    times: np.ndarray      # (M+1,)
-    X: np.ndarray          # (M+1, ambient_dim)
-    Y: np.ndarray
-    d_emp: np.ndarray      # geodesic distance per sample
-    target: np.ndarray     # profile value per sample
-    seed: int
-    path_index: int
-
-    @property
-    def sup_error(self) -> float:
-        return float(np.max(np.abs(self.d_emp - self.target)))
 
 
 @dataclass
@@ -103,32 +83,14 @@ def _key_word(name: str, value) -> int:
     return value
 
 
-class NoiseStream:
-    """Deterministic Gaussian stream keyed by (seed, path_index, counter).
-
-    The counter advances in Philox blocks (4 words of 64 bits); a draw of
-    ``k`` normals consumes ceil(k/4) blocks, so identical (seed, path_index,
-    counter) always regenerate identical increments regardless of history.
-    """
-
-    def __init__(self, seed: int, path_index: int = 0, counter: int = 0):
-        self.seed = _key_word("seed", seed)
-        self.path_index = _key_word("path_index", path_index)
-        self.counter = int(counter)
-
-    def gaussians(self, count: int) -> np.ndarray:
-        z = block_gaussians(self.seed, self.path_index, self.counter, 1, count)[0]
-        self.counter += blocks_per_draw(count)
-        return z
-
-
 def blocks_per_draw(words: int) -> int:
     return -(-words // 4)
 
 
 def block_gaussians(seed: int, path_index: int, counter: int, n_draws: int, words: int) -> np.ndarray:
-    """(n_draws, words) standard normals; draw i starts at block
-    counter + i * blocks_per_draw(words)."""
+    """(n_draws, words) standard normals keyed by (seed, path_index); draw i
+    starts at Philox block counter + i * blocks_per_draw(words), so a draw is
+    a pure function of its key and counter, whatever was drawn before it."""
     bpd = blocks_per_draw(words)
     bg = np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64),
                           counter=int(counter))
@@ -137,12 +99,19 @@ def block_gaussians(seed: int, path_index: int, counter: int, n_draws: int, word
     return ndtri(u)
 
 
+def path_gaussians(seed: int, first_path_index: int, n_paths: int, step0: int, step1: int,
+                   words: int) -> np.ndarray:
+    """(n_paths, step1 - step0, words) normals of steps [step0, step1) for the
+    consecutive paths first_path_index, first_path_index + 1, ..."""
+    z = np.empty((n_paths, step1 - step0, words))
+    for j in range(n_paths):
+        z[j] = block_gaussians(seed, first_path_index + j, step0 * blocks_per_draw(words),
+                               step1 - step0, words)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # batched one-step advance (unit-curvature models)
-
-
-def _dots(a, b):
-    return (a * b).sum(axis=-1)
 
 
 def _advance_batch(kind: SpaceKind, n: int, X, Y, rho_t, drho_t, dt, zB, zC):
@@ -197,61 +166,18 @@ def time_grid(dt: float, T: float) -> np.ndarray:
     return ts
 
 
-class _UnitProfile:
-    """View of a profile in unit-model length/time units."""
-
-    def __init__(self, profile, r: float):
-        self.profile = profile
-        self.r = r
-        self.rho0 = profile.rho0 / r
-
-    def eval(self, tau):
-        rho, drho = self.profile.eval(np.asarray(tau) * self.r**2)
-        return rho / self.r, drho * self.r
-
-
 # ---------------------------------------------------------------------------
 # ensembles
-
-
-def simulate_path(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
-                  stream: NoiseStream | int, path_index: int = 0,
-                  enforce_distance: bool = False) -> PathRecord:
-    """Simulate one coupled pair; reproducible from (seed, path_index)."""
-    if isinstance(stream, NoiseStream):
-        seed, path_index = stream.seed, stream.path_index
-    else:
-        seed = int(stream)
-    res = simulate_ensemble(spec, profile, x0, y0, dt, T, seed, n_paths=1,
-                            first_path_index=path_index,
-                            enforce_distance=enforce_distance,
-                            record_paths=True, workers=1)
-    return PathRecord(spec, res.times, res.paths_X[0], res.paths_Y[0],
-                      res.d_emp[0], res.target, seed, path_index)
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("DETCOUPLE_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"DETCOUPLE_THREADS must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
 
 
 def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
                       seed: int, n_paths: int, enforce_distance: bool = False,
                       record_distances: bool = False, record_paths: bool = False,
-                      first_path_index: int = 0,
-                      workers: int | None = None) -> EnsembleResult:
+                      first_path_index: int = 0) -> EnsembleResult:
     """Simulate ``n_paths`` independent coupled pairs on a common grid.
 
-    Results are bit-identical for any worker count: paths are partitioned
-    into fixed chunks of CHUNK_PATHS and each path's noise depends only on
-    (seed, path index, step).
+    Paths ``first_path_index``, ... run in fixed chunks of CHUNK_PATHS, and
+    each path's noise depends only on (seed, path index, step).
     """
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ValidationError(f"n_paths must be a positive integer, got {n_paths}")
@@ -275,10 +201,12 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
         if not rep.admissible:
             raise ValidationError("profile not admissible on [0, T]: " + "; ".join(rep.reasons))
 
-    uprof = _UnitProfile(profile, r)
     xu, _ = to_unit_model(spec, x0, 0.0)
     yu, _ = to_unit_model(spec, y0, 0.0)
     taus = times / r**2
+    # the profile's (rho, rho') at every grid time, in unit-model units
+    rho_u, drho_u = profile.eval(taus * r**2)
+    rho_u, drho_u = rho_u / r, drho_u * r
     N = spec.ambient_dim
     M = times.size - 1
 
@@ -290,36 +218,25 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
     pX = np.empty((n_paths, times.size, N)) if record_paths else None
     pY = np.empty((n_paths, times.size, N)) if record_paths else None
 
-    chunks = [(i, min(i + CHUNK_PATHS, n_paths)) for i in range(0, n_paths, CHUNK_PATHS)]
-
-    def run_chunk(bounds):
-        i0, i1 = bounds
-        P = i1 - i0
-        X = np.tile(xu, (P, 1))
-        Y = np.tile(yu, (P, 1))
-        d = np.empty((P, times.size))
+    for i0 in range(0, n_paths, CHUNK_PATHS):
+        i1 = min(i0 + CHUNK_PATHS, n_paths)
+        X = np.tile(xu, (i1 - i0, 1))
+        Y = np.tile(yu, (i1 - i0, 1))
+        d = np.empty((i1 - i0, times.size))
         d[:, 0] = _unit_distance(spec.kind, X, Y)
         if record_paths:
             pX[i0:i1, 0] = X
             pY[i0:i1, 0] = Y
-        words = 2 * N
-        bpd = blocks_per_draw(words)
         for b0 in range(0, M, NOISE_BLOCK_STEPS):
             b1 = min(b0 + NOISE_BLOCK_STEPS, M)
-            z = np.empty((P, b1 - b0, words))
-            for j in range(P):
-                z[j] = block_gaussians(seed, first_path_index + i0 + j, b0 * bpd,
-                                       b1 - b0, words)
+            z = path_gaussians(seed, first_path_index + i0, i1 - i0, b0, b1, 2 * N)
             for i in range(b0, b1):
-                dtau = taus[i + 1] - taus[i]
-                rho_u, drho_u = uprof.eval(taus[i])
                 zB = z[:, i - b0, :N]
                 zC = z[:, i - b0, N:]
-                X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u, drho_u,
-                                      dtau, zB, zC)
+                X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
+                                      taus[i + 1] - taus[i], zB, zC)
                 if enforce_distance:
-                    rho_next, _ = uprof.eval(taus[i + 1])
-                    Y = point_at_distance(spec.unit(), X, Y, rho_next)
+                    Y = point_at_distance(spec.unit(), X, Y, rho_u[i + 1])
                 d[:, i + 1] = _unit_distance(spec.kind, X, Y)
                 if record_paths:
                     pX[i0:i1, i + 1] = X
@@ -330,16 +247,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
         final_Y[i0:i1] = Y
         if d_all is not None:
             d_all[i0:i1] = d
-        return i0, d.sum(axis=0)
-
-    nworkers = _worker_count(workers)
-    if nworkers == 1 or len(chunks) == 1:
-        partial = [run_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            partial = list(pool.map(run_chunk, chunks))
-    for _, dsum in sorted(partial, key=lambda kv: kv[0]):
-        mean_d += dsum
+        mean_d += d.sum(axis=0)
     mean_d /= n_paths
 
     # map unit-model states back to the space's own coordinates

@@ -22,7 +22,8 @@ from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_p
                        sphere_matrices)
 from .errors import ValidationError
 from .model_space import SpaceKind, SpaceSpec, to_unit_model
-from .sde import EnsembleResult, _key_word, block_gaussians, simulate_ensemble, time_grid
+from .sde import (NOISE_BLOCK_STEPS, EnsembleResult, _key_word, path_gaussians,
+                  simulate_ensemble, time_grid)
 
 
 @dataclass(frozen=True)
@@ -66,31 +67,14 @@ def _jsonable(v):
 # distance tracking statistics
 
 
-def distance_error_stats(paths, tolerance: float = 0.05, name: str = "distance-tracking") -> VerifyReport:
-    """Sup/mean/RMS statistics of |d_emp - target| over a path ensemble.
-
-    Accepts a list of PathRecords on a common grid or an EnsembleResult.
-    The reported statistic is the ensemble mean of the per-path sup error.
-    """
-    if isinstance(paths, EnsembleResult):
-        sup = paths.sup_err
-        rms = paths.rms_err()
-        n, dt = paths.n_paths, paths.dt
-    else:
-        paths = list(paths)
-        if not paths:
-            raise ValidationError("empty ensemble")
-        base = paths[0].times
-        for p in paths[1:]:
-            if p.times.shape != base.shape or not np.array_equal(p.times, base):
-                raise ValidationError("paths have mismatched time grids")
-        sup = np.array([p.sup_error for p in paths])
-        rms = float(np.sqrt(np.mean([(p.d_emp - p.target) ** 2 for p in paths])))
-        n, dt = len(paths), float(base[1] - base[0]) if base.size > 1 else None
-    return VerifyReport(name, float(np.mean(sup)), tolerance, n, dt, {
-        "mean_sup_err": float(np.mean(sup)),
-        "max_sup_err": float(np.max(sup)),
-        "rms_err": rms,
+def distance_error_stats(result: EnsembleResult, tolerance: float = 0.05,
+                         name: str = "distance-tracking") -> VerifyReport:
+    """Sup/mean/RMS statistics of |d_emp - target| over an ensemble; the
+    reported statistic is the ensemble mean of the per-path sup error."""
+    return VerifyReport(name, result.mean_sup_err, tolerance, result.n_paths, result.dt, {
+        "mean_sup_err": result.mean_sup_err,
+        "max_sup_err": result.max_sup_err,
+        "rms_err": result.rms_err(),
     })
 
 
@@ -320,11 +304,9 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     M = times.size - 1
     Z = np.tile(np.eye(3), (n_paths, 1, 1))
     sup = np.zeros(n_paths)
-    for b0 in range(0, M, 2048):
-        b1 = min(b0 + 2048, M)
-        z = np.empty((n_paths, b1 - b0, 3))
-        for j in range(n_paths):
-            z[j] = block_gaussians(seed, j, b0 * 1, b1 - b0, 3)
+    for b0 in range(0, M, NOISE_BLOCK_STEPS):
+        b1 = min(b0 + NOISE_BLOCK_STEPS, M)
+        z = path_gaussians(seed, 0, n_paths, b0, b1, 3)
         for i in range(b0, b1):
             delta = np.sqrt(times[i + 1] - times[i]) * z[:, i - b0]
             Z = Z @ _rodrigues(delta)
@@ -338,8 +320,7 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
 
 
 def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed: int,
-                      x0, y0, T: float = 1.0, slope_range=(0.4, 1.1),
-                      workers: int | None = None) -> VerifyReport:
+                      x0, y0, T: float = 1.0, slope_range=(0.4, 1.1)) -> VerifyReport:
     """Mean sup tracking error per dt, with the fitted log-log slope.
 
     Passes when the errors strictly decrease along decreasing dt and the
@@ -351,7 +332,7 @@ def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed
     errors = []
     for level, dt in enumerate(dt_list):
         res = simulate_ensemble(spec, profile, x0, y0, dt, T, seed, paths_per_dt,
-                                first_path_index=level * paths_per_dt, workers=workers)
+                                first_path_index=level * paths_per_dt)
         errors.append(res.mean_sup_err)
     slope = float(np.polyfit(np.log(dt_list), np.log(errors), 1)[0])
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

@@ -96,7 +96,7 @@ def test_simulate_csv_round_trip_and_summary(tmp_path, capsys):
     spec = ms.sphere(2)
     x0, y0 = ms.canonical_start(spec, 1.5707963267948966)
     res = simulate_ensemble(spec, pf.constant(1.5707963267948966), x0, y0, 1e-3, 0.1, 7, 4,
-                            record_distances=True, workers=1)
+                            record_distances=True)
     lines = (tmp_path / "paths.csv").read_text().splitlines()[1:]
     for row in lines:
         t, p, dist, target, err = row.split(",")
@@ -276,7 +276,7 @@ def test_write_paths_csv_matches_per_row_reference(tmp_path):
     spec = ms.sphere(2)
     x0, y0 = ms.canonical_start(spec, 1.0)
     res = simulate_ensemble(spec, pf.sphere_contracting(spec, 1.0), x0, y0, 1e-2, 0.13, 2, 5,
-                            record_distances=True, workers=1)
+                            record_distances=True)
     d = res.d_emp.copy()
     # values whose text is easy to get wrong: signed zero, non-finite, subnormal, huge
     d[1, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
@@ -295,7 +295,34 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
     spec = ms.euclidean(2)
     x0, y0 = ms.canonical_start(spec, 1.0)
     res = simulate_ensemble(spec, pf.constant(1.0), x0, y0, 1e-2, 0.05, 0, 2,
-                            record_distances=True, workers=1)
+                            record_distances=True)
     for stride in (0, -1):
         with pytest.raises(ValidationError, match="stride"):
             cli.write_paths_csv(tmp_path / "paths.csv", res, stride)
+
+
+@pytest.mark.parametrize("case", ["config-value", "config-missing", "table-missing",
+                                  "table-non-numeric", "table-short-row"])
+def test_bad_input_files_exit_2(case, tmp_path, capsys):
+    cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
+    argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
+            "--T", "0.5", "--paths", "2", "--out", str(tmp_path / "run")]
+    table.write_text("t,rho\n0,1.0\n0.5,1.2\n1,1.3\n")
+    if case == "config-value":
+        cfgfile.write_text("dim = abc\n")
+        argv += ["--config", str(cfgfile)]
+        expect = "field dim"
+    elif case == "config-missing":
+        argv += ["--config", str(cfgfile)]
+        expect = str(cfgfile)
+    elif case == "table-missing":
+        table.unlink()
+        expect = str(table)
+    elif case == "table-non-numeric":
+        table.write_text("t,rho\n0,1.0\n0.5,wide\n1,1.3\n")
+        expect = f"{table}:3"
+    else:
+        table.write_text("t,rho\n0,1.0\n0.5,1.2\n1\n")
+        expect = f"{table}:4"
+    assert run_main(argv) == 2
+    assert expect in capsys.readouterr().err

@@ -6,7 +6,7 @@ from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple import verify as vf
 from detcouple.errors import ValidationError
-from detcouple.sde import PathRecord, simulate_ensemble
+from detcouple.sde import simulate_ensemble
 from detcouple.verify import _rodrigues
 
 S2 = ms.sphere(2)
@@ -37,25 +37,10 @@ def test_identity_scan_hyperbolic_details():
 def test_distance_error_stats_enforced():
     x0, y0 = ms.canonical_start(S2, np.pi / 2)
     res = simulate_ensemble(S2, pf.constant(np.pi / 2), x0, y0, 1e-3, 0.5, 3, 16,
-                            enforce_distance=True, record_distances=True, workers=1)
+                            enforce_distance=True, record_distances=True)
     rep = vf.distance_error_stats(res, tolerance=1e-12)
     assert rep.passed
     assert rep.details["max_sup_err"] <= 1e-12
-
-
-def test_distance_error_stats_trivial_and_mismatch():
-    times = np.array([0.0, 0.5, 1.0])
-    pi2 = np.full(3, np.pi / 2)
-    X = np.tile(np.array([1.0, 0, 0]), (3, 1))
-    Y = np.tile(np.array([0.0, 1, 0]), (3, 1))
-    rec = PathRecord(S2, times, X, Y, pi2.copy(), pi2.copy(), 0, 0)
-    rep = vf.distance_error_stats([rec, rec], tolerance=0.0)
-    assert rep.statistic == 0.0 and rep.passed
-    other = PathRecord(S2, times * 2.0, X, Y, pi2.copy(), pi2.copy(), 0, 1)
-    with pytest.raises(ValidationError):
-        vf.distance_error_stats([rec, other])
-    with pytest.raises(ValidationError):
-        vf.distance_error_stats([])
 
 
 def test_rodrigues_matches_expm():
@@ -120,7 +105,7 @@ def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
 
 def test_mean_decay_euclidean_martingale():
     x0, y0 = ms.canonical_start(E2, 1.0)
-    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.5, 6, 600, workers=1)
+    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.5, 6, 600)
     reports = vf.mean_decay_check(res, E2, x0, y0)
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
@@ -129,8 +114,7 @@ def test_mean_decay_euclidean_martingale():
 def test_mean_decay_hyperbolic_n2_constant_mean():
     # n = 2 kills the drift: E[X1] stays at X1(0)
     x0, y0 = ms.canonical_start(H2, 1.0)
-    res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 1.0), x0, y0, 1e-2, 0.5, 8, 600,
-                            workers=1)
+    res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 1.0), x0, y0, 1e-2, 0.5, 8, 600)
     reports = vf.mean_decay_check(res, H2, x0, y0)
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
@@ -138,7 +122,7 @@ def test_mean_decay_hyperbolic_n2_constant_mean():
 
 def test_mean_decay_requires_ensemble():
     x0, y0 = ms.canonical_start(E2, 1.0)
-    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 6, 10, workers=1)
+    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 6, 10)
     with pytest.raises(ValidationError):
         vf.mean_decay_check(res, E2, x0, y0)
 
@@ -146,7 +130,7 @@ def test_mean_decay_requires_ensemble():
 def test_convergence_study_small():
     x0, y0 = ms.canonical_start(S2, np.pi / 2)
     rep = vf.convergence_study(S2, pf.constant(np.pi / 2), [1e-2, 3e-3, 1e-3], 32, 15,
-                               x0, y0, T=0.5, workers=1)
+                               x0, y0, T=0.5)
     assert rep.details["strictly_decreasing"]
     assert 0.3 <= rep.details["slope"] <= 1.2
     with pytest.raises(ValidationError):
