@@ -1,10 +1,13 @@
 """Command-line front end: simulate / check / verify / converge.
 
-Configuration comes from flags, optionally seeded by a flat key=value config
-file (one key per line, ``#`` comments); flags override file values.  All
-outputs are written deterministically: identical configuration and seed give
-byte-identical files.  Bad input (an unparseable value, an unreadable config
-or table file) exits with status 2 and a message naming the field or file.
+Every setting is one entry of ``FIELDS``: the flag ``--name`` (``_`` written
+as ``-``), the key ``name`` of a flat key=value config file (one key per
+line, ``#`` comments) and the field ``name`` of ``RunConfig``.  Flags override
+file values, which override the defaults.  A value from either source goes
+through the same parser and check, so a bad one exits with status 2 and a
+message naming the field; an unreadable config or table file exits 2 naming
+the file.  All outputs are written deterministically: identical
+configuration and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,28 +28,25 @@ from .sde import EnsembleResult, simulate_ensemble
 from .verify import (VerifyReport, convergence_study, distance_error_stats, identity_scan,
                      mean_decay_check, rotation_ensemble)
 
-DEFAULTS = {
-    "space": "sphere",
-    "dim": 2,
-    "K": None,            # per-space default: +1 / 0 / -1
-    "profile": "constant",
-    "rho0": None,
-    "rho0_deg": None,
-    "table": None,
-    "dt": 1e-3,
-    "T": 1.0,
-    "paths": 100,
-    "seed": 0,
-    "enforce_distance": False,
-    "clamp_derivative": False,
-    "tolerance": 0.05,
-    "csv_stride": 1,
-    "samples": 20000,
-    "dts": "1e-2,3e-3,1e-3,3e-4,1e-4",
-    "out": ".",
-}
 
-_BOOL_KEYS = ("enforce_distance", "clamp_derivative")
+class Kind(NamedTuple):
+    """How a field's text becomes its value: ``parse`` it, then require ``ok``."""
+
+    parse: Callable[[str], object]      # raises ValueError on malformed text
+    expect: str                         # what a valid value is, for the error message
+    ok: Callable[[object], bool] = lambda value: True
+
+
+def _one_of(names, aliases=None) -> Kind:
+    aliases = aliases or {}
+    return Kind(lambda text: aliases.get(text, text), "one of " + " | ".join(names),
+                lambda value: value in names)
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_SPACES = tuple(k.value for k in ms.SpaceKind)
+_PROFILES = tuple(k.value for k in pf.ProfileKind)
 _PROFILE_ALIASES = {
     "contracting": "sphere-contracting",
     "repulsive": "sphere-repulsive",
@@ -54,26 +55,63 @@ _PROFILE_ALIASES = {
     "max-growth": "euclidean-max-growth",
 }
 
+TEXT = Kind(str, "text")
+NUMBER = Kind(float, "a number")
+POSITIVE = Kind(float, "a positive number", lambda value: value > 0)
+COUNT = Kind(int, "an integer >= 1", lambda value: value >= 1)
+BOOL = Kind(lambda text: _BOOLS.get(text.lower()), "a boolean (true/false, yes/no, on/off, 1/0)",
+            lambda value: value is not None)
 
-@dataclass
-class RunConfig:
-    space: str
-    dim: int
-    K: float
-    profile: str
-    rho0: float
-    table: str | None
-    dt: float
-    T: float
-    paths: int
-    seed: int
-    enforce_distance: bool
-    clamp_derivative: bool
-    tolerance: float
-    csv_stride: int
-    samples: int
-    dts: tuple[float, ...]
-    out: Path
+
+class Field(NamedTuple):
+    """One setting: how its text is read, its default text and its --help line."""
+
+    kind: Kind
+    default: str | None                 # parsed like a given value; None leaves it unset
+    help: str
+
+
+FIELDS = {
+    "space": Field(_one_of(_SPACES), "sphere", "model space: " + " | ".join(_SPACES)),
+    "dim": Field(COUNT, "2", "manifold dimension n >= 1"),
+    "K": Field(NUMBER, None, "curvature (default +1/0/-1 per space)"),
+    "profile": Field(_one_of(_PROFILES, _PROFILE_ALIASES), "constant",
+                     "distance profile: " + " | ".join(_PROFILES)),
+    "rho0": Field(NUMBER, None, "initial distance (geodesic units)"),
+    "rho0_deg": Field(NUMBER, None, "initial distance in degrees (spheres only)"),
+    "table": Field(TEXT, None, "CSV file with header t,rho for tabulated profiles"),
+    "dt": Field(POSITIVE, "1e-3", "time step"),
+    "T": Field(Kind(float, "a number >= 0", lambda value: value >= 0), "1.0", "time horizon"),
+    "paths": Field(COUNT, "100", "number of coupled pairs"),
+    "seed": Field(Kind(int, "an integer in [0, 2**64)", lambda value: 0 <= value < 2**64),
+                  "0", "noise seed"),
+    "enforce_distance": Field(BOOL, "false", "put Y back at the target distance after each step"),
+    "clamp_derivative": Field(BOOL, "false", "clip rho' into the admissible band"),
+    "tolerance": Field(POSITIVE, "0.05", "pass threshold for mean sup error"),
+    "csv_stride": Field(COUNT, "1", "write every k-th sample to paths.csv"),
+    "samples": Field(COUNT, "20000", "identity-scan sample count (verify)"),
+    "dts": Field(Kind(lambda text: tuple(float(s) for s in text.split(",") if s.strip()),
+                      "comma-separated numbers"),
+                 "1e-2,3e-3,1e-3,3e-4,1e-4", "comma-separated dt list (converge)"),
+    "out": Field(Kind(Path, "a path"), ".", "output directory"),
+}
+
+RunConfig = make_dataclass("RunConfig", list(FIELDS), namespace={
+    "__module__": __name__,
+    "__doc__": "A resolved run: one attribute per entry of FIELDS, parsed and checked."})
+
+
+def _coerce(key: str, text: str):
+    """Parse and check the text of field ``key``, from a flag or a config file."""
+    kind = FIELDS[key].kind
+    try:
+        value = kind.parse(text)
+    except ValueError:
+        pass
+    else:
+        if kind.ok(value):
+            return value
+    raise ValidationError(f"field {key}: expected {kind.expect}, got {text!r}")
 
 
 def _parse_file(path: str) -> dict:
@@ -90,32 +128,10 @@ def _parse_file(path: str) -> dict:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in DEFAULTS:
+        if key not in FIELDS:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val
     return values
-
-
-def _coerce(key: str, val):
-    if val is None or not isinstance(val, str):
-        return val
-    if key in _BOOL_KEYS:
-        low = val.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValidationError(f"field {key}: expected a boolean, got {val!r}")
-    if key in ("dim", "paths", "seed", "csv_stride", "samples"):
-        kind, what = int, "an integer"
-    elif key in ("K", "rho0", "rho0_deg", "dt", "T", "tolerance"):
-        kind, what = float, "a number"
-    else:
-        return val
-    try:
-        return kind(val)
-    except ValueError:
-        raise ValidationError(f"field {key}: expected {what}, got {val!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,90 +148,35 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--space", choices=["euclidean", "sphere", "hyperbolic"])
-        p.add_argument("--dim", type=int, help="manifold dimension n >= 1")
-        p.add_argument("--K", type=float, help="curvature (default +1/0/-1 per space)")
-        p.add_argument("--profile", help="constant | sphere-contracting | sphere-repulsive | "
-                                         "hyperbolic-lower | hyperbolic-upper | "
-                                         "euclidean-max-growth | tabulated")
-        p.add_argument("--rho0", type=float, help="initial distance (geodesic units)")
-        p.add_argument("--rho0-deg", type=float, dest="rho0_deg",
-                       help="initial distance in degrees (spheres only)")
-        p.add_argument("--table", help="CSV file with header t,rho for tabulated profiles")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--T", type=float)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--enforce-distance", action="store_const", const=True,
-                       dest="enforce_distance")
-        p.add_argument("--clamp-derivative", action="store_const", const=True,
-                       dest="clamp_derivative")
-        p.add_argument("--tolerance", type=float, help="pass threshold for mean sup error")
-        p.add_argument("--csv-stride", type=int, dest="csv_stride",
-                       help="write every k-th sample to paths.csv")
-        p.add_argument("--samples", type=int, help="identity-scan sample count (verify)")
-        p.add_argument("--dts", help="comma-separated dt list (converge)")
-        p.add_argument("--out", help="output directory")
+        for key, field in FIELDS.items():
+            # a flag's value stays text until _coerce, like a config-file value
+            switch = {"action": "store_const", "const": "true"} if field.kind is BOOL else {}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=field.help, **switch)
     return parser
 
 
 def parse_config(argv) -> tuple[str, RunConfig]:
     """Resolve flags over config-file values over defaults into a RunConfig."""
     args = _build_parser().parse_args(argv)
-    merged = dict(DEFAULTS)
+    given = {key: field.default for key, field in FIELDS.items()}
     if args.config:
-        merged.update(_parse_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    merged = {k: _coerce(k, v) for k, v in merged.items()}
+        given.update(_parse_file(args.config))
+    given.update((key, text) for key, text in vars(args).items()
+                 if key in FIELDS and text is not None)
+    cfg = RunConfig(**{key: None if text is None else _coerce(key, text)
+                       for key, text in given.items()})
 
-    space = merged["space"]
-    if merged["K"] is None:
-        merged["K"] = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}[space]
-    if merged["dim"] < 1:
-        raise ValidationError(f"field dim: must be a positive integer, got {merged['dim']}")
-    for key in ("dt", "tolerance"):
-        if not merged[key] > 0:
-            raise ValidationError(f"field {key}: must be positive, got {merged[key]}")
-    if merged["T"] < 0:
-        raise ValidationError(f"field T: must be non-negative, got {merged['T']}")
-    for key in ("paths", "csv_stride", "samples"):
-        if merged[key] < 1:
-            raise ValidationError(f"field {key}: must be >= 1, got {merged[key]}")
-    if not 0 <= merged["seed"] < 2**64:
-        raise ValidationError(f"field seed: must lie in [0, 2**64), got {merged['seed']}")
-
-    profile = _PROFILE_ALIASES.get(merged["profile"], merged["profile"])
-    known = {k.value for k in pf.ProfileKind}
-    if profile not in known:
-        raise ValidationError(f"field profile: unknown profile {merged['profile']!r}")
-
-    if merged["rho0_deg"] is not None:
-        if space != "sphere":
+    if cfg.K is None:
+        cfg.K = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}[cfg.space]
+    if cfg.rho0_deg is not None:
+        if cfg.space != "sphere":
             raise ValidationError("field rho0-deg: only meaningful on spheres")
-        if merged["rho0"] is not None:
+        if cfg.rho0 is not None:
             raise ValidationError("fields rho0 and rho0-deg are mutually exclusive")
-        r = 1.0 / np.sqrt(merged["K"])
-        merged["rho0"] = np.radians(merged["rho0_deg"]) * r
-    if merged["rho0"] is None:
-        if profile != "tabulated":
-            raise ValidationError("field rho0: required for closed-form profiles")
-        merged["rho0"] = 0.0   # taken from the table
-
-    try:
-        dts = tuple(float(s) for s in str(merged["dts"]).split(",") if s.strip())
-    except ValueError:
-        raise ValidationError(f"field dts: expected comma-separated floats, got {merged['dts']!r}")
-
-    cfg = RunConfig(space=space, dim=merged["dim"], K=merged["K"], profile=profile,
-                    rho0=merged["rho0"], table=merged["table"], dt=merged["dt"],
-                    T=merged["T"], paths=merged["paths"], seed=merged["seed"],
-                    enforce_distance=merged["enforce_distance"],
-                    clamp_derivative=merged["clamp_derivative"],
-                    tolerance=merged["tolerance"], csv_stride=merged["csv_stride"],
-                    samples=merged["samples"], dts=dts, out=Path(merged["out"]))
+        r = build_space(cfg).r          # rejects K <= 0 before it reaches sqrt
+        cfg.rho0 = np.radians(cfg.rho0_deg) * r
+    if cfg.rho0 is None and cfg.profile != "tabulated":
+        raise ValidationError("field rho0: required for closed-form profiles")
     return args.command, cfg
 
 
@@ -285,8 +246,12 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
             fh.write(template % tuple(rows.ravel().tolist()))
 
 
+def _write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: bool) -> None:
-    summary = {
+    _write_json(path, {
         "space": cfg.space,
         "n": cfg.dim,
         "K": cfg.K,
@@ -299,27 +264,17 @@ def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: boo
         "max_sup_err": result.max_sup_err,
         "rms_err": result.rms_err(),
         "pass": bool(passed),
-    }
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _starts(spec, profile, cfg):
-    rho0 = profile.rho0 if cfg.profile == "tabulated" else cfg.rho0
-    return ms.canonical_start(spec, rho0)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    x0, y0 = _starts(spec, profile, cfg)
+    x0, y0 = ms.canonical_start(spec, profile.rho0)
     result = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     passed = result.mean_sup_err <= cfg.tolerance
@@ -351,7 +306,7 @@ def cmd_check(cfg: RunConfig) -> int:
     if report.admissible:
         active = [s for s, a in (("lower", report.lo_active), ("upper", report.hi_active)) if a]
         extra = f" ({' and '.join(active)} bound active)" if active else ""
-        print(f"admissible on [0, {cfg.T:.6g}]{extra}")
+        print(f"admissible on [0, {report.grid[-1]:.6g}]{extra}")
         return 0
     print(f"not admissible: {'; '.join(report.reasons)}", file=sys.stderr)
     return 1
@@ -360,7 +315,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    x0, y0 = _starts(spec, profile, cfg)
+    x0, y0 = ms.canonical_start(spec, profile.rho0)
     reports: list[VerifyReport] = [identity_scan(spec, cfg.samples, cfg.seed)]
 
     result = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed, cfg.paths,
@@ -405,7 +360,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    x0, y0 = _starts(spec, profile, cfg)
+    x0, y0 = ms.canonical_start(spec, profile.rho0)
     report = convergence_study(spec, profile, list(cfg.dts), cfg.paths, cfg.seed,
                                x0, y0, T=cfg.T)
     cfg.out.mkdir(parents=True, exist_ok=True)

@@ -337,26 +337,12 @@ def check_admissibility(spec: SpaceSpec, profile, grid=None, tol: float | None =
 def envelope(spec: SpaceSpec, rho0: float, t):
     """Minimal and maximal rho(t) reachable from rho0; vectorized over t.
 
-    Both endpoints are attained by the corresponding extreme built-in
-    profiles (integrating an endpoint of the band).
+    Both endpoints are attained by the extreme built-in profiles (integrating
+    an endpoint of the band), and are evaluated as those profiles.
     """
-    if not 0 < rho0 < spec.max_distance:
-        raise ValidationError(f"rho0 must lie in (0, {spec.max_distance:.6g}), got {rho0}")
-    t = np.asarray(t, dtype=float)
-    k = spec.n - 1
-    r = spec.r
-    if spec.kind is SpaceKind.EUCLIDEAN:
-        lo = np.broadcast_to(rho0, t.shape).copy()
-        hi = np.sqrt(rho0**2 + 4.0 * k * t)
-        return lo[()], hi[()]
-    tau = t / r**2
-    u0 = rho0 / r
-    decay = np.exp(-k * tau / 2.0)
-    grow = np.exp(k * tau / 2.0)
-    if spec.kind is SpaceKind.SPHERE:
-        lo = 2.0 * r * np.arcsin(decay * np.sin(u0 / 2.0))
-        hi = 2.0 * r * np.arccos(decay * np.cos(u0 / 2.0))
-        return lo[()], hi[()]
-    lo = 2.0 * r * np.arcsinh(grow * np.sinh(u0 / 2.0))
-    hi = 2.0 * r * np.arccosh(grow * np.cosh(u0 / 2.0))
-    return lo[()], hi[()]
+    lower, upper = {
+        SpaceKind.SPHERE: (sphere_contracting, sphere_repulsive),
+        SpaceKind.HYPERBOLIC: (hyperbolic_lower, hyperbolic_upper),
+        SpaceKind.EUCLIDEAN: (lambda spec, rho0: constant(rho0), euclidean_max_growth),
+    }[spec.kind]
+    return lower(spec, rho0).eval(t)[0], upper(spec, rho0).eval(t)[0]

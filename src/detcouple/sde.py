@@ -67,9 +67,10 @@ class EnsembleResult:
         return float(np.max(self.sup_err))
 
     def rms_err(self) -> float:
-        if self.d_emp is not None:
-            return float(np.sqrt(np.mean((self.d_emp - self.target) ** 2)))
-        return float(np.sqrt(np.mean((self.mean_d_emp - self.target) ** 2)))
+        """RMS of d_emp - target over every path and sample (needs recorded distances)."""
+        if self.d_emp is None:
+            raise ValidationError("ensemble was run without recorded distances")
+        return float(np.sqrt(np.mean((self.d_emp - self.target) ** 2)))
 
 
 # ---------------------------------------------------------------------------

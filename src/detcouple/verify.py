@@ -69,8 +69,9 @@ def _jsonable(v):
 
 def distance_error_stats(result: EnsembleResult, tolerance: float = 0.05,
                          name: str = "distance-tracking") -> VerifyReport:
-    """Sup/mean/RMS statistics of |d_emp - target| over an ensemble; the
-    reported statistic is the ensemble mean of the per-path sup error."""
+    """Sup/mean/RMS statistics of |d_emp - target| over an ensemble run with
+    ``record_distances=True``; the reported statistic is the ensemble mean of
+    the per-path sup error."""
     return VerifyReport(name, result.mean_sup_err, tolerance, result.n_paths, result.dt, {
         "mean_sup_err": result.mean_sup_err,
         "max_sup_err": result.max_sup_err,
@@ -186,6 +187,8 @@ def _scan_hyperbolic(n, size, rng, boundary_aligned_fraction=0.25):
 
 def identity_scan(spec: SpaceSpec, num_samples: int, seed: int, tol: float = 1e-10) -> VerifyReport:
     """Residuals of all construction identities at random admissible states."""
+    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
+        raise ValidationError(f"num_samples must be a positive integer, got {num_samples}")
     rng = np.random.default_rng(_key_word("seed", seed))
     n = spec.n
     if spec.kind is SpaceKind.EUCLIDEAN:

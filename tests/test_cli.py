@@ -69,6 +69,8 @@ def test_rho0_deg_conversion():
     with pytest.raises(ValidationError, match="mutually exclusive"):
         cli.parse_config(
             "simulate --space sphere --profile constant --rho0 1 --rho0-deg 90".split())
+    with pytest.raises(ValidationError, match="K > 0"):
+        cli.parse_config("simulate --space sphere --K -1 --profile constant --rho0-deg 90".split())
 
 
 def test_simulate_t0_single_row(tmp_path, capsys):
@@ -140,13 +142,28 @@ def test_check_contracting_lower_bound_active(tmp_path, capsys):
     assert report["lo_active"] is True and report["hi_active"] is False
 
 
-def test_determinism_across_runs_and_workers(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("extra,table_end,printed", [
+    (["--T", "0"], None, "[0, 1]"),             # T = 0: the default range [0, 1]
+    (["--T", "0.5"], None, "[0, 0.5]"),
+    (["--T", "0", "--profile", "tabulated"], 2.5, "[0, 2.5]"),   # the table's range
+], ids=["T0", "T0.5", "T0-table"])
+def test_check_prints_checked_range(extra, table_end, printed, tmp_path, capsys):
+    argv = ["check", "--space", "sphere", "--dim", "2", "--profile", "constant",
+            "--rho0", "1.0", "--out", str(tmp_path)]
+    if table_end is not None:
+        table = tmp_path / "rho.csv"
+        table.write_text(f"t,rho\n0,1.0\n{table_end},1.0\n")
+        argv += ["--table", str(table)]
+    assert run_main(argv + extra) == 0
+    assert f"admissible on {printed}" in capsys.readouterr().out
+
+
+def test_determinism_across_runs(tmp_path, capsys):
     argv = ["simulate", "--space", "sphere", "--dim", "2", "--profile", "constant",
             "--rho0", "1.0", "--dt", "1e-3", "--T", "0.2", "--paths", "300",
             "--seed", "5"]
     outs = []
-    for threads, sub in (("1", "a"), ("4", "b"), ("2", "c")):
-        monkeypatch.setenv("DETCOUPLE_THREADS", threads)
+    for sub in ("a", "b", "c"):
         out = tmp_path / sub
         assert run_main(argv + ["--out", str(out)]) == 0
         outs.append(((out / "paths.csv").read_bytes(), (out / "summary.json").read_bytes()))
@@ -301,8 +318,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
             cli.write_paths_csv(tmp_path / "paths.csv", res, stride)
 
 
-@pytest.mark.parametrize("case", ["config-value", "config-missing", "table-missing",
-                                  "table-non-numeric", "table-short-row"])
+@pytest.mark.parametrize("case", ["config-value", "config-space", "flag-space", "flag-dim",
+                                  "config-missing", "table-missing", "table-non-numeric",
+                                  "table-short-row"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -311,6 +329,16 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     if case == "config-value":
         cfgfile.write_text("dim = abc\n")
         argv += ["--config", str(cfgfile)]
+        expect = "field dim"
+    elif case == "config-space":
+        cfgfile.write_text("space = warp\n")
+        argv = argv[:1] + argv[3:] + ["--config", str(cfgfile)]    # no --space flag
+        expect = "field space"
+    elif case == "flag-space":
+        argv[argv.index("--space") + 1] = "warp"
+        expect = "field space"
+    elif case == "flag-dim":
+        argv += ["--dim", "abc"]
         expect = "field dim"
     elif case == "config-missing":
         argv += ["--config", str(cfgfile)]

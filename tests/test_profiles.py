@@ -152,6 +152,8 @@ def test_envelope_hyperbolic_linear_growth():
     assert lo / 30.0 == pytest.approx(H3_ENV_LO_OVER_T_AT_30, abs=1e-12)
     assert hi / 30.0 == pytest.approx(H3_ENV_HI_OVER_T_AT_30, abs=1e-12)
     assert 1.9 <= lo / 30.0 <= hi / 30.0 <= 2.1
+    with pytest.raises(ValidationError, match="non-negative"):
+        pf.envelope(ms.hyperbolic(2), 1.0, -1.0)
 
 
 def test_envelope_attained_by_extremes():

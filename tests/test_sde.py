@@ -243,6 +243,17 @@ def test_single_path_t0():
     assert res.d_emp[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rms_err_needs_recorded_distances():
+    x0, y0 = ms.canonical_start(S2, 1.0)
+    prof = pf.sphere_contracting(S2, 1.0)
+    res = simulate_ensemble(S2, prof, x0, y0, 1e-2, 0.2, 4, 5, record_distances=True)
+    per_path = np.concatenate([np.abs(row - res.target) for row in res.d_emp])
+    assert res.rms_err() == pytest.approx(np.sqrt(np.mean(per_path ** 2)), rel=1e-12)
+    bare = simulate_ensemble(S2, prof, x0, y0, 1e-2, 0.2, 4, 5)
+    with pytest.raises(ValidationError, match="recorded distances"):
+        bare.rms_err()
+
+
 def test_path_replay_bitwise():
     x0, y0 = ms.canonical_start(S2, 1.0)
     a = _one_path(S2, pf.constant(1.0), x0, y0, 1e-3, 0.3, 21, path_index=4)

@@ -81,9 +81,10 @@ def test_rotation_oracle_rho0_validation():
 
 
 def test_identity_scan_rejects_out_of_range_seed():
-    for seed in (-1, 2**64):
-        with pytest.raises(ValidationError, match="seed"):
-            vf.identity_scan(S2, 10, seed)
+    for num_samples, seed, what in ((10, -1, "seed"), (10, 2**64, "seed"),
+                                    (0, 0, "num_samples"), (-1, 0, "num_samples")):
+        with pytest.raises(ValidationError, match=what):
+            vf.identity_scan(S2, num_samples, seed)
     assert vf.identity_scan(S2, 10, 2**64 - 1).passed
 
 
