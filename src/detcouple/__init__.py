@@ -7,12 +7,12 @@ band; this package constructs the couplings, simulates them, and verifies the
 constructions both algebraically and by Monte Carlo.
 """
 
-from .coupling import CouplingMatrices, build_euclidean, build_hyperbolic, build_sphere
+from .coupling import euclidean_matrices, hyperbolic_matrices, sphere_matrices
 from .errors import (AdmissibilityError, DegenerateStateError, DetcoupleError,
                      ValidationError)
 from .model_space import (SpaceKind, SpaceSpec, canonical_start, euclidean,
                           geodesic_distance, hyperbolic, point_at_distance, sphere,
-                          to_unit_model, from_unit_model, validate_point)
+                          to_unit_model, from_unit_model)
 from .profiles import (AdmissibilityReport, ClampedProfile, DistanceProfile, ProfileKind,
                        admissible_bounds, check_admissibility, constant, envelope,
                        euclidean_max_growth, eval_profile, hyperbolic_lower,

@@ -57,7 +57,7 @@ _PROFILE_ALIASES = {
 
 TEXT = Kind(str, "text")
 NUMBER = Kind(float, "a number")
-POSITIVE = Kind(float, "a positive number", lambda value: value > 0)
+POSITIVE = Kind(float, "a finite number > 0", lambda value: 0 < value < np.inf)
 COUNT = Kind(int, "an integer >= 1", lambda value: value >= 1)
 BOOL = Kind(lambda text: _BOOLS.get(text.lower()), "a boolean (true/false, yes/no, on/off, 1/0)",
             lambda value: value is not None)
@@ -81,7 +81,8 @@ FIELDS = {
     "rho0_deg": Field(NUMBER, None, "initial distance in degrees (spheres only)"),
     "table": Field(TEXT, None, "CSV file with header t,rho for tabulated profiles"),
     "dt": Field(POSITIVE, "1e-3", "time step"),
-    "T": Field(Kind(float, "a number >= 0", lambda value: value >= 0), "1.0", "time horizon"),
+    "T": Field(Kind(float, "a finite number >= 0", lambda value: 0 <= value < np.inf), "1.0",
+               "time horizon"),
     "paths": Field(COUNT, "100", "number of coupled pairs"),
     "seed": Field(Kind(int, "an integer in [0, 2**64)", lambda value: 0 <= value < 2**64),
                   "0", "noise seed"),
@@ -91,7 +92,8 @@ FIELDS = {
     "csv_stride": Field(COUNT, "1", "write every k-th sample to paths.csv"),
     "samples": Field(COUNT, "20000", "identity-scan sample count (verify)"),
     "dts": Field(Kind(lambda text: tuple(float(s) for s in text.split(",") if s.strip()),
-                      "comma-separated numbers"),
+                      "comma-separated finite numbers > 0",
+                      lambda value: all(0 < dt < np.inf for dt in value)),
                  "1e-2,3e-3,1e-3,3e-4,1e-4", "comma-separated dt list (converge)"),
     "out": Field(Kind(Path, "a path"), ".", "output directory"),
 }

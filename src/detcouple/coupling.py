@@ -19,14 +19,13 @@ works with a function eta of the distance rho (``eta_from_rho``):
 
 ``drive`` is the only implementation of this algebra.  It returns dW without
 forming J or K, batched over leading axes, and it is what the simulator runs.
-The ``*_matrices`` functions read J and K off ``drive`` applied to basis
-vectors, so the identity scans check the same code; they perform no
-validation.  ``build_*`` are the validating single-state entry points.
+``euclidean_matrices``, ``sphere_matrices`` and ``hyperbolic_matrices`` are
+the only way to form (J, K).  They validate every state of the batch, then
+read J and K off ``drive`` applied to basis vectors, so the identity scans
+check the same code that the simulator runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +34,6 @@ from .model_space import SpaceKind
 
 BAND_TOL = 1e-10        # admissible-band slack absorbed before raising
 DEGENERATE_ETA = 1e-9   # sphere states with |X.Y| >= 1 - this are rejected
-
-
-@dataclass(frozen=True)
-class CouplingMatrices:
-    """The pair (J, K) with J J' + K K' = I driving the second motion."""
-
-    J: np.ndarray
-    Kmat: np.ndarray
-
-    def identity_residual(self) -> float:
-        JK = self.J @ self.J.T + self.Kmat @ self.Kmat.T
-        return float(np.max(np.abs(JK - np.eye(self.J.shape[0]))))
-
-    def op_norm(self) -> float:
-        return float(np.linalg.svd(self.J, compute_uv=False)[0])
 
 
 def eta_from_rho(kind: SpaceKind, rho, rho_prime):
@@ -98,8 +82,22 @@ def drive(kind: SpaceKind, n: int, X, Y, eta, eta_prime, dB, dC):
             + _col(np.sqrt(np.maximum(0.0, 1.0 - lam**2))) * (dC - c[..., None] * xi)
 
     if kind is SpaceKind.SPHERE:
+        # J is the reflection X -> -Y, Y -> -X on span{X, Y}, built from the
+        # actual points, extended by gamma on the orthogonal complement; K
+        # vanishes on span{X, Y} and is sqrt(1 - gamma^2) transversally
         gamma = np.clip(eta + eta_prime / k, -1.0, 1.0) if n >= 2 else np.zeros(np.shape(eta))
-        return _sphere_drive(X, Y, gamma, dB, dC)
+        c = _dots(X, Y)                               # cos of the actual angle
+        w = Y - c[..., None] * X
+        s = np.linalg.norm(w, axis=-1)
+        xi2 = w / s[..., None]
+        a1 = _dots(X, dB)
+        a2 = _dots(xi2, dB)
+        dW = _col(gamma) * (dB - a1[..., None] * X - a2[..., None] * xi2) \
+            + (-c * a1 - s * a2)[..., None] * X + (-s * a1 + c * a2)[..., None] * xi2
+        b1 = _dots(X, dC)
+        b2 = _dots(xi2, dC)
+        return dW + _col(np.sqrt(np.maximum(0.0, 1.0 - gamma**2))) \
+            * (dC - b1[..., None] * X - b2[..., None] * xi2)
 
     gamma, d, (m, l, p, q, u, zt, small, M2) = _hyperbolic_plane(X, Y, eta, eta_prime)
     gamma = np.clip(gamma, -1.0, 1.0)
@@ -128,27 +126,6 @@ def drive(kind: SpaceKind, n: int, X, Y, eta, eta_prime, dB, dC):
     wt = (_col(gamma) * dB[..., 1:] + ((b12 * a1 + b22 * a2) - gamma * a2)[..., None] * xi2t) \
         + (_col(gperp) * dC[..., 1:] + ((rb * c1 + rc * c2) - gperp * c2)[..., None] * xi2t)
     return np.concatenate([w1[..., None], wt], axis=-1)
-
-
-def _sphere_drive(X, Y, gamma, dB, dC):
-    """Sphere dW for an explicit transverse eigenvalue gamma.
-
-    J is the reflection X -> -Y, Y -> -X on span{X, Y} extended by gamma on
-    the orthogonal complement; K vanishes on span{X, Y} and is
-    sqrt(1 - gamma^2) transversally.  The reflection uses the actual points.
-    """
-    c = _dots(X, Y)                               # cos of the actual angle
-    w = Y - c[..., None] * X
-    s = np.linalg.norm(w, axis=-1)
-    xi2 = w / s[..., None]
-    a1 = _dots(X, dB)
-    a2 = _dots(xi2, dB)
-    dW = _col(gamma) * (dB - a1[..., None] * X - a2[..., None] * xi2) \
-        + (-c * a1 - s * a2)[..., None] * X + (-s * a1 + c * a2)[..., None] * xi2
-    b1 = _dots(X, dC)
-    b2 = _dots(xi2, dC)
-    return dW + _col(np.sqrt(np.maximum(0.0, 1.0 - gamma**2))) \
-        * (dC - b1[..., None] * X - b2[..., None] * xi2)
 
 
 def hyperbolic_two_plane_scalars(X, Y):
@@ -194,121 +171,90 @@ def _hyperbolic_plane(X, Y, eta, eta_prime):
 # J and K read off the kernel
 
 
-def _read_off(step, X, Y, *scalars):
-    """J, K of the linear map (dB, dC) -> step(X, Y, *scalars, dB, dC).
+def _checked(kind: SpaceKind, X, Y, eta, eta_prime):
+    """The state (n, X, Y, eta, eta') as float arrays, once every state is admissible.
+
+    Raises ``ValidationError`` for points of different shapes, non-finite or
+    off the manifold, ``DegenerateStateError`` for coincident (or, on the
+    sphere, antipodal) points and ``AdmissibilityError`` for eta' outside
+    the band, naming the value and the band at the first bad state.
+    """
+    X, Y, eta, eta_prime = (np.asarray(a, dtype=float) for a in (X, Y, eta, eta_prime))
+    if X.ndim == 0 or X.shape != Y.shape:
+        raise ValidationError(f"points must have equal shapes, got {X.shape} and {Y.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        raise ValidationError("points must have finite coordinates")
+    n = X.shape[-1] - 1 if kind is SpaceKind.SPHERE else X.shape[-1]
+    k = n - 1
+    if kind is SpaceKind.EUCLIDEAN:
+        if np.any(np.linalg.norm(X - Y, axis=-1) <= 1e-12):
+            raise DegenerateStateError("coincident points")
+        lo, hi = 0.0, 2.0 * k
+    elif kind is SpaceKind.SPHERE:
+        if not np.all(np.abs(np.linalg.norm(np.stack([X, Y]), axis=-1) - 1.0) <= 1e-9):
+            raise ValidationError("sphere points must be unit vectors")
+        if not np.all(np.abs(_dots(X, Y)) < 1.0 - DEGENERATE_ETA):
+            raise DegenerateStateError("coincident or antipodal points on the sphere")
+        lo, hi = -k * (eta + 1.0), -k * (eta - 1.0)
+    else:
+        if not (np.all(X[..., 0] > 0) and np.all(Y[..., 0] > 0)):
+            raise ValidationError("half-space points need a positive first coordinate")
+        if np.any(np.linalg.norm(X - Y, axis=-1) <= 1e-12 * (X[..., 0] + Y[..., 0])):
+            raise DegenerateStateError("coincident points")
+        lo, hi = k * eta, k * eta + 2.0 * k
+    _require_band("eta'", eta_prime, lo, hi)
+    return n, X, Y, eta, eta_prime
+
+
+def _require_band(name, value, lo, hi):
+    """Raise ``AdmissibilityError`` at the first state with value outside [lo, hi]."""
+    value, lo, hi = (a.ravel() for a in np.broadcast_arrays(value, lo, hi))
+    bad = np.flatnonzero(~((lo - BAND_TOL <= value) & (value <= hi + BAND_TOL)))
+    if bad.size:
+        i = bad[0]
+        raise AdmissibilityError(
+            f"{name} = {value[i]:.6g} outside the band [{lo[i]:.6g}, {hi[i]:.6g}]")
+
+
+def _read_off(kind: SpaceKind, n: int, X, Y, eta, eta_prime):
+    """J, K of the linear map (dB, dC) -> drive(kind, n, X, Y, eta, eta', dB, dC).
 
     The drivers are one unbatched (N, N) identity, whose row i is e_i, and
     an (N,) zero vector.  They broadcast against states of shape
     (..., 1, N), so row i of the result is J e_i (or K e_i).
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    lead = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1], *map(np.shape, scalars))
-    args = [X[..., None, :], Y[..., None, :]]
-    args += [np.broadcast_to(np.asarray(s, dtype=float), lead)[..., None] for s in scalars]
     N = X.shape[-1]
+    lead = np.broadcast_shapes(X.shape[:-1], eta.shape, eta_prime.shape)
+    args = [X[..., None, :], Y[..., None, :]]
+    args += [np.broadcast_to(s, lead)[..., None] for s in (eta, eta_prime)]
     eye, zero = np.eye(N), np.zeros(N)
-    J = np.broadcast_to(step(*args, eye, zero), lead + (N, N)).swapaxes(-1, -2)
-    K = np.broadcast_to(step(*args, zero, eye), lead + (N, N)).swapaxes(-1, -2)
+    J = np.broadcast_to(drive(kind, n, *args, eye, zero), lead + (N, N)).swapaxes(-1, -2)
+    K = np.broadcast_to(drive(kind, n, *args, zero, eye), lead + (N, N)).swapaxes(-1, -2)
     return J, K
 
 
 def euclidean_matrices(X, Y, eta, eta_prime):
     """J, K realizing d(eta)/dt = eta' in Euclidean space, eta = |X - Y|^2 / 2."""
-    n = np.shape(X)[-1]
-    return _read_off(lambda *a: drive(SpaceKind.EUCLIDEAN, n, *a), X, Y, eta, eta_prime)
+    return _read_off(SpaceKind.EUCLIDEAN, *_checked(SpaceKind.EUCLIDEAN, X, Y, eta, eta_prime))
 
 
 def sphere_matrices(X, Y, eta, eta_prime):
     """J, K realizing d(eta)/dt = eta' at the sphere state (X, Y), eta = cos rho."""
-    n = np.shape(X)[-1] - 1
-    return _read_off(lambda *a: drive(SpaceKind.SPHERE, n, *a), X, Y, eta, eta_prime)
-
-
-def sphere_matrices_from_gamma(X, Y, gamma):
-    """J, K on the sphere from an explicit transverse eigenvalue gamma."""
-    return _read_off(_sphere_drive, X, Y, gamma)
+    return _read_off(SpaceKind.SPHERE, *_checked(SpaceKind.SPHERE, X, Y, eta, eta_prime))
 
 
 def hyperbolic_matrices(X, Y, eta, eta_prime):
     """J, K realizing d(eta)/dt = eta' at the half-space state (X, Y).
 
     Returns (J, K, gamma, d).  J and K are built from gamma and d clipped
-    into [-1, 1]; the returned gamma and d are unclipped, so callers can
-    reject out-of-band input (d is 1 in dimension 1).
+    into [-1, 1]; the returned gamma and d are unclipped (d is 1 in
+    dimension 1).  States with |d| > 1 + BAND_TOL are rejected.
     """
-    n = np.shape(X)[-1]
-    J, K = _read_off(lambda *a: drive(SpaceKind.HYPERBOLIC, n, *a), X, Y, eta, eta_prime)
+    n, X, Y, eta, eta_prime = _checked(SpaceKind.HYPERBOLIC, X, Y, eta, eta_prime)
+    J, K = _read_off(SpaceKind.HYPERBOLIC, n, X, Y, eta, eta_prime)
     if n == 1:
         ones = np.ones(J.shape[:-2])
         return J, K, ones, ones
-    gamma, d, _ = _hyperbolic_plane(np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
-                                    eta, eta_prime)
+    gamma, d, _ = _hyperbolic_plane(X, Y, eta, eta_prime)
+    _require_band("two-plane determinant d", d, -1.0, 1.0)
     return J, K, gamma, d
-
-
-# ---------------------------------------------------------------------------
-# validating single-state constructors
-
-
-def build_euclidean(n: int, Z, rho: float, rho_prime: float) -> CouplingMatrices:
-    """Matrices with J'Z = Z, K'Z = 0 and n - tr J = rho rho'."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (n,):
-        raise ValidationError(f"Z must have shape ({n},), got {Z.shape}")
-    if np.linalg.norm(Z) <= 1e-12:
-        raise DegenerateStateError("coincident points: Z = 0")
-    drift = rho * rho_prime
-    if n == 1:
-        if abs(drift) > BAND_TOL:
-            raise AdmissibilityError("in dimension 1 only a constant distance is admissible")
-    elif not -1.0 - 1e-12 <= 1.0 - drift / (n - 1) <= 1.0 + 1e-12:
-        raise AdmissibilityError(
-            f"rho rho' = {drift:.6g} outside the admissible range [0, {2*(n-1):.6g}]")
-    J, K = euclidean_matrices(Z, np.zeros(n), 0.5 * rho * rho, drift)
-    return CouplingMatrices(J, K)
-
-
-def build_sphere(n: int, X, Y, eta: float, eta_prime: float) -> CouplingMatrices:
-    """Matrices realizing d(eta)/dt = eta' on the unit sphere, eta = cos rho.
-
-    The reflection part is built from the actual points; ``eta`` enters only
-    the transverse eigenvalue gamma = eta + eta'/(n-1) and the band check
-    -(n-1)(eta+1) <= eta' <= -(n-1)(eta-1).
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != (n + 1,) or Y.shape != (n + 1,):
-        raise ValidationError(f"points must have ambient dimension {n + 1}")
-    for v in (X, Y):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValidationError("sphere points must be unit vectors")
-    c = float(np.dot(X, Y))
-    if abs(c) >= 1.0 - DEGENERATE_ETA:
-        raise DegenerateStateError("coincident or antipodal points on the sphere")
-    k = n - 1
-    if not -k * (eta + 1.0) - BAND_TOL <= eta_prime <= -k * (eta - 1.0) + BAND_TOL:
-        raise AdmissibilityError(
-            f"eta' = {eta_prime:.6g} outside the band [{-k*(eta+1):.6g}, {-k*(eta-1):.6g}]")
-    J, K = sphere_matrices(X, Y, eta, eta_prime)
-    return CouplingMatrices(J, K)
-
-
-def build_hyperbolic(n: int, X, Y, eta: float, eta_prime: float) -> CouplingMatrices:
-    """Matrices realizing d(eta)/dt = eta' on half-space, eta = cosh(rho) - 1."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != (n,) or Y.shape != (n,):
-        raise ValidationError(f"points must have ambient dimension {n}")
-    if X[0] <= 0 or Y[0] <= 0:
-        raise ValidationError("half-space points need a positive first coordinate")
-    if np.linalg.norm(X - Y) <= 1e-12 * (X[0] + Y[0]):
-        raise DegenerateStateError("coincident points")
-    k = n - 1
-    if not k * eta - BAND_TOL <= eta_prime <= k * eta + 2.0 * k + BAND_TOL:
-        raise AdmissibilityError(
-            f"eta' = {eta_prime:.6g} outside the band [{k*eta:.6g}, {k*eta + 2*k:.6g}]")
-    J, K, _, d = hyperbolic_matrices(X, Y, eta, eta_prime)
-    if np.any(np.abs(d) > 1.0 + 1e-10):
-        raise AdmissibilityError(f"two-plane determinant {float(np.max(np.abs(d))):.6g} exceeds 1")
-    return CouplingMatrices(J, K)

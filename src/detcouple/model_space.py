@@ -87,45 +87,20 @@ def hyperbolic(n: int, K: float = -1.0) -> SpaceSpec:
     return SpaceSpec(SpaceKind.HYPERBOLIC, n, K)
 
 
-@dataclass(frozen=True)
-class PointReport:
-    """Result of validating a point against a space."""
-
-    ok: bool
-    issues: tuple[str, ...]
-    norm_error: float = 0.0     # | |x| - r | on spheres
-    first_coord: float = np.nan  # x_1 on hyperbolic spaces
-
-
-def validate_point(spec: SpaceSpec, x: np.ndarray, tol: float = ON_MANIFOLD_TOL) -> PointReport:
-    """Check a single point against the space's constraints; never raises."""
+def require_valid_point(spec: SpaceSpec, x) -> np.ndarray:
+    """The point as a float array; raise ``ValidationError`` if it is not on the space."""
     x = np.asarray(x, dtype=float)
-    issues = []
     if x.ndim != 1 or x.shape[0] != spec.ambient_dim:
-        issues.append(f"expected ambient dimension {spec.ambient_dim}, got shape {x.shape}")
-        return PointReport(False, tuple(issues))
+        raise ValidationError(f"expected ambient dimension {spec.ambient_dim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        issues.append("non-finite coordinates")
-        return PointReport(False, tuple(issues))
+        raise ValidationError("non-finite coordinates")
     if spec.kind is SpaceKind.SPHERE:
-        err = abs(float(np.linalg.norm(x)) - spec.r)
-        if err > tol * max(1.0, spec.r):
-            issues.append(f"norm {np.linalg.norm(x):.6g} differs from radius {spec.r:.6g}")
-        return PointReport(not issues, tuple(issues), norm_error=err)
-    if spec.kind is SpaceKind.HYPERBOLIC:
-        x1 = float(x[0])
-        if not x1 > 0.0:
-            issues.append(f"first coordinate must be strictly positive, got {x1:.6g}")
-        return PointReport(not issues, tuple(issues), first_coord=x1)
-    return PointReport(True, ())
-
-
-def require_valid_point(spec: SpaceSpec, x: np.ndarray) -> np.ndarray:
-    """Validate and return the point as a float array; raise on violation."""
-    report = validate_point(spec, x)
-    if not report.ok:
-        raise ValidationError("; ".join(report.issues))
-    return np.asarray(x, dtype=float)
+        norm = float(np.linalg.norm(x))
+        if abs(norm - spec.r) > ON_MANIFOLD_TOL * max(1.0, spec.r):
+            raise ValidationError(f"norm {norm:.6g} differs from radius {spec.r:.6g}")
+    if spec.kind is SpaceKind.HYPERBOLIC and not x[0] > 0.0:
+        raise ValidationError(f"first coordinate must be strictly positive, got {x[0]:.6g}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ def tabulated(times, values) -> DistanceProfile:
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape or times.size < 2:
         raise ValidationError("table needs matching 1-d t and rho arrays with at least 2 rows")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValidationError("tabulated t and rho values must be finite")
     if times[0] != 0.0:
         raise ValidationError("tabulated times must start at 0")
     if not np.all(np.diff(times) > 0):

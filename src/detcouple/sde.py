@@ -84,6 +84,11 @@ def _key_word(name: str, value) -> int:
     return value
 
 
+def _require_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValidationError(f"{name} must be a positive integer, got {value}")
+
+
 def blocks_per_draw(words: int) -> int:
     return -(-words // 4)
 
@@ -180,8 +185,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
     Paths ``first_path_index``, ... run in fixed chunks of CHUNK_PATHS, and
     each path's noise depends only on (seed, path index, step).
     """
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise ValidationError(f"n_paths must be a positive integer, got {n_paths}")
+    _require_positive_int("n_paths", n_paths)
     _key_word("seed", seed)
     _key_word("first_path_index", first_path_index)
     _key_word("last path index", first_path_index + n_paths - 1)

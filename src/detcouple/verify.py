@@ -22,8 +22,13 @@ from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_p
                        sphere_matrices)
 from .errors import ValidationError
 from .model_space import SpaceKind, SpaceSpec, to_unit_model
-from .sde import (NOISE_BLOCK_STEPS, EnsembleResult, _key_word, path_gaussians,
-                  simulate_ensemble, time_grid)
+from .sde import (NOISE_BLOCK_STEPS, EnsembleResult, _key_word, _require_positive_int,
+                  path_gaussians, simulate_ensemble, time_grid)
+
+SCAN_TOL = 1e-10                   # identity residuals pass at or below this
+SCAN_DIMS = ((2, 0.4), (3, 0.4), (1, 0.1), (5, 0.1))   # identity_scan_all: (n, share of samples)
+BOUNDARY_ALIGNED_FRACTION = 0.25   # hyperbolic scan pairs with zero boundary displacement
+SLOPE_RANGE = (0.4, 1.1)           # accepted log-log slope of the dt-convergence study
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,12 @@ def _jsonable(v):
 # distance tracking statistics
 
 
-def distance_error_stats(result: EnsembleResult, tolerance: float = 0.05,
-                         name: str = "distance-tracking") -> VerifyReport:
+def distance_error_stats(result: EnsembleResult, tolerance: float = 0.05) -> VerifyReport:
     """Sup/mean/RMS statistics of |d_emp - target| over an ensemble run with
     ``record_distances=True``; the reported statistic is the ensemble mean of
     the per-path sup error."""
-    return VerifyReport(name, result.mean_sup_err, tolerance, result.n_paths, result.dt, {
+    return VerifyReport("distance-tracking", result.mean_sup_err, tolerance, result.n_paths,
+                        result.dt, {
         "mean_sup_err": result.mean_sup_err,
         "max_sup_err": result.max_sup_err,
         "rms_err": result.rms_err(),
@@ -93,7 +98,7 @@ def _scan_euclidean(n, size, rng):
     Z[norm < 1e-3] *= (1e-3 / norm[norm < 1e-3])[:, None]
     rho = np.linalg.norm(Z, axis=-1)
     drho = rng.uniform(0.0, 2.0 * (n - 1) / rho) if n >= 2 else np.zeros(size)
-    J, K = euclidean_matrices(Z, np.zeros(n), 0.5 * rho * rho, rho * drho)
+    J, K = euclidean_matrices(Z, np.zeros_like(Z), 0.5 * rho * rho, rho * drho)
     res = {
         "cancel": max(_max_abs(np.einsum("pji,pj->pi", J, Z) - Z),
                       _max_abs(np.einsum("pji,pj->pi", K, Z))),
@@ -140,14 +145,14 @@ def _scan_sphere(n, size, rng):
     return J, K, res
 
 
-def _scan_hyperbolic(n, size, rng, boundary_aligned_fraction=0.25):
+def _scan_hyperbolic(n, size, rng):
     X = 0.8 * rng.standard_normal((size, n))
     Y = 0.8 * rng.standard_normal((size, n))
     X[:, 0] = np.exp(0.4 * rng.standard_normal(size))
     Y[:, 0] = np.exp(0.4 * rng.standard_normal(size))
     if n >= 2:
         # a sub-batch with zero boundary displacement exercises the diagonal branch
-        naligned = int(size * boundary_aligned_fraction)
+        naligned = int(size * BOUNDARY_ALIGNED_FRACTION)
         Y[:naligned, 1:] = X[:naligned, 1:]
         same = np.abs(X[:, 0] - Y[:, 0]) < 1e-6
         Y[same, 0] *= 1.5
@@ -185,10 +190,9 @@ def _scan_hyperbolic(n, size, rng, boundary_aligned_fraction=0.25):
     return J, K, res
 
 
-def identity_scan(spec: SpaceSpec, num_samples: int, seed: int, tol: float = 1e-10) -> VerifyReport:
+def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
     """Residuals of all construction identities at random admissible states."""
-    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
-        raise ValidationError(f"num_samples must be a positive integer, got {num_samples}")
+    _require_positive_int("num_samples", num_samples)
     rng = np.random.default_rng(_key_word("seed", seed))
     n = spec.n
     if spec.kind is SpaceKind.EUCLIDEAN:
@@ -201,23 +205,21 @@ def identity_scan(spec: SpaceSpec, num_samples: int, seed: int, tol: float = 1e-
     res["unitarity"] = _max_abs(JK - np.eye(J.shape[-1]))
     res["op_norm_excess"] = max(0.0, float(np.linalg.svd(J, compute_uv=False).max()) - 1.0)
     worst = max(res.values())
-    return VerifyReport(f"identity-scan-{spec.kind.value}-n{n}", worst, tol,
+    return VerifyReport(f"identity-scan-{spec.kind.value}-n{n}", worst, SCAN_TOL,
                         num_samples, None, res)
 
 
-def identity_scan_all(num_samples_per_space: int, seed: int, tol: float = 1e-10,
-                      dims=(2, 3, 1, 5)) -> list[VerifyReport]:
-    """Identity scans over all three spaces, samples split across dimensions."""
+def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyReport]:
+    """Identity scans over all three spaces, samples split across ``SCAN_DIMS``."""
     _key_word("seed", seed)
-    _key_word("last scan seed", seed + 97 * 2 + len(dims) - 1)
+    _key_word("last scan seed", seed + 97 * 2 + len(SCAN_DIMS) - 1)
     reports = []
-    weights = [0.4, 0.4, 0.1, 0.1][: len(dims)]
     for offset, kind in enumerate([SpaceKind.EUCLIDEAN, SpaceKind.SPHERE, SpaceKind.HYPERBOLIC]):
-        for j, (n, w) in enumerate(zip(dims, weights)):
+        for j, (n, w) in enumerate(SCAN_DIMS):
             spec = SpaceSpec(kind, n, {SpaceKind.EUCLIDEAN: 0.0, SpaceKind.SPHERE: 1.0,
                                        SpaceKind.HYPERBOLIC: -1.0}[kind])
             size = max(1, int(num_samples_per_space * w))
-            reports.append(identity_scan(spec, size, seed + 97 * offset + j, tol))
+            reports.append(identity_scan(spec, size, seed + 97 * offset + j))
     return reports
 
 
@@ -299,8 +301,7 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     if not 0 < rho0 < np.pi:
         raise ValidationError("rho0 must lie in (0, pi)")
     _key_word("seed", seed)
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    _require_positive_int("n_paths", n_paths)
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([np.cos(rho0), np.sin(rho0), 0.0])
     times = time_grid(dt, T)
@@ -323,11 +324,11 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
 
 
 def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed: int,
-                      x0, y0, T: float = 1.0, slope_range=(0.4, 1.1)) -> VerifyReport:
+                      x0, y0, T: float = 1.0) -> VerifyReport:
     """Mean sup tracking error per dt, with the fitted log-log slope.
 
     Passes when the errors strictly decrease along decreasing dt and the
-    slope lies inside ``slope_range``.
+    slope lies inside ``SLOPE_RANGE``.
     """
     dt_list = list(dt_list)
     if len(dt_list) < 3 or any(b >= a for a, b in zip(dt_list, dt_list[1:])):
@@ -342,7 +343,7 @@ def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed
     stat = 0.0
     if not decreasing:
         stat = 1.0
-    stat += max(0.0, slope_range[0] - slope, slope - slope_range[1])
+    stat += max(0.0, SLOPE_RANGE[0] - slope, slope - SLOPE_RANGE[1])
     return VerifyReport(f"convergence-{spec.kind.value}", stat, 0.0, paths_per_dt, None, {
         "dt": list(map(float, dt_list)),
         "mean_sup_err": list(map(float, errors)),

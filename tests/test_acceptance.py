@@ -13,7 +13,7 @@ from detcouple import cli
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple import verify as vf
-from detcouple.coupling import sphere_matrices_from_gamma
+from detcouple.coupling import sphere_matrices
 from detcouple.sde import simulate_ensemble
 
 S2 = ms.sphere(2)
@@ -72,7 +72,7 @@ def test_criterion_02_drift_match_oracle(scan_reports):
         eta = float(X @ Y)
         etap = rng.uniform(-(eta + 1.0), 1.0 - eta)
         gamma_sub = np.clip(1.0 - (etap + eta), -1.0, 1.0)
-        J, _ = sphere_matrices_from_gamma(X, Y, gamma_sub)
+        J, _ = sphere_matrices(X, Y, gamma_sub, 0.0)
         U = np.eye(3) - np.outer(X, X)
         V = np.eye(3) - np.outer(Y, Y)
         mismatch.append(abs(-2.0 * eta + np.trace(U @ J.T @ V) - etap))

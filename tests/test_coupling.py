@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,12 @@ from detcouple.errors import AdmissibilityError, DegenerateStateError, Validatio
 S2 = ms.sphere(2)
 
 
-def unitarity(M: cp.CouplingMatrices) -> float:
-    return M.identity_residual()
+def unitarity(J, K) -> float:
+    return float(np.max(np.abs(J @ J.T + K @ K.T - np.eye(J.shape[0]))))
+
+
+def op_norm(J) -> float:
+    return float(np.linalg.svd(J, compute_uv=False)[0])
 
 
 def sphere_drift(X, Y, J):
@@ -34,22 +40,23 @@ def hyperbolic_drift(X, Y, J):
 
 
 def test_euclidean_translation():
-    M = cp.build_euclidean(2, [2.0, 0.0], 2.0, 0.0)
-    assert np.array_equal(M.J, np.eye(2)) and not M.Kmat.any()
+    J, K = cp.euclidean_matrices([2.0, 0.0], np.zeros(2), 2.0, 0.0)   # rho = 2, rho' = 0
+    assert np.array_equal(J, np.eye(2)) and not K.any()
 
 
 def test_euclidean_mirror_at_saturation():
     # rho rho' = 2(n-1) forces lambda = -1: reflection across Z
-    M = cp.build_euclidean(2, [2.0, 0.0], 2.0, 1.0)
-    assert np.allclose(M.J, np.diag([1.0, -1.0]), atol=1e-15)
-    assert not M.Kmat.any()
-    assert M.J.T @ np.array([2.0, 0.0]) == pytest.approx([2.0, 0.0])
+    J, K = cp.euclidean_matrices([2.0, 0.0], np.zeros(2), 2.0, 2.0)   # rho = 2, rho' = 1
+    assert np.allclose(J, np.diag([1.0, -1.0]), atol=1e-15)
+    assert not K.any()
+    assert J.T @ np.array([2.0, 0.0]) == pytest.approx([2.0, 0.0])
 
 
 def test_euclidean_lambda_zero():
-    M = cp.build_euclidean(3, [1.7, 0.0, 0.0], 2.0, 1.0)   # rho rho' = 2 -> lambda = 0
-    assert np.allclose(M.J, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
-    assert np.allclose(M.Kmat, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
+    # rho = 2, rho' = 1: rho rho' = 2 -> lambda = 0
+    J, K = cp.euclidean_matrices([1.7, 0.0, 0.0], np.zeros(3), 2.0, 2.0)
+    assert np.allclose(J, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+    assert np.allclose(K, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
 
 
 def test_euclidean_postconditions_random():
@@ -59,24 +66,24 @@ def test_euclidean_postconditions_random():
         Z = rng.standard_normal(n)
         rho = float(np.linalg.norm(Z))
         drho = rng.uniform(0.0, 2 * (n - 1) / rho)
-        M = cp.build_euclidean(n, Z, rho, drho)
-        assert np.max(np.abs(M.J.T @ Z - Z)) <= 1e-12 * rho
-        assert np.max(np.abs(M.Kmat.T @ Z)) <= 1e-12 * rho
-        assert n - np.trace(M.J) == pytest.approx(rho * drho, abs=1e-12)
-        assert unitarity(M) <= 1e-12
-        assert M.op_norm() <= 1 + 1e-12
+        J, K = cp.euclidean_matrices(Z, np.zeros(n), rho**2 / 2, rho * drho)
+        assert np.max(np.abs(J.T @ Z - Z)) <= 1e-12 * rho
+        assert np.max(np.abs(K.T @ Z)) <= 1e-12 * rho
+        assert n - np.trace(J) == pytest.approx(rho * drho, abs=1e-12)
+        assert unitarity(J, K) <= 1e-12
+        assert op_norm(J) <= 1 + 1e-12
 
 
 def test_euclidean_errors():
     with pytest.raises(AdmissibilityError):
-        cp.build_euclidean(2, [1.0, 0.0], 1.0, 3.0)       # rho rho' > 2(n-1)
+        cp.euclidean_matrices([1.0, 0.0], np.zeros(2), 0.5, 3.0)     # rho rho' > 2(n-1)
     with pytest.raises(AdmissibilityError):
-        cp.build_euclidean(2, [1.0, 0.0], 1.0, -0.2)      # decreasing distance
+        cp.euclidean_matrices([1.0, 0.0], np.zeros(2), 0.5, -0.2)    # decreasing distance
     with pytest.raises(DegenerateStateError):
-        cp.build_euclidean(2, [0.0, 0.0], 1.0, 0.0)
+        cp.euclidean_matrices([0.0, 0.0], np.zeros(2), 0.5, 0.0)
     with pytest.raises(AdmissibilityError):
-        cp.build_euclidean(1, [1.0], 1.0, 0.5)            # only constant in dim 1
-    assert np.array_equal(cp.build_euclidean(1, [1.0], 1.0, 0.0).J, [[1.0]])
+        cp.euclidean_matrices([1.0], np.zeros(1), 0.5, 0.5)          # only constant in dim 1
+    assert np.array_equal(cp.euclidean_matrices([1.0], np.zeros(1), 0.5, 0.0)[0], [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +93,12 @@ def test_euclidean_errors():
 def test_sphere_fixed_distance_example():
     X = np.array([1.0, 0.0, 0.0])
     Y = np.array([0.0, 1.0, 0.0])
-    M = cp.build_sphere(2, X, Y, 0.0, 0.0)
+    J, K = cp.sphere_matrices(X, Y, 0.0, 0.0)
     expect_J = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     expect_K = np.diag([0.0, 0.0, 1.0])
-    assert np.allclose(M.J, expect_J, atol=1e-15)
-    assert np.allclose(M.Kmat, expect_K, atol=1e-15)
-    assert unitarity(M) <= 1e-15
+    assert np.allclose(J, expect_J, atol=1e-15)
+    assert np.allclose(K, expect_K, atol=1e-15)
+    assert unitarity(J, K) <= 1e-15
 
 
 @pytest.mark.parametrize("etap,gamma", [(-1.0, -1.0), (1.0, 1.0)])
@@ -99,10 +106,10 @@ def test_sphere_band_endpoints_kill_transverse_noise(etap, gamma):
     # at either band endpoint gamma = -+1 and K vanishes transversally
     X = np.array([1.0, 0.0, 0.0])
     Y = np.array([0.0, 1.0, 0.0])
-    M = cp.build_sphere(2, X, Y, 0.0, etap)
-    assert np.max(np.abs(M.Kmat)) <= 1e-15
+    J, K = cp.sphere_matrices(X, Y, 0.0, etap)
+    assert np.max(np.abs(K)) <= 1e-15
     e3 = np.array([0.0, 0.0, 1.0])
-    assert M.J @ e3 == pytest.approx(gamma * e3)
+    assert J @ e3 == pytest.approx(gamma * e3)
 
 
 def test_sphere_cancellation_and_drift_random():
@@ -119,16 +126,16 @@ def test_sphere_cancellation_and_drift_random():
         eta = float(X @ Y)
         k = n - 1
         etap = rng.uniform(-k * (eta + 1), k * (1 - eta))
-        M = cp.build_sphere(n, X, Y, eta, etap)
+        J, K = cp.sphere_matrices(X, Y, eta, etap)
         v = X - eta * Y
-        assert np.max(np.abs(M.J.T @ v - (eta * X - Y))) <= 1e-12
-        assert np.max(np.abs(M.Kmat.T @ v)) <= 1e-12
-        assert unitarity(M) <= 1e-12
-        assert M.op_norm() <= 1 + 1e-12
+        assert np.max(np.abs(J.T @ v - (eta * X - Y))) <= 1e-12
+        assert np.max(np.abs(K.T @ v)) <= 1e-12
+        assert unitarity(J, K) <= 1e-12
+        assert op_norm(J) <= 1 + 1e-12
         N = n + 1
         U = np.eye(N) - np.outer(X, X)
         V = np.eye(N) - np.outer(Y, Y)
-        drift = -(n - 1) * eta + np.trace(U @ M.J.T @ V) - eta
+        drift = -(n - 1) * eta + np.trace(U @ J.T @ V) - eta
         # tr(U J' V) contributes eta from the span{X, Y} block
         assert drift == pytest.approx(etap, abs=1e-10)
 
@@ -137,10 +144,10 @@ def test_sphere_reflection_on_span():
     rng = np.random.default_rng(12)
     X = ms.random_points(S2, 1, rng)[0]
     Y = ms.random_points(S2, 1, rng)[0]
-    M = cp.build_sphere(2, X, Y, float(X @ Y), 0.3)
+    J, K = cp.sphere_matrices(X, Y, float(X @ Y), 0.3)
     w = Y - (X @ Y) * X
     F = np.stack([X, w / np.linalg.norm(w)], axis=1)   # orthonormal basis of span{X, Y}
-    B = F.T @ M.J.T @ F
+    B = F.T @ J.T @ F
     assert np.allclose(B @ B.T, np.eye(2), atol=1e-12)     # orthogonal
     assert np.allclose(B, B.T, atol=1e-12)                 # symmetric
     assert np.linalg.det(B) == pytest.approx(-1.0, abs=1e-12)   # a reflection
@@ -149,25 +156,25 @@ def test_sphere_reflection_on_span():
 def test_sphere_n1_rotation_coupling():
     X = np.array([1.0, 0.0])
     Y = np.array([np.cos(1.0), np.sin(1.0)])
-    M = cp.build_sphere(1, X, Y, float(X @ Y), 0.0)
-    assert M.J @ X == pytest.approx(-Y, abs=1e-15)
-    assert M.J @ Y == pytest.approx(-X, abs=1e-15)
-    assert np.max(np.abs(M.Kmat)) <= 1e-15
+    J, K = cp.sphere_matrices(X, Y, float(X @ Y), 0.0)
+    assert J @ X == pytest.approx(-Y, abs=1e-15)
+    assert J @ Y == pytest.approx(-X, abs=1e-15)
+    assert np.max(np.abs(K)) <= 1e-15
     with pytest.raises(AdmissibilityError):
-        cp.build_sphere(1, X, Y, float(X @ Y), 0.1)   # nonzero eta' impossible
+        cp.sphere_matrices(X, Y, float(X @ Y), 0.1)   # nonzero eta' impossible
 
 
 def test_sphere_errors():
     X = np.array([1.0, 0.0, 0.0])
     Y = np.array([0.0, 1.0, 0.0])
     with pytest.raises(AdmissibilityError):
-        cp.build_sphere(2, X, Y, 0.0, 1.5)    # above -(n-1)(eta-1) = 1
+        cp.sphere_matrices(X, Y, 0.0, 1.5)    # above -(n-1)(eta-1) = 1
     with pytest.raises(DegenerateStateError):
-        cp.build_sphere(2, X, X, 1.0, 0.0)
+        cp.sphere_matrices(X, X, 1.0, 0.0)
     with pytest.raises(DegenerateStateError):
-        cp.build_sphere(2, X, -X, -1.0, 0.0)
+        cp.sphere_matrices(X, -X, -1.0, 0.0)
     with pytest.raises(ValidationError):
-        cp.build_sphere(2, 2 * X, Y, 0.0, 0.0)
+        cp.sphere_matrices(2 * X, Y, 0.0, 0.0)
 
 
 def test_sphere_drift_consistent_gamma_vs_one_minus_variant():
@@ -188,7 +195,7 @@ def test_sphere_drift_consistent_gamma_vs_one_minus_variant():
         gamma_good = eta + etap / (n - 1)
         gamma_bad = 1.0 - (etap + (n - 1) * eta) / (n - 1)
         for gamma, good in ((gamma_good, True), (gamma_bad, False)):
-            J, K = cp.sphere_matrices_from_gamma(X, Y, np.clip(gamma, -1, 1))
+            J, K = cp.sphere_matrices(X, Y, np.clip(gamma, -1, 1), 0.0)
             U = np.eye(3) - np.outer(X, X)
             V = np.eye(3) - np.outer(Y, Y)
             drift = -n * eta + np.trace(U @ J.T @ V)
@@ -205,18 +212,18 @@ def test_sphere_drift_consistent_gamma_vs_one_minus_variant():
 
 def test_hyperbolic_dim1_synchronous():
     # the cancellation identities force J = +1 in dimension 1 (Y = theta X)
-    M = cp.build_hyperbolic(1, np.array([1.0]), np.array([2.0]), 0.25, 0.0)
-    assert np.array_equal(M.J, [[1.0]]) and np.array_equal(M.Kmat, [[0.0]])
-    assert hyperbolic_drift(np.array([1.0]), np.array([2.0]), M.J) == pytest.approx(0.0, abs=1e-15)
+    J, K, _, _ = cp.hyperbolic_matrices(np.array([1.0]), np.array([2.0]), 0.25, 0.0)
+    assert np.array_equal(J, [[1.0]]) and np.array_equal(K, [[0.0]])
+    assert hyperbolic_drift(np.array([1.0]), np.array([2.0]), J) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hyperbolic_boundary_aligned_lower_extreme():
     X = np.array([1.0, 0.0])
     Y = np.array([2.0, 0.0])
     eta = 0.25   # |Z|^2 / (2 X1 Y1) = 1/4
-    M = cp.build_hyperbolic(2, X, Y, eta, eta)   # eta' = (n-1) eta: gamma = 1
-    assert np.allclose(M.J, np.eye(2), atol=1e-15)
-    assert not M.Kmat.any()
+    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, eta)   # eta' = (n-1) eta: gamma = 1
+    assert np.allclose(J, np.eye(2), atol=1e-15)
+    assert not K.any()
 
 
 def test_hyperbolic_two_plane_example():
@@ -227,11 +234,11 @@ def test_hyperbolic_two_plane_example():
     assert m * m + l * l == p * p + q * q == 5.0
     eta = np.sum((X - Y) ** 2) / (2 * X[0] * Y[0])
     etap = eta + 1.3    # inside [eta, eta + 2] for n = 2
-    M = cp.build_hyperbolic(2, X, Y, eta, etap)
+    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
     gamma = 1 + eta - etap
     # the two-plane determinant equals the transverse eigenvalue; the plane
     # is spanned by e1 and the unit boundary displacement, here e1 and e2
-    B = M.J.T
+    B = J.T
     assert np.linalg.det(B) == pytest.approx(gamma, abs=1e-12)
 
 
@@ -249,7 +256,7 @@ def test_hyperbolic_cancellation_drift_random():
         eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
         k = n - 1
         etap = k * eta + rng.uniform(0, 2 * k)
-        M = cp.build_hyperbolic(n, X, Y, eta, etap)
+        J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
         m, l, p, q, u, zt = cp.hyperbolic_two_plane_scalars(X, Y)
         xi2 = np.zeros(n)
         if u > 0:
@@ -259,11 +266,11 @@ def test_hyperbolic_cancellation_drift_random():
         v = m * e1 + l * xi2
         rhs = p * e1 + q * xi2
         scale = max(1.0, np.hypot(m, l))
-        assert np.max(np.abs(M.J.T @ v - rhs)) <= 1e-10 * scale
-        assert np.max(np.abs(M.Kmat.T @ v)) <= 1e-10 * scale
-        assert unitarity(M) <= 1e-12
-        assert M.op_norm() <= 1 + 1e-12
-        assert hyperbolic_drift(X, Y, M.J) == pytest.approx(etap, abs=1e-9)
+        assert np.max(np.abs(J.T @ v - rhs)) <= 1e-10 * scale
+        assert np.max(np.abs(K.T @ v)) <= 1e-10 * scale
+        assert unitarity(J, K) <= 1e-12
+        assert op_norm(J) <= 1 + 1e-12
+        assert hyperbolic_drift(X, Y, J) == pytest.approx(etap, abs=1e-9)
 
 
 def test_hyperbolic_gamma_saturation():
@@ -272,19 +279,19 @@ def test_hyperbolic_gamma_saturation():
     eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
     k = 2
     for etap, gamma in ((k * eta, 1.0), (k * eta + 2 * k, -1.0)):
-        M = cp.build_hyperbolic(3, X, Y, eta, etap)
+        J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
         # K vanishes transversally at the band endpoints: f is orthogonal to
         # e1 and to the boundary displacement (0, 0.7, -0.3)
         f = np.array([0.0, 0.3, 0.7]) / np.hypot(0.3, 0.7)
-        assert np.max(np.abs(M.Kmat @ f)) <= 1e-12
-        assert f @ M.J @ f == pytest.approx(gamma, abs=1e-12)
+        assert np.max(np.abs(K @ f)) <= 1e-12
+        assert f @ J @ f == pytest.approx(gamma, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # the two-plane map A_phi inside the hyperbolic kernel
 
 
-def plane_block(X, Y, M):
+def plane_block(X, Y, J):
     """J' on span{e1, xi2} in the (e1, xi2) basis: columns are the images."""
     n = len(X)
     e1 = np.zeros(n)
@@ -296,7 +303,7 @@ def plane_block(X, Y, M):
     else:
         xi2[1] = 1.0   # vertical pair: every boundary direction is transverse
     F = np.stack([e1, xi2], axis=1)
-    return F.T @ M.J.T @ F
+    return F.T @ J.T @ F
 
 
 def test_a_phi_fixes_xi1():
@@ -305,8 +312,8 @@ def test_a_phi_fixes_xi1():
     X = np.array([1.0, 0.0])
     Y = np.array([2.0, 0.0])
     eta = 0.25
-    M = cp.build_hyperbolic(2, X, Y, eta, 1.0 + eta - d0)   # gamma = d = d0
-    assert np.allclose(plane_block(X, Y, M), np.diag([1.0, d0]), atol=1e-15)
+    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, 1.0 + eta - d0)   # gamma = d = d0
+    assert np.allclose(plane_block(X, Y, J), np.diag([1.0, d0]), atol=1e-15)
 
 
 def test_a_phi_band_center_is_singular():
@@ -314,8 +321,8 @@ def test_a_phi_band_center_is_singular():
     Y = np.array([1.5, 0.2, -0.4])
     eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
     k = 2
-    M = cp.build_hyperbolic(3, X, Y, eta, k * (eta + 1.0))   # centre of the band: d = 0
-    assert np.linalg.det(plane_block(X, Y, M)) == pytest.approx(0.0, abs=1e-14)
+    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, k * (eta + 1.0))   # centre of the band: d = 0
+    assert np.linalg.det(plane_block(X, Y, J)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_a_phi_postconditions():
@@ -328,7 +335,8 @@ def test_a_phi_postconditions():
         eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
         k = n - 1
         etap = k * eta + rng.uniform(0, 2 * k)
-        B = plane_block(X, Y, cp.build_hyperbolic(n, X, Y, eta, etap))
+        J, _, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+        B = plane_block(X, Y, J)
         m, l, p, q, _, _ = cp.hyperbolic_two_plane_scalars(X, Y)
         norm = np.hypot(m, l)
         phi = -etap / k + (X[0] ** 2 + Y[0] ** 2) / (X[0] * Y[0])
@@ -337,20 +345,41 @@ def test_a_phi_postconditions():
         assert np.linalg.det(B) == pytest.approx(1.0 + eta - etap / k, abs=1e-10)   # d = gamma
         assert np.linalg.svd(B, compute_uv=False)[0] <= 1 + 1e-12
         with pytest.raises(AdmissibilityError):
-            cp.build_hyperbolic(n, X, Y, eta, k * eta + 2 * k + 1.0)
+            cp.hyperbolic_matrices(X, Y, eta, k * eta + 2 * k + 1.0)
 
 
 def test_hyperbolic_errors():
     X = np.array([1.0, 0.0])
     Y = np.array([2.0, 0.0])
     with pytest.raises(AdmissibilityError):
-        cp.build_hyperbolic(2, X, Y, 0.25, 0.0)    # below (n-1) eta
+        cp.hyperbolic_matrices(X, Y, 0.25, 0.0)    # below (n-1) eta
     with pytest.raises(AdmissibilityError):
-        cp.build_hyperbolic(2, X, Y, 0.25, 3.0)    # above (n-1) eta + 2(n-1)
+        cp.hyperbolic_matrices(X, Y, 0.25, 3.0)    # above (n-1) eta + 2(n-1)
     with pytest.raises(DegenerateStateError):
-        cp.build_hyperbolic(2, X, X, 0.0, 0.0)
+        cp.hyperbolic_matrices(X, X, 0.0, 0.0)
     with pytest.raises(ValidationError):
-        cp.build_hyperbolic(2, np.array([-1.0, 0.0]), Y, 0.25, 0.5)
+        cp.hyperbolic_matrices(np.array([-1.0, 0.0]), Y, 0.25, 0.5)
+
+
+def test_matrices_reject_batch_at_first_bad_state():
+    X = np.array([[1.0, 0.0, 0.0]] * 3)
+    Y = np.array([[0.0, 1.0, 0.0]] * 3)
+    # band [-1, 1] at eta = 0: the second and third states are outside it
+    with pytest.raises(AdmissibilityError, match=r"eta' = 1.5 outside the band \[-1, 1\]"):
+        cp.sphere_matrices(X, Y, [0.0, 0.0, 0.0], [0.5, 1.5, -2.0])
+    with pytest.raises(ValidationError, match="equal shapes"):
+        cp.sphere_matrices(X, Y[:2], 0.0, 0.0)
+    with pytest.raises(ValidationError, match="equal shapes"):
+        cp.euclidean_matrices([1.0, 0.0], [0.0, 0.0, 0.0], 0.5, 0.5)
+    with pytest.raises(ValidationError, match="finite"):
+        cp.euclidean_matrices([[1.0, 0.0], [np.nan, 0.0]], np.zeros((2, 2)), 0.5, 0.5)
+    Yd = Y.copy()
+    Yd[2] = X[2]
+    with pytest.raises(DegenerateStateError):
+        cp.sphere_matrices(X, Yd, 0.0, 0.0)
+    # an eta that does not belong to the points can put d outside [-1, 1]
+    with pytest.raises(AdmissibilityError, match="two-plane determinant d = 1.94118"):
+        cp.hyperbolic_matrices([1.0, 1.0], [1.0, 0.0], 0.1, 0.1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,10 +392,10 @@ def test_sphere_invariants_property(ang, frac, n):
     eta = float(X @ Y)
     k = n - 1
     etap = -k * (eta + 1) + frac * 2 * k   # sweep the band
-    M = cp.build_sphere(n, X, Y, eta, etap)
-    assert unitarity(M) <= 1e-12
+    J, K = cp.sphere_matrices(X, Y, eta, etap)
+    assert unitarity(J, K) <= 1e-12
     v = X - eta * Y
-    assert np.max(np.abs(M.J.T @ v - (eta * X - Y))) <= 1e-12
+    assert np.max(np.abs(J.T @ v - (eta * X - Y))) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -381,6 +410,65 @@ def test_hyperbolic_invariants_property(y1, off, frac, n):
         return
     k = n - 1
     etap = k * eta + frac * 2 * k
-    M = cp.build_hyperbolic(n, X, Y, eta, etap)
-    assert unitarity(M) <= 1e-12
-    assert hyperbolic_drift(X, Y, M.J) == pytest.approx(etap, abs=1e-9)
+    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+    assert unitarity(J, K) <= 1e-12
+    assert hyperbolic_drift(X, Y, J) == pytest.approx(etap, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# matrix bytes
+
+
+MATRIX_DIGESTS = {
+    "euclidean-n1": "e33c94d7b1e0df600330279a46531aa8f6379b36d5b3d97bca18da04300dee2b",
+    "euclidean-n2": "750ff5cf874b36c55733e974beca24b487bc04dd26d66934fe2a7b621162386c",
+    "euclidean-n3": "e9da808f7f2a33ab154029b4fb9f9f4ba08df9cd3420c0cff9d04617f936dbf1",
+    "euclidean-n5": "ba28e003d274eb144f44c564ff3454914da739ee40e0925ff59cfa637afda7d7",
+    "sphere-n1": "1a6a5c378c3e5e335481623f1ea1bbd700ea8fec34a8abf7bb4b1acd4d00efe9",
+    "sphere-n2": "6136bd655cd3ee679151399c7ed739df156af6f0124b76da6f80b5f524f2a147",
+    "sphere-n3": "aa8476e3bed0c640d2614e4986a43f7d9fea409b146407bed6bc5dc0b86ae32f",
+    "sphere-n5": "9e2451b5a50bf1dfb78b5df6e549da5a990559c8cf163978b741b427ff6722b8",
+    "hyperbolic-n1": "597f8aa665cbd5069986901de2b7024aaf60c09caf3ea88916a9b37a683380b3",
+    "hyperbolic-n2": "a05c8d806159f22100f3b2f232f2ab5d72b96d148037cc99fe5e358666cc3c66",
+    "hyperbolic-n3": "39b4979e2fa4f079ead02aaf1f70932c9a7d0b3d9783ce66d274cbc3489baae7",
+    "hyperbolic-n5": "0bd4008be1bb102545a4a113b3a350dca149cb1ebe8741c2ec59cf9a07431832",
+}
+
+
+def _admissible_batch(kind, n, size=48):
+    """Fixed admissible states (X, Y, eta, eta') of one unit model space.
+
+    A quarter of the half-space pairs are vertical, so the kernel's
+    degenerate-plane branch is pinned too.
+    """
+    spec = ms.SpaceSpec(kind, n, {ms.SpaceKind.EUCLIDEAN: 0.0, ms.SpaceKind.SPHERE: 1.0,
+                                  ms.SpaceKind.HYPERBOLIC: -1.0}[kind])
+    rng = np.random.default_rng(10 * n + list(ms.SpaceKind).index(kind))
+    X = ms.random_points(spec, size, rng)
+    Y = ms.random_points(spec, size, rng)
+    k = n - 1
+    if kind is ms.SpaceKind.EUCLIDEAN:
+        eta = 0.5 * np.sum((X - Y) ** 2, axis=-1)
+        return X, Y, eta, rng.uniform(0.0, 2.0 * k, size)
+    if kind is ms.SpaceKind.SPHERE:
+        eta = np.sum(X * Y, axis=-1)
+        return X, Y, eta, rng.uniform(-k * (eta + 1.0), k * (1.0 - eta))
+    Y[: size // 4, 1:] = X[: size // 4, 1:]
+    eta = np.sum((X - Y) ** 2, axis=-1) / (2.0 * X[:, 0] * Y[:, 0])
+    return X, Y, eta, k * eta + rng.uniform(0.0, 2.0 * k, size)
+
+
+def test_matrices_digests():
+    # SHA-256 of the bytes of J and K (and gamma, d on half-space); the kernel
+    # uses only elementwise operations and sums, so refactors must keep them
+    build = {ms.SpaceKind.EUCLIDEAN: cp.euclidean_matrices,
+             ms.SpaceKind.SPHERE: cp.sphere_matrices,
+             ms.SpaceKind.HYPERBOLIC: cp.hyperbolic_matrices}
+    got = {}
+    for kind, matrices in build.items():
+        for n in (1, 2, 3, 5):
+            digest = hashlib.sha256()
+            for a in matrices(*_admissible_batch(kind, n)):
+                digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            got[f"{kind.value}-n{n}"] = digest.hexdigest()
+    assert got == MATRIX_DIGESTS

@@ -68,13 +68,14 @@ def test_triangle_inequality_random_triples():
         assert np.min(dxy + dyz - dxz) >= -1e-10
 
 
-def test_validate_point_examples():
-    assert ms.validate_point(S2, np.array([1.0, 0.0, 0.0])).ok
-    rep = ms.validate_point(H2, np.array([-1.0, 0.0]))
-    assert not rep.ok and rep.first_coord == -1.0
-    rep = ms.validate_point(S2, np.array([0.5, 0.0, 0.0]))
-    assert not rep.ok and rep.norm_error == pytest.approx(0.5)
-    assert not ms.validate_point(S2, np.array([1.0, 0.0])).ok  # dimension mismatch
+def test_require_valid_point_examples():
+    assert np.array_equal(ms.require_valid_point(S2, [1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="first coordinate .* got -1"):
+        ms.require_valid_point(H2, np.array([-1.0, 0.0]))
+    with pytest.raises(ValidationError, match="norm 0.5 differs from radius 1"):
+        ms.require_valid_point(S2, np.array([0.5, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="ambient dimension 3"):
+        ms.require_valid_point(S2, np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
         ms.geodesic_distance(H2, [-1.0, 0.0], [1.0, 0.0])
 

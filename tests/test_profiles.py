@@ -193,6 +193,10 @@ def test_tabulated_validation():
         pf.tabulated([0.1, 0.2], [1.0, 1.0])             # must start at 0
     with pytest.raises(ValidationError):
         pf.tabulated([0.0, 1.0], [1.0, -1.0])            # positive values
+    with pytest.raises(ValidationError, match="finite"):
+        pf.tabulated([0.0, 0.5, np.inf], [1.0, 1.1, 1.2])   # finite times
+    with pytest.raises(ValidationError, match="finite"):
+        pf.tabulated([0.0, 0.5, 1.0], [1.0, np.inf, 1.2])   # finite values
 
 
 def test_profile_scaling_general_curvature():

@@ -221,6 +221,13 @@ def test_bad_grid_and_ensemble_inputs_rejected(dt, T, n_paths):
         simulate_ensemble(E2, pf.constant(1.0), x0, y0, dt, T, 0, n_paths)
 
 
+def test_non_integer_n_paths_rejected():
+    x0, y0 = ms.canonical_start(E2, 1.0)
+    for n_paths in (2.5, True):
+        with pytest.raises(ValidationError, match="n_paths"):
+            simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 0, n_paths)
+
+
 def test_time_grid():
     ts = time_grid(1e-4, 1.0)
     assert ts.size == 10001 and ts[0] == 0.0 and ts[-1] == 1.0

@@ -99,7 +99,7 @@ def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
     for seed in (-1, 2**64):
         with pytest.raises(ValidationError, match="seed"):
             vf.rotation_ensemble(1.0, 1e-2, 0.1, seed, 2)
-    for n_paths in (0, -3):
+    for n_paths in (0, -3, 2.5, True):
         with pytest.raises(ValidationError, match="n_paths"):
             vf.rotation_ensemble(1.0, 1e-2, 0.1, 0, n_paths)
 
