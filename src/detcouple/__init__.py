@@ -10,14 +10,13 @@ constructions both algebraically and by Monte Carlo.
 from .coupling import euclidean_matrices, hyperbolic_matrices, sphere_matrices
 from .errors import (AdmissibilityError, DegenerateStateError, DetcoupleError,
                      ValidationError)
-from .model_space import (SpaceKind, SpaceSpec, canonical_start, euclidean,
+from .model_space import (SpaceKind, SpaceSpec, canonical_start, euclidean, from_unit_model,
                           geodesic_distance, hyperbolic, point_at_distance, sphere,
-                          to_unit_model, from_unit_model)
-from .profiles import (AdmissibilityReport, ClampedProfile, DistanceProfile, ProfileKind,
-                       admissible_bounds, check_admissibility, constant, envelope,
-                       euclidean_max_growth, eval_profile, hyperbolic_lower,
-                       hyperbolic_upper, sphere_contracting, sphere_repulsive, tabulated,
-                       tabulated_from_csv)
+                          to_unit_model)
+from .profiles import (AdmissibilityReport, DistanceProfile, ProfileKind,
+                       admissible_bounds, check_admissibility, clamped, constant, envelope,
+                       euclidean_max_growth, hyperbolic_lower, hyperbolic_upper,
+                       sphere_contracting, sphere_repulsive, tabulated, tabulated_from_csv)
 from .sde import EnsembleResult, simulate_ensemble, time_grid
 from .verify import (VerifyReport, convergence_study, distance_error_stats, identity_scan,
                      identity_scan_all, mean_decay_check, rotation_ensemble)

@@ -25,8 +25,8 @@ from . import model_space as ms
 from . import profiles as pf
 from .errors import DetcoupleError, ValidationError
 from .sde import EnsembleResult, simulate_ensemble
-from .verify import (VerifyReport, convergence_study, distance_error_stats, identity_scan,
-                     mean_decay_check, rotation_ensemble)
+from .verify import (MIN_DECAY_PATHS, VerifyReport, convergence_study, distance_error_stats,
+                     identity_scan, mean_decay_check, rotation_ensemble)
 
 
 class Kind(NamedTuple):
@@ -187,26 +187,15 @@ def build_space(cfg: RunConfig) -> ms.SpaceSpec:
     return ms.SpaceSpec(kind, cfg.dim, cfg.K)
 
 
-def build_profile(cfg: RunConfig, spec: ms.SpaceSpec):
+def build_profile(cfg: RunConfig, spec: ms.SpaceSpec) -> pf.DistanceProfile:
     kind = pf.ProfileKind(cfg.profile)
     if kind is pf.ProfileKind.TABULATED:
         if not cfg.table:
             raise ValidationError("field table: required for tabulated profiles")
         prof = pf.tabulated_from_csv(cfg.table)
-    elif kind is pf.ProfileKind.CONSTANT:
-        prof = pf.constant(cfg.rho0)
     else:
-        builder = {
-            pf.ProfileKind.SPHERE_CONTRACTING: pf.sphere_contracting,
-            pf.ProfileKind.SPHERE_REPULSIVE: pf.sphere_repulsive,
-            pf.ProfileKind.HYPERBOLIC_LOWER: pf.hyperbolic_lower,
-            pf.ProfileKind.HYPERBOLIC_UPPER: pf.hyperbolic_upper,
-            pf.ProfileKind.EUCLIDEAN_MAX_GROWTH: pf.euclidean_max_growth,
-        }[kind]
-        prof = builder(spec, cfg.rho0)
-    if cfg.clamp_derivative:
-        prof = pf.ClampedProfile(spec, prof)
-    return prof
+        prof = pf.BUILDERS[kind](spec, cfg.rho0)
+    return pf.clamped(spec, prof) if cfg.clamp_derivative else prof
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +321,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports.append(VerifyReport("envelope-bracket", bracket, cfg.tolerance,
                                 cfg.paths, cfg.dt))
 
-    marg_paths = max(cfg.paths, 500)
+    marg_paths = max(cfg.paths, MIN_DECAY_PATHS)
     marg = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed + 1, marg_paths,
                              enforce_distance=cfg.enforce_distance)
-    reports.extend(mean_decay_check(marg, spec, x0, y0, bias_allowance=0.05,
-                                    min_paths=min(500, marg_paths)))
+    reports.extend(mean_decay_check(marg, spec, x0, y0, bias_allowance=0.05))
 
     if spec.kind is ms.SpaceKind.SPHERE and spec.n == 2 and spec.K == 1.0 \
             and cfg.profile == "constant":

@@ -3,9 +3,14 @@
 The three spaces are Euclidean space (curvature 0), the sphere of radius
 r = 1/sqrt(K) embedded in R^{n+1} (curvature K > 0), and the upper half-space
 model of hyperbolic space (curvature K < 0).  Hyperbolic points always carry
-unit half-space coordinates; the scale r only enters through the metric, so
-distances are r times the unit-model formula and coordinates are never
-multiplied by r.  Sphere points live on the radius-r sphere.
+unit half-space coordinates; the scale r only enters through the metric.
+Sphere points live on the radius-r sphere.
+
+Every formula is written once, for the unit-curvature model of its space.
+M^n_K is that model rescaled by r in length (and r^2 in time):
+:func:`to_unit_model` and :func:`from_unit_model` map coordinates across the
+boundary (x/r on spheres, unchanged otherwise), and the geometry helpers map
+to the unit model, apply the unit-model formula and map back.
 
 All geometry helpers accept arrays whose last axis is the ambient coordinate
 axis, so they work on single points and on batches of points alike.
@@ -14,11 +19,12 @@ axis, so they work on single points and on batches of points alike.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, ValidationError
+from .errors import DegenerateStateError, ValidationError, _require_positive_int
 
 # On-manifold validation tolerance; post-integration drift before
 # re-projection can exceed machine epsilon.
@@ -44,8 +50,11 @@ class SpaceSpec:
     K: float
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValidationError(f"manifold dimension must be a positive integer, got {self.n}")
+        if not isinstance(self.kind, SpaceKind):
+            raise ValidationError(f"kind must be a SpaceKind, got {self.kind!r}")
+        _require_positive_int("manifold dimension", self.n)
+        if not (isinstance(self.K, numbers.Real) and np.isfinite(self.K)):
+            raise ValidationError(f"curvature K must be a finite number, got {self.K!r}")
         if self.kind is SpaceKind.EUCLIDEAN and self.K != 0.0:
             raise ValidationError("Euclidean space requires K = 0")
         if self.kind is SpaceKind.SPHERE and not self.K > 0.0:
@@ -67,12 +76,6 @@ class SpaceSpec:
     def max_distance(self) -> float:
         """Diameter of the space (pi*r on spheres, infinite otherwise)."""
         return np.pi * self.r if self.kind is SpaceKind.SPHERE else np.inf
-
-    def unit(self) -> "SpaceSpec":
-        """The unit-curvature version of this space (K in {-1, 0, +1})."""
-        if self.kind is SpaceKind.EUCLIDEAN:
-            return self
-        return SpaceSpec(self.kind, self.n, 1.0 if self.K > 0 else -1.0)
 
 
 def euclidean(n: int) -> SpaceSpec:
@@ -104,6 +107,27 @@ def require_valid_point(spec: SpaceSpec, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the unit-curvature model boundary
+
+
+def to_unit_model(spec: SpaceSpec, x) -> np.ndarray:
+    """Coordinates of points of M^n_K in the unit-curvature model.
+
+    Sphere points are divided by r.  Euclidean and half-space coordinates are
+    scale-free (the half-space metric carries the r^2), so they come back as
+    the same float array.
+    """
+    x = np.asarray(x, dtype=float)
+    return x / spec.r if spec.kind is SpaceKind.SPHERE else x
+
+
+def from_unit_model(spec: SpaceSpec, x_unit) -> np.ndarray:
+    """Inverse of :func:`to_unit_model`."""
+    x_unit = np.asarray(x_unit, dtype=float)
+    return spec.r * x_unit if spec.kind is SpaceKind.SPHERE else x_unit
+
+
+# ---------------------------------------------------------------------------
 # distances
 
 
@@ -123,88 +147,56 @@ def unit_distance(kind: SpaceKind, x, y):
     return np.log1p(u + np.sqrt(u * (u + 2.0)))
 
 
-def geodesic_distance(spec: SpaceSpec, x: np.ndarray, y: np.ndarray, validate: bool = True):
-    """Geodesic distance between points of the space (r times the unit model).
+def geodesic_distance(spec: SpaceSpec, x, y):
+    """Geodesic distance between points of the space: r times the unit-model distance.
 
-    Accepts batched inputs with the coordinate axis last.  With
-    ``validate=True`` (the default for single points) both inputs are checked
-    first and a :class:`ValidationError` is raised on violation.
+    Accepts batched inputs with the coordinate axis last.  Single points are
+    checked first and raise :class:`ValidationError` when off the space.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if validate and x.ndim == 1 and y.ndim == 1:
+    if x.ndim == 1 and y.ndim == 1:
         require_valid_point(spec, x)
         require_valid_point(spec, y)
-    if spec.kind is SpaceKind.SPHERE:
-        return spec.r * unit_distance(spec.kind, x / spec.r, y / spec.r)
-    return spec.r * unit_distance(spec.kind, x, y)
-
-
-# ---------------------------------------------------------------------------
-# scaling between M^n_K and the unit-curvature model
-
-
-def to_unit_model(spec: SpaceSpec, x: np.ndarray, t: float):
-    """Map (point, time) of M^n_K to the unit-curvature model: (x/r, t/r^2).
-
-    Hyperbolic half-space coordinates are scale-free (the metric carries r^2),
-    so only time is rescaled there.
-    """
-    x = np.asarray(x, dtype=float)
-    r = spec.r
-    if spec.kind is SpaceKind.SPHERE:
-        return x / r, t / r**2
-    if spec.kind is SpaceKind.HYPERBOLIC:
-        return x.copy(), t / r**2
-    return x.copy(), t
-
-
-def from_unit_model(spec: SpaceSpec, x_unit: np.ndarray, t_unit: float):
-    """Inverse of :func:`to_unit_model`."""
-    x_unit = np.asarray(x_unit, dtype=float)
-    r = spec.r
-    if spec.kind is SpaceKind.SPHERE:
-        return r * x_unit, r**2 * t_unit
-    if spec.kind is SpaceKind.HYPERBOLIC:
-        return x_unit.copy(), r**2 * t_unit
-    return x_unit.copy(), t_unit
+    return spec.r * unit_distance(spec.kind, to_unit_model(spec, x), to_unit_model(spec, y))
 
 
 # ---------------------------------------------------------------------------
 # geodesic interpolation (used to enforce exact distances after a step)
 
 
-def point_at_distance(spec: SpaceSpec, x: np.ndarray, y: np.ndarray, s):
+def point_at_distance(spec: SpaceSpec, x, y, s):
     """Point at geodesic distance ``s`` from ``x`` along the geodesic to ``y``.
 
     Batched over leading axes; ``s`` broadcasts against them.  Requires
     x != y (the geodesic direction must be defined).
     """
+    s = np.asarray(s, dtype=float)
+    return from_unit_model(spec, unit_point_at_distance(
+        spec.kind, to_unit_model(spec, x), to_unit_model(spec, y), s / spec.r))
+
+
+def unit_point_at_distance(kind: SpaceKind, x, y, s):
+    """:func:`point_at_distance` in the unit-curvature model of ``kind``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
-    if spec.kind is SpaceKind.EUCLIDEAN:
+    if kind is SpaceKind.EUCLIDEAN:
         z = y - x
         norm = np.linalg.norm(z, axis=-1)
         if np.any(norm <= 0):
             raise DegenerateStateError("coincident points have no geodesic direction")
         return x + z * (s / norm)[..., None]
-    if spec.kind is SpaceKind.SPHERE:
-        r = spec.r
-        xu, yu = x / r, y / r
-        eta = (xu * yu).sum(axis=-1)
-        tang = yu - eta[..., None] * xu
+    if kind is SpaceKind.SPHERE:
+        eta = (x * y).sum(axis=-1)
+        tang = y - eta[..., None] * x
         tnorm = np.linalg.norm(tang, axis=-1)
         if np.any(tnorm <= 1e-15):
             raise DegenerateStateError("coincident or antipodal points on the sphere")
-        ang = s / r
-        out = np.cos(ang)[..., None] * xu + np.sin(ang)[..., None] * (tang / tnorm[..., None])
+        out = np.cos(s)[..., None] * x + np.sin(s)[..., None] * (tang / tnorm[..., None])
         out /= np.linalg.norm(out, axis=-1, keepdims=True)
-        return r * out
-    return _hyperbolic_point_at_distance(x, y, s / spec.r)
+        return out
 
-
-def _hyperbolic_point_at_distance(x, y, s):
     # Geodesics of the half-space are vertical rays or semicircles centered on
     # the boundary; arc length along a semicircle is log(tan(theta/2)).
     x1 = x[..., 0]
@@ -262,22 +254,13 @@ def canonical_start(spec: SpaceSpec, rho0: float) -> tuple[np.ndarray, np.ndarra
     """A deterministic pair of points at geodesic distance ``rho0``."""
     if not 0 < rho0 < spec.max_distance:
         raise ValidationError(f"rho0 must lie in (0, {spec.max_distance:.6g}), got {rho0}")
-    N = spec.ambient_dim
+    s = rho0 / spec.r
+    x = np.zeros(spec.ambient_dim)
+    y = np.zeros(spec.ambient_dim)
     if spec.kind is SpaceKind.SPHERE:
-        ang = rho0 / spec.r
-        x = np.zeros(N)
-        x[0] = spec.r
-        y = np.zeros(N)
-        y[0] = spec.r * np.cos(ang)
-        y[1] = spec.r * np.sin(ang)
-        return x, y
-    if spec.kind is SpaceKind.HYPERBOLIC:
-        x = np.zeros(N)
-        x[0] = 1.0
-        y = np.zeros(N)
-        y[0] = np.exp(rho0 / spec.r)
-        return x, y
-    x = np.zeros(N)
-    y = np.zeros(N)
-    y[0] = rho0
-    return x, y
+        x[0], y[0], y[1] = 1.0, np.cos(s), np.sin(s)
+    elif spec.kind is SpaceKind.HYPERBOLIC:
+        x[0], y[0] = 1.0, np.exp(s)
+    else:
+        y[0] = s
+    return from_unit_model(spec, x), from_unit_model(spec, y)

@@ -10,14 +10,17 @@ by :func:`admissible_bounds`:
 * K < 0:  lo = (n-1) s tanh(s rho / 2),              hi = lo + 2 (n-1) s / sinh(s rho),  s = sqrt(-K)
 
 The built-in profiles are the closed forms that saturate one endpoint of the
-band everywhere (extreme couplings), plus the constant profile.
+band everywhere (extreme couplings), plus the constant profile; ``BUILDERS``
+maps each of their kinds to its builder.  Closed forms are evaluated in the
+unit-curvature model of their space and rescaled by r in length and r^2 in
+time.  :func:`clamped` marks a profile whose rho' is clipped into the band.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,72 +45,118 @@ class ProfileKind(enum.Enum):
 class DistanceProfile:
     """Target distance rho(t) with analytic or finite-difference derivative.
 
-    Closed-form kinds carry the dimension ``n`` and curvature ``K`` of the
-    space they were built for; tabulated profiles carry the sample arrays and
-    use centered differences on the table's own grid (one-sided at the ends).
+    Closed-form kinds carry the ``spec`` of the space they were built for and
+    are evaluated in its unit-curvature model; tabulated profiles carry the
+    sample arrays and use centered differences on the table's own grid
+    (one-sided at the ends).  A profile made by :func:`clamped` clips rho'
+    into the admissible band of ``clamp_to``.
     """
 
     kind: ProfileKind
     rho0: float
-    n: int | None = None
-    K: float | None = None
+    spec: SpaceSpec | None = None
     times: np.ndarray | None = None
     values: np.ndarray | None = None
     derivs: np.ndarray | None = None
+    clamp_to: SpaceSpec | None = None
 
     def eval(self, t):
-        """Return (rho(t), rho'(t)); vectorized over ``t``."""
-        return eval_profile(self, t)
+        """Return (rho(t), rho'(t)) at times ``t >= 0``; vectorized over ``t``."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise ValidationError("profile times must be non-negative")
+        kind = self.kind
+        if kind is ProfileKind.CONSTANT:
+            rho, drho = np.full(t.shape, self.rho0), np.zeros_like(t)
+        elif kind is ProfileKind.TABULATED:
+            tmax = self.times[-1]
+            if np.any(t > tmax * (1 + 1e-12) + 1e-300):
+                raise ValidationError(f"time outside tabulated range [0, {tmax:.6g}]")
+            tt = np.minimum(t, tmax)
+            rho = np.interp(tt, self.times, self.values)
+            drho = np.interp(tt, self.times, self.derivs)
+        else:
+            # closed forms: evaluate in the unit model and rescale
+            r, k = self.spec.r, self.spec.n - 1
+            tau, u0 = t / r**2, self.rho0 / r
+            if kind is ProfileKind.EUCLIDEAN_MAX_GROWTH:
+                rho_u = np.sqrt(u0**2 + 4.0 * k * tau)
+                drho_u = 2.0 * k / rho_u
+            elif kind is ProfileKind.SPHERE_CONTRACTING:
+                w = np.exp(-k * tau / 2.0) * np.sin(u0 / 2.0)
+                rho_u = 2.0 * np.arcsin(w)
+                drho_u = -k * w / np.sqrt(1.0 - w * w)
+            elif kind is ProfileKind.SPHERE_REPULSIVE:
+                w = np.exp(-k * tau / 2.0) * np.cos(u0 / 2.0)
+                rho_u = 2.0 * np.arccos(w)
+                drho_u = k * w / np.sqrt(1.0 - w * w)
+            elif kind is ProfileKind.HYPERBOLIC_LOWER:
+                w = np.exp(k * tau / 2.0) * np.sinh(u0 / 2.0)
+                rho_u = 2.0 * np.arcsinh(w)
+                drho_u = k * w / np.sqrt(1.0 + w * w)
+            else:
+                w = np.exp(k * tau / 2.0) * np.cosh(u0 / 2.0)
+                rho_u = 2.0 * np.arccosh(w)
+                drho_u = k * w / np.sqrt(w * w - 1.0)
+            rho, drho = r * rho_u, drho_u / r
+        if self.clamp_to is not None:
+            drho = np.clip(drho, *admissible_bounds(self.clamp_to, rho))
+        return rho[()], drho[()]
 
     @property
     def end_time(self) -> float:
         """Last time the profile is defined for (inf for closed forms)."""
-        if self.kind is ProfileKind.TABULATED:
-            return float(self.times[-1])
-        return np.inf
+        return float(self.times[-1]) if self.kind is ProfileKind.TABULATED else np.inf
 
 
 def constant(rho0: float) -> DistanceProfile:
-    if not rho0 > 0:
-        raise ValidationError(f"rho0 must be positive, got {rho0}")
+    if not 0 < rho0 < np.inf:
+        raise ValidationError(f"rho0 must be a finite number > 0, got {rho0}")
     return DistanceProfile(ProfileKind.CONSTANT, float(rho0))
 
 
-def _check_space(spec: SpaceSpec, rho0: float, kind: SpaceKind, what: str):
-    if spec.kind is not kind:
-        raise ValidationError(f"{what} profile requires a {kind.value} space")
+def _closed_form(kind: ProfileKind, space: SpaceKind, spec: SpaceSpec, rho0) -> DistanceProfile:
+    if spec.kind is not space:
+        raise ValidationError(f"{kind.value} profile requires a {space.value} space")
     if not 0 < rho0 < spec.max_distance:
         raise ValidationError(f"rho0 must lie in (0, {spec.max_distance:.6g}), got {rho0}")
+    return DistanceProfile(kind, float(rho0), spec)
 
 
 def sphere_contracting(spec: SpaceSpec, rho0: float) -> DistanceProfile:
     """rho(t) = 2r arcsin(exp(-(n-1)t/(2r^2)) sin(rho0/(2r))): saturates the lower bound."""
-    _check_space(spec, rho0, SpaceKind.SPHERE, "contracting")
-    return DistanceProfile(ProfileKind.SPHERE_CONTRACTING, float(rho0), spec.n, spec.K)
+    return _closed_form(ProfileKind.SPHERE_CONTRACTING, SpaceKind.SPHERE, spec, rho0)
 
 
 def sphere_repulsive(spec: SpaceSpec, rho0: float) -> DistanceProfile:
     """rho(t) = 2r arccos(exp(-(n-1)t/(2r^2)) cos(rho0/(2r))): saturates the upper bound."""
-    _check_space(spec, rho0, SpaceKind.SPHERE, "repulsive")
-    return DistanceProfile(ProfileKind.SPHERE_REPULSIVE, float(rho0), spec.n, spec.K)
+    return _closed_form(ProfileKind.SPHERE_REPULSIVE, SpaceKind.SPHERE, spec, rho0)
 
 
 def hyperbolic_lower(spec: SpaceSpec, rho0: float) -> DistanceProfile:
     """rho(t) = 2r arcsinh(exp((n-1)t/(2r^2)) sinh(rho0/(2r))): slowest admissible growth."""
-    _check_space(spec, rho0, SpaceKind.HYPERBOLIC, "lower-extreme")
-    return DistanceProfile(ProfileKind.HYPERBOLIC_LOWER, float(rho0), spec.n, spec.K)
+    return _closed_form(ProfileKind.HYPERBOLIC_LOWER, SpaceKind.HYPERBOLIC, spec, rho0)
 
 
 def hyperbolic_upper(spec: SpaceSpec, rho0: float) -> DistanceProfile:
     """rho(t) = 2r arccosh(exp((n-1)t/(2r^2)) cosh(rho0/(2r))): fastest admissible growth."""
-    _check_space(spec, rho0, SpaceKind.HYPERBOLIC, "upper-extreme")
-    return DistanceProfile(ProfileKind.HYPERBOLIC_UPPER, float(rho0), spec.n, spec.K)
+    return _closed_form(ProfileKind.HYPERBOLIC_UPPER, SpaceKind.HYPERBOLIC, spec, rho0)
 
 
 def euclidean_max_growth(spec: SpaceSpec, rho0: float) -> DistanceProfile:
     """rho(t) = sqrt(rho0^2 + 4(n-1)t): saturates rho rho' = 2(n-1)."""
-    _check_space(spec, rho0, SpaceKind.EUCLIDEAN, "max-growth")
-    return DistanceProfile(ProfileKind.EUCLIDEAN_MAX_GROWTH, float(rho0), spec.n, spec.K)
+    return _closed_form(ProfileKind.EUCLIDEAN_MAX_GROWTH, SpaceKind.EUCLIDEAN, spec, rho0)
+
+
+# every kind but TABULATED, as a builder (spec, rho0) -> profile
+BUILDERS = {
+    ProfileKind.CONSTANT: lambda spec, rho0: constant(rho0),
+    ProfileKind.SPHERE_CONTRACTING: sphere_contracting,
+    ProfileKind.SPHERE_REPULSIVE: sphere_repulsive,
+    ProfileKind.HYPERBOLIC_LOWER: hyperbolic_lower,
+    ProfileKind.HYPERBOLIC_UPPER: hyperbolic_upper,
+    ProfileKind.EUCLIDEAN_MAX_GROWTH: euclidean_max_growth,
+}
 
 
 def tabulated(times, values) -> DistanceProfile:
@@ -155,78 +204,13 @@ def tabulated_from_csv(path) -> DistanceProfile:
     return tabulated(arr[:, 0], arr[:, 1])
 
 
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def eval_profile(profile: DistanceProfile, t):
-    """Evaluate (rho, rho') at time(s) ``t >= 0``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("profile times must be non-negative")
-    kind = profile.kind
-    if kind is ProfileKind.CONSTANT:
-        rho = np.broadcast_to(profile.rho0, t.shape).copy()
-        return rho[()], np.zeros_like(t)[()]
-    if kind is ProfileKind.TABULATED:
-        tmax = profile.times[-1]
-        if np.any(t > tmax * (1 + 1e-12) + 1e-300):
-            raise ValidationError(f"time outside tabulated range [0, {tmax:.6g}]")
-        tt = np.minimum(t, tmax)
-        rho = np.interp(tt, profile.times, profile.values)
-        drho = np.interp(tt, profile.times, profile.derivs)
-        return rho[()], drho[()]
-
-    # closed forms: evaluate in the unit model and rescale
-    r = 1.0 if profile.K in (0, 0.0) else 1.0 / np.sqrt(abs(profile.K))
-    tau = t / r**2
-    u0 = profile.rho0 / r
-    k = profile.n - 1
-    if kind is ProfileKind.EUCLIDEAN_MAX_GROWTH:
-        rho = np.sqrt(profile.rho0**2 + 4.0 * k * t)
-        return rho[()], (2.0 * k / rho)[()] if k else np.zeros_like(t)[()]
-    if kind is ProfileKind.SPHERE_CONTRACTING:
-        w = np.exp(-k * tau / 2.0) * np.sin(u0 / 2.0)
-        rho_u = 2.0 * np.arcsin(w)
-        drho_u = -k * w / np.sqrt(1.0 - w * w)
-    elif kind is ProfileKind.SPHERE_REPULSIVE:
-        w = np.exp(-k * tau / 2.0) * np.cos(u0 / 2.0)
-        rho_u = 2.0 * np.arccos(w)
-        drho_u = k * w / np.sqrt(1.0 - w * w)
-    elif kind is ProfileKind.HYPERBOLIC_LOWER:
-        w = np.exp(k * tau / 2.0) * np.sinh(u0 / 2.0)
-        rho_u = 2.0 * np.arcsinh(w)
-        drho_u = k * w / np.sqrt(1.0 + w * w)
-    elif kind is ProfileKind.HYPERBOLIC_UPPER:
-        w = np.exp(k * tau / 2.0) * np.cosh(u0 / 2.0)
-        rho_u = 2.0 * np.arccosh(w)
-        drho_u = k * w / np.sqrt(w * w - 1.0)
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown profile kind {kind}")
-    return (r * rho_u)[()], (drho_u / r)[()]
-
-
-class ClampedProfile:
-    """Wrapper that clips rho' into the admissible band of ``spec``.
+def clamped(spec: SpaceSpec, profile: DistanceProfile) -> DistanceProfile:
+    """``profile`` with rho' clipped into the admissible band of ``spec``.
 
     Opt-in derivative clamping for simulation of tabulated profiles whose
-    finite-difference derivative is noisy; the underlying rho is unchanged.
+    finite-difference derivative is noisy; rho itself is unchanged.
     """
-
-    def __init__(self, spec: SpaceSpec, profile: DistanceProfile):
-        self.spec = spec
-        self.profile = profile
-        self.rho0 = profile.rho0
-        self.kind = profile.kind
-
-    @property
-    def end_time(self):
-        return self.profile.end_time
-
-    def eval(self, t):
-        rho, drho = self.profile.eval(t)
-        lo, hi = admissible_bounds(self.spec, rho)
-        return rho, np.clip(drho, lo, hi)
+    return replace(profile, clamp_to=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +253,26 @@ class AdmissibilityReport:
     hi_active: bool
 
 
-def check_admissibility(spec: SpaceSpec, profile, grid=None, tol: float | None = None,
+def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
                         T: float | None = None) -> AdmissibilityReport:
     """Check lo(rho) - tol <= rho' <= hi(rho) + tol on a finite time grid.
 
     ``grid`` defaults to 10^4 uniform points on [0, T] (T defaults to the
-    table range for tabulated profiles, else 1).  Range violations (rho <= 0,
-    or rho at the sphere pole) are reported, not raised.
+    table range for tabulated profiles, else 1).  ``tol`` is 1e-8, plus an
+    allowance for the finite-difference error of tabulated derivatives.
+    Range violations (rho <= 0, or rho at the sphere pole) are reported, not
+    raised.
     """
     if grid is None:
         if T is None:
             T = profile.end_time if np.isfinite(profile.end_time) else 1.0
         grid = np.linspace(0.0, T, 10000)
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be nonempty, increasing, and start at 0")
+    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] != 0.0
+            or np.any(np.diff(grid) <= 0)):
+        raise ValidationError("grid must be a nonempty, finite, increasing 1-d array from 0")
 
     rho, drho = profile.eval(grid)
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    drho = np.atleast_1d(np.asarray(drho, dtype=float))
 
     reasons = []
     in_range = rho > 0
@@ -297,18 +282,13 @@ def check_admissibility(spec: SpaceSpec, profile, grid=None, tol: float | None =
         bad = int(np.argmin(in_range))
         reasons.append(f"rho leaves the valid range at t = {grid[bad]:.6g}")
 
-    # default tolerance: analytic derivatives are exact; finite differences
-    # get an allowance of 10 h |rho''| estimated from second differences
-    if tol is None:
-        tol_pt = np.full(grid.shape, 1e-8)
-        if getattr(profile, "kind", None) is ProfileKind.TABULATED:
-            tbl = profile if isinstance(profile, DistanceProfile) else profile.profile
-            h = np.gradient(tbl.times)
-            curv = np.abs(np.gradient(tbl.derivs, tbl.times))
-            allowance = np.interp(grid, tbl.times, 10.0 * h * curv)
-            tol_pt = tol_pt + allowance
-    else:
-        tol_pt = np.full(grid.shape, float(tol))
+    # analytic derivatives are exact; finite differences get an allowance of
+    # 10 h |rho''| estimated from second differences
+    tol_pt = np.full(grid.shape, 1e-8)
+    if profile.kind is ProfileKind.TABULATED:
+        h = np.gradient(profile.times)
+        curv = np.abs(np.gradient(profile.derivs, profile.times))
+        tol_pt = tol_pt + np.interp(grid, profile.times, 10.0 * h * curv)
 
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
@@ -343,8 +323,8 @@ def envelope(spec: SpaceSpec, rho0: float, t):
     an endpoint of the band), and are evaluated as those profiles.
     """
     lower, upper = {
-        SpaceKind.SPHERE: (sphere_contracting, sphere_repulsive),
-        SpaceKind.HYPERBOLIC: (hyperbolic_lower, hyperbolic_upper),
-        SpaceKind.EUCLIDEAN: (lambda spec, rho0: constant(rho0), euclidean_max_growth),
+        SpaceKind.SPHERE: (ProfileKind.SPHERE_CONTRACTING, ProfileKind.SPHERE_REPULSIVE),
+        SpaceKind.HYPERBOLIC: (ProfileKind.HYPERBOLIC_LOWER, ProfileKind.HYPERBOLIC_UPPER),
+        SpaceKind.EUCLIDEAN: (ProfileKind.CONSTANT, ProfileKind.EUCLIDEAN_MAX_GROWTH),
     }[spec.kind]
-    return lower(spec, rho0).eval(t)[0], upper(spec, rho0).eval(t)[0]
+    return BUILDERS[lower](spec, rho0).eval(t)[0], BUILDERS[upper](spec, rho0).eval(t)[0]

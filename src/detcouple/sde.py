@@ -25,9 +25,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .coupling import _dots, drive, eta_from_rho
-from .errors import ValidationError
+from .errors import ValidationError, _key_word, _require_positive_int
 from .model_space import (SpaceKind, SpaceSpec, from_unit_model, geodesic_distance,
-                          point_at_distance, require_valid_point, to_unit_model)
+                          require_valid_point, to_unit_model, unit_point_at_distance)
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 
@@ -35,7 +35,6 @@ from .profiles import check_admissibility
 # and fix the order in which mean_d_emp sums the paths.
 CHUNK_PATHS = 256
 NOISE_BLOCK_STEPS = 1024
-KEY_LIMIT = 2**64     # seeds and path indices are Philox key words
 
 
 @dataclass
@@ -75,18 +74,6 @@ class EnsembleResult:
 
 # ---------------------------------------------------------------------------
 # counter-based noise
-
-
-def _key_word(name: str, value) -> int:
-    value = int(value)
-    if not 0 <= value < KEY_LIMIT:
-        raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
-    return value
-
-
-def _require_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValidationError(f"{name} must be a positive integer, got {value}")
 
 
 def blocks_per_draw(words: int) -> int:
@@ -206,8 +193,8 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
         if not rep.admissible:
             raise ValidationError("profile not admissible on [0, T]: " + "; ".join(rep.reasons))
 
-    xu, _ = to_unit_model(spec, x0, 0.0)
-    yu, _ = to_unit_model(spec, y0, 0.0)
+    xu = to_unit_model(spec, x0)
+    yu = to_unit_model(spec, y0)
     taus = times / r**2
     # the profile's (rho, rho') at every grid time, in unit-model units
     rho_u, drho_u = profile.eval(taus * r**2)
@@ -241,7 +228,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
                 X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
                                       taus[i + 1] - taus[i], zB, zC)
                 if enforce_distance:
-                    Y = point_at_distance(spec.unit(), X, Y, rho_u[i + 1])
+                    Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i + 1])
                 d[:, i + 1] = _unit_distance(spec.kind, X, Y)
                 if record_paths:
                     pX[i0:i1, i + 1] = X
@@ -256,11 +243,8 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
     mean_d /= n_paths
 
     # map unit-model states back to the space's own coordinates
-    fX, _ = from_unit_model(spec, final_X, 0.0)
-    fY, _ = from_unit_model(spec, final_Y, 0.0)
+    fX, fY = from_unit_model(spec, final_X), from_unit_model(spec, final_Y)
     if record_paths:
-        pX, _ = from_unit_model(spec, pX, 0.0)
-        pY, _ = from_unit_model(spec, pY, 0.0)
-
+        pX, pY = from_unit_model(spec, pX), from_unit_model(spec, pY)
     return EnsembleResult(spec, dt, T, seed, n_paths, enforce_distance, times, target,
                           sup_err, fX, fY, mean_d, d_all, pX, pY)

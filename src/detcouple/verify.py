@@ -20,15 +20,15 @@ import numpy as np
 
 from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_plane_scalars,
                        sphere_matrices)
-from .errors import ValidationError
+from .errors import ValidationError, _key_word, _require_positive_int
 from .model_space import SpaceKind, SpaceSpec, to_unit_model
-from .sde import (NOISE_BLOCK_STEPS, EnsembleResult, _key_word, _require_positive_int,
-                  path_gaussians, simulate_ensemble, time_grid)
+from .sde import NOISE_BLOCK_STEPS, EnsembleResult, path_gaussians, simulate_ensemble, time_grid
 
 SCAN_TOL = 1e-10                   # identity residuals pass at or below this
 SCAN_DIMS = ((2, 0.4), (3, 0.4), (1, 0.1), (5, 0.1))   # identity_scan_all: (n, share of samples)
 BOUNDARY_ALIGNED_FRACTION = 0.25   # hyperbolic scan pairs with zero boundary displacement
 SLOPE_RANGE = (0.4, 1.1)           # accepted log-log slope of the dt-convergence study
+MIN_DECAY_PATHS = 500              # smallest ensemble mean_decay_check accepts
 
 
 @dataclass(frozen=True)
@@ -251,20 +251,19 @@ def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: f
 
 
 def mean_decay_check(result: EnsembleResult, spec: SpaceSpec, x0, y0,
-                     bias_allowance: float = 0.0, min_paths: int = 500) -> list[VerifyReport]:
+                     bias_allowance: float = 0.0) -> list[VerifyReport]:
     """Check E[X(T)] (and Y) against the exact Brownian mean decay.
 
     The coupling must not distort either marginal; the tolerance is three
     standard errors plus an explicit discretization-bias allowance.
     """
-    if result.n_paths < min_paths:
-        raise ValidationError(f"need at least {min_paths} paths, got {result.n_paths}")
+    if result.n_paths < MIN_DECAY_PATHS:
+        raise ValidationError(f"need at least {MIN_DECAY_PATHS} paths, got {result.n_paths}")
     t_unit = result.T / spec.r**2
     out = []
     for label, states, start in (("X", result.final_X, x0), ("Y", result.final_Y, y0)):
-        su, _ = to_unit_model(spec, np.asarray(states), 0.0)
-        s0, _ = to_unit_model(spec, np.asarray(start, dtype=float), 0.0)
-        stat, se = _mean_decay_stat(su, s0, spec.kind, spec.n, t_unit)
+        stat, se = _mean_decay_stat(to_unit_model(spec, states), to_unit_model(spec, start),
+                                    spec.kind, spec.n, t_unit)
         out.append(VerifyReport(
             f"mean-decay-{spec.kind.value}-{label}", stat, 3.0 * se + bias_allowance,
             result.n_paths, result.dt, {"standard_error": se, "bias_allowance": bias_allowance}))

@@ -321,7 +321,7 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
 @pytest.mark.parametrize("case", ["config-value", "config-space", "flag-space", "flag-dim",
                                   "config-missing", "table-missing", "table-non-numeric",
                                   "table-short-row", "flag-dt-inf", "flag-T-inf",
-                                  "flag-dts-negative"])
+                                  "flag-dts-negative", "flag-rho0-inf"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -356,6 +356,10 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     elif case == "flag-dts-negative":
         argv += ["--dts=-1e-2,-2e-2,-3e-2"]
         expect = "field dts"
+    elif case == "flag-rho0-inf":
+        argv = ["check", "--space", "euclidean", "--profile", "constant", "--rho0", "inf",
+                "--out", str(tmp_path / "run")]
+        expect = "rho0"
     elif case == "table-non-numeric":
         table.write_text("t,rho\n0,1.0\n0.5,wide\n1,1.3\n")
         expect = f"{table}:3"

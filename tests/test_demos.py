@@ -17,3 +17,11 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example(capsys):
+    # the README's library example runs against the public names as printed
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < 0.05

@@ -33,10 +33,10 @@ def test_distance_symmetry_and_zero():
     for spec in ALL_UNIT:
         X = ms.random_points(spec, 50, rng)
         Y = ms.random_points(spec, 50, rng)
-        dxy = ms.geodesic_distance(spec, X, Y, validate=False)
-        dyx = ms.geodesic_distance(spec, Y, X, validate=False)
+        dxy = ms.geodesic_distance(spec, X, Y)
+        dyx = ms.geodesic_distance(spec, Y, X)
         assert np.max(np.abs(dxy - dyx)) <= 1e-12
-        assert np.all(ms.geodesic_distance(spec, X, X, validate=False) <= 1e-12)
+        assert np.all(ms.geodesic_distance(spec, X, X) <= 1e-12)
         assert np.all(dxy >= 0)
         if spec.kind is ms.SpaceKind.SPHERE:
             assert np.all(dxy <= np.pi * spec.r + 1e-12)
@@ -48,7 +48,7 @@ def test_sphere_arccos_cross_check():
         spec = ms.sphere(n)
         X = ms.random_points(spec, 300, rng)
         Y = ms.random_points(spec, 300, rng)
-        chord_form = ms.geodesic_distance(spec, X, Y, validate=False)
+        chord_form = ms.geodesic_distance(spec, X, Y)
         arccos_form = np.arccos(np.clip((X * Y).sum(axis=-1), -1.0, 1.0))
         assert np.max(np.abs(chord_form - arccos_form)) <= 1e-12 * np.pi + 1e-7
         # the chord form is the reference; agreement tight away from antipodes
@@ -62,9 +62,9 @@ def test_triangle_inequality_random_triples():
         X = ms.random_points(spec, 1000, rng)
         Y = ms.random_points(spec, 1000, rng)
         Z = ms.random_points(spec, 1000, rng)
-        dxz = ms.geodesic_distance(spec, X, Z, validate=False)
-        dxy = ms.geodesic_distance(spec, X, Y, validate=False)
-        dyz = ms.geodesic_distance(spec, Y, Z, validate=False)
+        dxz = ms.geodesic_distance(spec, X, Z)
+        dxy = ms.geodesic_distance(spec, X, Y)
+        dyz = ms.geodesic_distance(spec, Y, Z)
         assert np.min(dxy + dyz - dxz) >= -1e-10
 
 
@@ -80,40 +80,40 @@ def test_require_valid_point_examples():
         ms.geodesic_distance(H2, [-1.0, 0.0], [1.0, 0.0])
 
 
+def unit_spec(spec):
+    """The unit-curvature space of the same kind and dimension as ``spec``."""
+    return ms.SpaceSpec(spec.kind, spec.n, float(np.sign(spec.K)))
+
+
 def test_to_unit_model_examples():
     spec = ms.sphere(2, K=0.25)   # r = 2
-    xu, tu = ms.to_unit_model(spec, np.array([2.0, 0.0, 0.0]), 4.0)
-    assert np.allclose(xu, [1.0, 0.0, 0.0]) and tu == 1.0
-    xu, tu = ms.to_unit_model(S2, np.array([0.0, 1.0, 0.0]), 3.0)
-    assert np.allclose(xu, [0.0, 1.0, 0.0]) and tu == 3.0
+    assert np.allclose(ms.to_unit_model(spec, np.array([2.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
+    assert np.allclose(ms.to_unit_model(S2, np.array([0.0, 1.0, 0.0])), [0.0, 1.0, 0.0])
     spec = ms.hyperbolic(2, K=-1.0 / 9.0)   # r = 3, coordinates unchanged
-    xu, tu = ms.to_unit_model(spec, np.array([1.0, 1.0]), 9.0)
-    assert np.allclose(xu, [1.0, 1.0]) and tu == pytest.approx(1.0)
+    assert np.allclose(ms.to_unit_model(spec, np.array([1.0, 1.0])), [1.0, 1.0])
 
 
 def test_unit_model_round_trip():
     rng = np.random.default_rng(4)
     for spec in (ms.sphere(2, K=0.25), ms.hyperbolic(3, K=-4.0), ms.euclidean(2)):
-        unit = spec.unit()
+        unit = unit_spec(spec)
         for _ in range(20):
             xu = ms.random_points(unit, 1, rng)[0]
-            x, t = ms.from_unit_model(spec, xu, 0.7)
-            xb, tb = ms.to_unit_model(spec, x, t)
+            xb = ms.to_unit_model(spec, ms.from_unit_model(spec, xu))
             assert np.max(np.abs(xb - xu)) <= 1e-14 * max(1.0, np.abs(xu).max())
-            assert abs(tb - 0.7) <= 1e-14
 
 
 def test_distance_scaling_invariant():
     rng = np.random.default_rng(5)
     for spec in (ms.sphere(2, K=4.0), ms.sphere(3, K=0.25), ms.hyperbolic(2, K=-0.0625),
                  ms.hyperbolic(3, K=-9.0)):
-        unit = spec.unit()
+        unit = unit_spec(spec)
         Xu = ms.random_points(unit, 200, rng)
         Yu = ms.random_points(unit, 200, rng)
-        X = np.array([ms.from_unit_model(spec, x, 0.0)[0] for x in Xu])
-        Y = np.array([ms.from_unit_model(spec, y, 0.0)[0] for y in Yu])
-        dK = ms.geodesic_distance(spec, X, Y, validate=False)
-        du = ms.geodesic_distance(unit, Xu, Yu, validate=False)
+        X = np.array([ms.from_unit_model(spec, x) for x in Xu])
+        Y = np.array([ms.from_unit_model(spec, y) for y in Yu])
+        dK = ms.geodesic_distance(spec, X, Y)
+        du = ms.geodesic_distance(unit, Xu, Yu)
         assert np.max(np.abs(dK - spec.r * du)) <= 1e-12 * max(1.0, spec.r)
 
 
@@ -122,12 +122,12 @@ def test_point_at_distance_postconditions():
     for spec in ALL_UNIT + [ms.hyperbolic(1)]:
         X = ms.random_points(spec, 40, rng)
         Y = ms.random_points(spec, 40, rng)
-        d = ms.geodesic_distance(spec, X, Y, validate=False)
+        d = ms.geodesic_distance(spec, X, Y)
         keep = d > 1e-6
         X, Y, d = X[keep], Y[keep], d[keep]
         s = 0.3 * d
         P = ms.point_at_distance(spec, X, Y, s)
-        assert np.max(np.abs(ms.geodesic_distance(spec, X, P, validate=False) - s)) <= 1e-12
+        assert np.max(np.abs(ms.geodesic_distance(spec, X, P) - s)) <= 1e-12
         Q = ms.point_at_distance(spec, X, Y, d)
         assert np.max(np.abs(Q - Y)) <= 1e-10
 
@@ -154,6 +154,17 @@ def test_spec_invariants():
         ms.SpaceSpec(ms.SpaceKind.SPHERE, 2, -1.0)
     with pytest.raises(ValidationError):
         ms.SpaceSpec(ms.SpaceKind.EUCLIDEAN, 0, 0.0)
+    # the dimension is an integer >= 1, never a float, a string or a bool
+    for n in (np.nan, "2", True, 2.5):
+        with pytest.raises(ValidationError, match="manifold dimension"):
+            ms.sphere(n)
+    assert ms.sphere(np.int64(3)).ambient_dim == 4
+    with pytest.raises(ValidationError, match="SpaceKind"):
+        ms.SpaceSpec("sphere", 2, 1.0)
+    # an infinite curvature would make r = 0
+    for kind, K in ((ms.SpaceKind.SPHERE, np.inf), (ms.SpaceKind.HYPERBOLIC, -np.inf)):
+        with pytest.raises(ValidationError, match="curvature"):
+            ms.SpaceSpec(kind, 2, K)
 
 
 @settings(max_examples=200, deadline=None)

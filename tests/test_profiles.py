@@ -46,6 +46,9 @@ def test_eval_contracting_at_2ln2():
 def test_eval_constant():
     rho, drho = pf.constant(1.0).eval(7.0)
     assert rho == 1.0 and drho == 0.0
+    for rho0 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="rho0"):
+            pf.constant(rho0)
 
 
 def test_closed_form_derivatives_match_finite_differences():
@@ -72,8 +75,7 @@ def test_admissible_bounds_examples():
 
 def test_admissible_bounds_scaling():
     # general curvature equals the time/length-rescaled unit band
-    for spec in (ms.sphere(2, K=4.0), ms.hyperbolic(3, K=-0.25)):
-        unit = spec.unit()
+    for spec, unit in ((ms.sphere(2, K=4.0), S2), (ms.hyperbolic(3, K=-0.25), H3)):
         for rho in (0.3, 0.8):
             lo, hi = pf.admissible_bounds(spec, rho)
             lo_u, hi_u = pf.admissible_bounds(unit, rho / spec.r)
@@ -106,7 +108,7 @@ def test_decreasing_profile_rejected_on_euclidean():
 def test_builtins_admissible_and_saturating():
     grid = np.linspace(0.0, 1.0, 2001)
     for spec, prof, side in builtin_profiles():
-        rep = pf.check_admissibility(spec, prof, grid=grid, tol=1e-10)
+        rep = pf.check_admissibility(spec, prof, grid=grid)
         assert rep.admissible, (prof.kind, rep.reasons)
         rho, drho = prof.eval(grid)
         lo, hi = pf.admissible_bounds(spec, rho)
@@ -200,8 +202,7 @@ def test_tabulated_validation():
 
 
 def test_profile_scaling_general_curvature():
-    spec = ms.sphere(2, K=4.0)    # r = 1/2
-    unit = spec.unit()
+    spec, unit = ms.sphere(2, K=4.0), S2    # r = 1/2
     prof_K = pf.sphere_contracting(spec, 0.6)
     prof_u = pf.sphere_contracting(unit, 0.6 / spec.r)
     for t in (0.0, 0.1, 0.3):
@@ -214,8 +215,9 @@ def test_profile_scaling_general_curvature():
 def test_clamped_profile():
     ts = np.linspace(0.0, 1.0, 101)
     prof = pf.tabulated(ts, 1.0 - 0.3 * ts)    # decreasing: inadmissible on E2
-    clamped = pf.ClampedProfile(E2, prof)
+    clamped = pf.clamped(E2, prof)
     rho, drho = clamped.eval(ts)
+    assert np.array_equal(rho, prof.eval(ts)[0])
     lo, hi = pf.admissible_bounds(E2, rho)
     assert np.all(drho >= lo) and np.all(drho <= hi)
     assert pf.check_admissibility(E2, clamped, grid=ts).admissible
@@ -226,6 +228,9 @@ def test_check_admissibility_grid_validation():
         pf.check_admissibility(E2, pf.constant(1.0), grid=np.array([0.5, 1.0]))
     with pytest.raises(ValidationError):
         pf.check_admissibility(E2, pf.constant(1.0), grid=np.array([0.0, 0.0]))
+    for bad in ([0.0, np.nan], [0.0, 1.0, np.inf], [[0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="finite"):
+            pf.check_admissibility(E2, pf.constant(1.0), grid=np.array(bad))
 
 
 def test_exponential_rate_profiles_on_sphere():

@@ -156,13 +156,13 @@ def test_general_curvature_step_equals_matrix_step(spec, prof):
     res = simulate_ensemble(spec, profile, x0, y0, dt, dt, seed, P)
     r, N = spec.r, spec.ambient_dim
     z = np.stack([block_gaussians(seed, j, 0, 1, 2 * N)[0] for j in range(P)])
-    xu, _ = ms.to_unit_model(spec, x0, 0.0)
-    yu, _ = ms.to_unit_model(spec, y0, 0.0)
+    xu = ms.to_unit_model(spec, x0)
+    yu = ms.to_unit_model(spec, y0)
     rho, drho = profile.eval(0.0)
     want = _matrix_step(spec.kind, spec.n, np.tile(xu, (P, 1)), np.tile(yu, (P, 1)),
                         rho / r, drho * r, dt / r**2, z[:, :N], z[:, N:])
     for g, w in zip((res.final_X, res.final_Y), want):
-        assert np.max(np.abs(g - ms.from_unit_model(spec, w, 0.0)[0])) <= 1e-14
+        assert np.max(np.abs(g - ms.from_unit_model(spec, w))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_single_path_equals_ensemble_row():
     assert np.array_equal(one.paths_Y[0], res.paths_Y[2])
     assert np.array_equal(one.d_emp[0], res.d_emp[2])
     # the recorded distances are recomputable from the recorded points
-    redone = ms.geodesic_distance(H3, one.paths_X[0], one.paths_Y[0], validate=False)
+    redone = ms.geodesic_distance(H3, one.paths_X[0], one.paths_Y[0])
     assert np.max(np.abs(redone - one.d_emp[0])) <= 1e-12
 
 
@@ -387,17 +387,28 @@ def test_chunked_ensembles_cross_chunk_boundary(monkeypatch):
 # ---------------------------------------------------------------------------
 # pinned simulator arrays
 
+def _s3_table(spec, rho0):
+    ts = np.linspace(0.0, 1.1, 12)
+    return pf.tabulated(ts, rho0 + 0.2 * ts + 0.1 * np.sin(3.0 * ts))
+
+
 ARRAY_CASES = {
     # S2 at K=2, 1100 steps: crosses a noise block, with distance enforcement
     "s2-K2-contracting-enforced": (ms.sphere(2, K=2.0), pf.sphere_contracting, 5, 1e-3, 1.1, 3,
                                    True),
     "h3-K-0.5-upper": (ms.hyperbolic(3, K=-0.5), pf.hyperbolic_upper, 7, 1e-2, 0.5, 4, False),
+    # at K=0.3, 128 grid times differ from taus * r**2 in the last bit; a
+    # closed form maps both to the same tau, a table interpolates in t itself
+    "s3-K0.3-repulsive-enforced": (ms.sphere(3, K=0.3), pf.sphere_repulsive, 5, 1e-3, 1.1, 6,
+                                   True),
+    "s3-K0.3-tabulated-enforced": (ms.sphere(3, K=0.3), _s3_table, 5, 1e-3, 1.1, 8, True),
     # 260 paths cross the 256-path chunk boundary
     "e3-260-paths": (ms.euclidean(3), pf.euclidean_max_growth, 260, 1e-2, 0.2, 5, False),
 }
 
 # SHA-256 of each little-endian float64 array, recorded before the
-# simulator became one serial loop with a grid-wide profile evaluation
+# simulator became one serial loop with a grid-wide profile evaluation (the
+# K=0.3 cases: before the unit-model scaling moved into model_space)
 ARRAY_DIGESTS = {
     "s2-K2-contracting-enforced": {
         "d_emp": "d5bb83c545ba2e9228368b75bc87e512ee29d3611f191831a3e287008412634b",
@@ -418,6 +429,26 @@ ARRAY_DIGESTS = {
         "sup_err": "81775759b6abeee74a9af6b806786886ec1658a561c5a8885177e5ea7745e2e6",
         "mean_d_emp": "98f9f737e04bf2b772b34decc9ff23c277a5de99b2c94a5574dcef160888ea18",
         "target": "ffbe54ac9d7210764fbd5f0a1e29cc10ee6cc54a6d4583c2693bd62b3bb12e20",
+    },
+    "s3-K0.3-repulsive-enforced": {
+        "d_emp": "de8a011501a908af3c63188e7fe91b63e484c449d109b1ebeaada7749b732d21",
+        "paths_X": "c7b68d057e63ee2d39599c098421cd9e51ce186b3a47be422b61a0cbe98939c3",
+        "paths_Y": "78991da98584f7d30e04ab2e1f1be367d844f078675e97883204c940db0329db",
+        "final_X": "293ec2fe7decaf4b0af4a3440c7fe9234d16f58bb7d5a8be5ff30f5c616b4921",
+        "final_Y": "b4074431dbfb0bcb8ea3d724d8a28ed6832a8473159047194ad06a59b626d4cc",
+        "sup_err": "4673023a1f7c88285ad08c677aa920d228f5db556952d66f61d9239a9ddd54cf",
+        "mean_d_emp": "21274faa378430e813c69f014371a0560a3ec149d8680c822efaf131136c45e2",
+        "target": "6b00b24423c749b75d8b27fd07579914ce81773c32f22f375af2123849296eaa",
+    },
+    "s3-K0.3-tabulated-enforced": {
+        "d_emp": "c5eb764268f29a5e649a937b3ca63a39a7eef735fcd84604727fc3b07e15554c",
+        "paths_X": "dbd679a1fac2946c2c468ca818b2af980035246296d990aa9d1e0a40dfb8ef59",
+        "paths_Y": "f4c723a4e3774a87a3d32aa6958bf6cd34589cfb71f8d413abf48be121bc407b",
+        "final_X": "577ef0319a7b15733f894e6a25ffcd80f9f43f539bcd35a8a9e5e8c30d9d427d",
+        "final_Y": "c88ec8dbe54fa3e8201fc4d62f1e254f2ae1eace75faa9dc30621ee80b9713d6",
+        "sup_err": "3f05edce4be73b68310cef0cdc0df8b75f531eec2e69029a9b723dc5e5512ef6",
+        "mean_d_emp": "fd4f60d8348167361b02d61c5e87ca4dc0a989357955b33d2e310fde9a5d4e35",
+        "target": "21fe989c912af25caa266ffde311de01a09e6e1cfe6abfd439020ac55f64b859",
     },
     "e3-260-paths": {
         "d_emp": "fb3f3a5554cb58700eb5f98d7b0c4a4a5594b5831ca1d1c4cba291909164fa6a",

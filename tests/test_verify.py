@@ -70,7 +70,7 @@ def test_rotation_preserves_coincident_points():
     x = np.array([0.0, 0.0, 1.0])
     for _ in range(200):
         Z = Z @ _rodrigues(0.1 * rng.standard_normal(3))
-        assert ms.geodesic_distance(S2, Z @ x, Z @ x, validate=False) == 0.0
+        assert ms.geodesic_distance(S2, Z @ x, Z @ x) == 0.0
 
 
 def test_rotation_oracle_rho0_validation():
