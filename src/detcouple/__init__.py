@@ -11,8 +11,7 @@ from .coupling import euclidean_matrices, hyperbolic_matrices, sphere_matrices
 from .errors import (AdmissibilityError, DegenerateStateError, DetcoupleError,
                      ValidationError)
 from .model_space import (SpaceKind, SpaceSpec, canonical_start, euclidean, from_unit_model,
-                          geodesic_distance, hyperbolic, point_at_distance, sphere,
-                          to_unit_model)
+                          geodesic_distance, hyperbolic, sphere, to_unit_model)
 from .profiles import (AdmissibilityReport, DistanceProfile, ProfileKind,
                        admissible_bounds, check_admissibility, clamped, constant, envelope,
                        euclidean_max_growth, hyperbolic_lower, hyperbolic_upper,

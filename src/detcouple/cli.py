@@ -324,7 +324,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     marg_paths = max(cfg.paths, MIN_DECAY_PATHS)
     marg = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed + 1, marg_paths,
                              enforce_distance=cfg.enforce_distance)
-    reports.extend(mean_decay_check(marg, spec, x0, y0, bias_allowance=0.05))
+    reports.extend(mean_decay_check(marg, x0, y0, bias_allowance=0.05))
 
     if spec.kind is ms.SpaceKind.SPHERE and spec.n == 2 and spec.K == 1.0 \
             and cfg.profile == "constant":

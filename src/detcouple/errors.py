@@ -22,10 +22,11 @@ class DegenerateStateError(DetcoupleError):
 
 
 def _key_word(name: str, value) -> int:
-    value = int(value)
-    if not 0 <= value < KEY_LIMIT:
-        raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
-    return value
+    """``value`` as an int; it must be an integer (not a bool) in [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= value < KEY_LIMIT:
+        raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 def _require_positive_int(name: str, value) -> None:

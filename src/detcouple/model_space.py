@@ -165,19 +165,12 @@ def geodesic_distance(spec: SpaceSpec, x, y):
 # geodesic interpolation (used to enforce exact distances after a step)
 
 
-def point_at_distance(spec: SpaceSpec, x, y, s):
-    """Point at geodesic distance ``s`` from ``x`` along the geodesic to ``y``.
+def unit_point_at_distance(kind: SpaceKind, x, y, s):
+    """Point at geodesic distance ``s`` from ``x`` toward ``y`` in the unit model of ``kind``.
 
     Batched over leading axes; ``s`` broadcasts against them.  Requires
     x != y (the geodesic direction must be defined).
     """
-    s = np.asarray(s, dtype=float)
-    return from_unit_model(spec, unit_point_at_distance(
-        spec.kind, to_unit_model(spec, x), to_unit_model(spec, y), s / spec.r))
-
-
-def unit_point_at_distance(kind: SpaceKind, x, y, s):
-    """:func:`point_at_distance` in the unit-curvature model of ``kind``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)

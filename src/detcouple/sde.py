@@ -14,7 +14,9 @@ positivity) and remaining coordinates by Euler with the pre-step X1.
 
 Noise is counter-based: the increments of a path are a pure function of
 (seed, path_index, step index), so a path's trajectory does not depend on
-which chunk of the ensemble runs it.
+which chunk of the ensemble runs it. Every ensemble, the rotation oracle's
+included, steps through :func:`step_gaussians`, the one owner of how draws
+are blocked in memory.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .model_space import (SpaceKind, SpaceSpec, from_unit_model, geodesic_distan
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 
-# Paths are simulated in fixed-size chunks: they cap the noise block's memory
-# and fix the order in which mean_d_emp sums the paths.
+# Paths are simulated in fixed-size chunks, whose one job is to fix the order
+# in which mean_d_emp sums the paths (chunk sums, added in chunk order).
 CHUNK_PATHS = 256
-NOISE_BLOCK_STEPS = 1024
+# Most bytes of normals step_gaussians holds at once; the block shape changes no value.
+NOISE_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -92,15 +95,22 @@ def block_gaussians(seed: int, path_index: int, counter: int, n_draws: int, word
     return ndtri(u)
 
 
-def path_gaussians(seed: int, first_path_index: int, n_paths: int, step0: int, step1: int,
-                   words: int) -> np.ndarray:
-    """(n_paths, step1 - step0, words) normals of steps [step0, step1) for the
-    consecutive paths first_path_index, first_path_index + 1, ..."""
-    z = np.empty((n_paths, step1 - step0, words))
-    for j in range(n_paths):
-        z[j] = block_gaussians(seed, first_path_index + j, step0 * blocks_per_draw(words),
-                               step1 - step0, words)
-    return z
+def step_gaussians(seed: int, first_path_index: int, n_paths: int, n_steps: int, words: int):
+    """Yield the (n_paths, words) normals of steps 0, ..., n_steps - 1 for the
+    consecutive paths first_path_index, first_path_index + 1, ...
+
+    Each path's steps are drawn by :func:`block_gaussians` in blocks of as many
+    steps as fit in NOISE_BLOCK_BYTES (at least one). A yielded step is a view
+    into a buffer that the next block overwrites: copy it to keep it."""
+    block = max(1, NOISE_BLOCK_BYTES // (8 * n_paths * words))
+    z = np.empty((n_paths, min(block, n_steps), words))
+    for s0 in range(0, n_steps, block):
+        s1 = min(s0 + block, n_steps)
+        for j in range(n_paths):
+            z[j, :s1 - s0] = block_gaussians(seed, first_path_index + j,
+                                             s0 * blocks_per_draw(words), s1 - s0, words)
+        for i in range(s1 - s0):
+            yield z[:, i]
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +158,13 @@ def _advance_batch(kind: SpaceKind, n: int, X, Y, rho_t, drho_t, dt, zB, zC):
 
 
 def time_grid(dt: float, T: float) -> np.ndarray:
-    """Fixed-dt grid on [0, T]; the final partial step lands exactly on T."""
+    """Fixed-dt grid on [0, T] from 0.0; the final partial step lands exactly on
+    T, and a horizon below the snap tolerance is one step."""
     if not (np.isfinite(T) and T >= 0 and np.isfinite(dt) and dt > 0):
         raise ValidationError(f"need finite T >= 0 and finite dt > 0, got T = {T}, dt = {dt}")
     steps = int(np.floor(T / dt + 1e-9))
     ts = dt * np.arange(steps + 1)
-    if T - ts[-1] > 1e-12 * max(1.0, T):
+    if T - ts[-1] > 1e-12 * max(1.0, T) or (steps == 0 and T > 0):
         ts = np.append(ts, T)
     ts[-1] = T if T > 0 else 0.0
     return ts
@@ -173,28 +184,26 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
     each path's noise depends only on (seed, path index, step).
     """
     _require_positive_int("n_paths", n_paths)
-    _key_word("seed", seed)
-    _key_word("first_path_index", first_path_index)
+    seed = _key_word("seed", seed)
+    first_path_index = _key_word("first_path_index", first_path_index)
     _key_word("last path index", first_path_index + n_paths - 1)
     times = time_grid(dt, T)
     x0 = require_valid_point(spec, x0)
     y0 = require_valid_point(spec, y0)
-    rho0, _ = profile.eval(0.0)
-    d0 = geodesic_distance(spec, x0, y0)
-    if abs(d0 - rho0) > 1e-9 * max(1.0, rho0):
-        raise ValidationError(f"initial distance {d0:.12g} does not match rho(0) = {rho0:.12g}")
     if np.isfinite(profile.end_time) and T > profile.end_time * (1 + 1e-12):
         raise ValidationError(f"profile only defined up to t = {profile.end_time:.6g}")
+    target = np.atleast_1d(np.asarray(profile.eval(times)[0], dtype=float))
+    rho0, d0 = target[0], geodesic_distance(spec, x0, y0)
+    if abs(d0 - rho0) > 1e-9 * max(1.0, rho0):
+        raise ValidationError(f"initial distance {d0:.12g} does not match rho(0) = {rho0:.12g}")
 
     r = spec.r
-    target = np.atleast_1d(np.asarray(profile.eval(times)[0], dtype=float))
     if times.size > 1:
         rep = check_admissibility(spec, profile, grid=times)
         if not rep.admissible:
             raise ValidationError("profile not admissible on [0, T]: " + "; ".join(rep.reasons))
 
-    xu = to_unit_model(spec, x0)
-    yu = to_unit_model(spec, y0)
+    xu, yu = to_unit_model(spec, x0), to_unit_model(spec, y0)
     taus = times / r**2
     # the profile's (rho, rho') at every grid time, in unit-model units
     rho_u, drho_u = profile.eval(taus * r**2)
@@ -214,31 +223,24 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
         i1 = min(i0 + CHUNK_PATHS, n_paths)
         X = np.tile(xu, (i1 - i0, 1))
         Y = np.tile(yu, (i1 - i0, 1))
-        d = np.empty((i1 - i0, times.size))
+        d = d_all[i0:i1] if d_all is not None else np.empty((i1 - i0, times.size))
         d[:, 0] = _unit_distance(spec.kind, X, Y)
         if record_paths:
             pX[i0:i1, 0] = X
             pY[i0:i1, 0] = Y
-        for b0 in range(0, M, NOISE_BLOCK_STEPS):
-            b1 = min(b0 + NOISE_BLOCK_STEPS, M)
-            z = path_gaussians(seed, first_path_index + i0, i1 - i0, b0, b1, 2 * N)
-            for i in range(b0, b1):
-                zB = z[:, i - b0, :N]
-                zC = z[:, i - b0, N:]
-                X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
-                                      taus[i + 1] - taus[i], zB, zC)
-                if enforce_distance:
-                    Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i + 1])
-                d[:, i + 1] = _unit_distance(spec.kind, X, Y)
-                if record_paths:
-                    pX[i0:i1, i + 1] = X
-                    pY[i0:i1, i + 1] = Y
+        for i, z in enumerate(step_gaussians(seed, first_path_index + i0, i1 - i0, M, 2 * N)):
+            X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
+                                  taus[i + 1] - taus[i], z[:, :N], z[:, N:])
+            if enforce_distance:
+                Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i + 1])
+            d[:, i + 1] = _unit_distance(spec.kind, X, Y)
+            if record_paths:
+                pX[i0:i1, i + 1] = X
+                pY[i0:i1, i + 1] = Y
         d *= r
         sup_err[i0:i1] = np.max(np.abs(d - target[None, :]), axis=1)
         final_X[i0:i1] = X
         final_Y[i0:i1] = Y
-        if d_all is not None:
-            d_all[i0:i1] = d
         mean_d += d.sum(axis=0)
     mean_d /= n_paths
 

@@ -9,7 +9,8 @@ Three independent lines of evidence that the constructions are right:
   marginals of each motion decay like genuine Brownian motion;
 * the rotation oracle: an entirely different construction of the sphere
   fixed-distance coupling (a common random rotation applied to both start
-  points), exact up to roundoff, to cross-check the SDE ensembles.
+  points), exact up to roundoff, to cross-check the SDE ensembles. Its
+  increments come from the simulator's noise stream, ``sde.step_gaussians``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_plane_scalars,
                        sphere_matrices)
 from .errors import ValidationError, _key_word, _require_positive_int
-from .model_space import SpaceKind, SpaceSpec, to_unit_model
-from .sde import NOISE_BLOCK_STEPS, EnsembleResult, path_gaussians, simulate_ensemble, time_grid
+from .model_space import SpaceKind, SpaceSpec, canonical_start, sphere, to_unit_model
+from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
 
 SCAN_TOL = 1e-10                   # identity residuals pass at or below this
 SCAN_DIMS = ((2, 0.4), (3, 0.4), (1, 0.1), (5, 0.1))   # identity_scan_all: (n, share of samples)
@@ -211,7 +212,8 @@ def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
 
 def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyReport]:
     """Identity scans over all three spaces, samples split across ``SCAN_DIMS``."""
-    _key_word("seed", seed)
+    _require_positive_int("num_samples_per_space", num_samples_per_space)
+    seed = _key_word("seed", seed)
     _key_word("last scan seed", seed + 97 * 2 + len(SCAN_DIMS) - 1)
     reports = []
     for offset, kind in enumerate([SpaceKind.EUCLIDEAN, SpaceKind.SPHERE, SpaceKind.HYPERBOLIC]):
@@ -250,15 +252,16 @@ def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: f
     return stat, se
 
 
-def mean_decay_check(result: EnsembleResult, spec: SpaceSpec, x0, y0,
+def mean_decay_check(result: EnsembleResult, x0, y0,
                      bias_allowance: float = 0.0) -> list[VerifyReport]:
-    """Check E[X(T)] (and Y) against the exact Brownian mean decay.
+    """Check E[X(T)] (and Y) against the exact Brownian mean decay on ``result.spec``.
 
     The coupling must not distort either marginal; the tolerance is three
     standard errors plus an explicit discretization-bias allowance.
     """
     if result.n_paths < MIN_DECAY_PATHS:
         raise ValidationError(f"need at least {MIN_DECAY_PATHS} paths, got {result.n_paths}")
+    spec = result.spec
     t_unit = result.T / spec.r**2
     out = []
     for label, states, start in (("X", result.final_X, x0), ("Y", result.final_Y, y0)):
@@ -297,24 +300,16 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
 
     Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).
     """
-    if not 0 < rho0 < np.pi:
-        raise ValidationError("rho0 must lie in (0, pi)")
-    _key_word("seed", seed)
+    x, y = canonical_start(sphere(2), rho0)
+    seed = _key_word("seed", seed)
     _require_positive_int("n_paths", n_paths)
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([np.cos(rho0), np.sin(rho0), 0.0])
     times = time_grid(dt, T)
-    M = times.size - 1
     Z = np.tile(np.eye(3), (n_paths, 1, 1))
     sup = np.zeros(n_paths)
-    for b0 in range(0, M, NOISE_BLOCK_STEPS):
-        b1 = min(b0 + NOISE_BLOCK_STEPS, M)
-        z = path_gaussians(seed, 0, n_paths, b0, b1, 3)
-        for i in range(b0, b1):
-            delta = np.sqrt(times[i + 1] - times[i]) * z[:, i - b0]
-            Z = Z @ _rodrigues(delta)
-            d = np.arccos(np.clip(np.einsum("pij,j,pik,k->p", Z, x, Z, y), -1.0, 1.0))
-            sup = np.maximum(sup, np.abs(d - rho0))
+    for i, z in enumerate(step_gaussians(seed, 0, n_paths, times.size - 1, 3)):
+        Z = Z @ _rodrigues(np.sqrt(times[i + 1] - times[i]) * z)
+        d = np.arccos(np.clip(np.einsum("pij,j,pik,k->p", Z, x, Z, y), -1.0, 1.0))
+        sup = np.maximum(sup, np.abs(d - rho0))
     return times, sup, Z @ x, Z @ y
 
 

@@ -152,14 +152,14 @@ def test_criterion_07_marginal_sanity(sphere_marginal_ensembles):
     # discretization-bias coefficient from the same statistic at dt and 2 dt
     bias = 2.0 * max(abs(mean_norm(res.final_X) - mean_norm(coarse.final_X)),
                      abs(mean_norm(res.final_Y) - mean_norm(coarse.final_Y)))
-    checks = list(vf.mean_decay_check(res, S2, x0, y0, bias_allowance=bias))
+    checks = list(vf.mean_decay_check(res, x0, y0, bias_allowance=bias))
 
     xh, yh = ms.canonical_start(H3, 1.0)
     profh = pf.hyperbolic_lower(H3, 1.0)
     hres = simulate_ensemble(H3, profh, xh, yh, 1e-3, 1.0, SEED + 6, 2000)
     hcoarse = simulate_ensemble(H3, profh, xh, yh, 2e-3, 1.0, SEED + 6, 2000)
     bias_h = 2.0 * abs(hres.final_X[:, 0].mean() - hcoarse.final_X[:, 0].mean())
-    checks.extend(vf.mean_decay_check(hres, H3, xh, yh, bias_allowance=bias_h))
+    checks.extend(vf.mean_decay_check(hres, xh, yh, bias_allowance=bias_h))
     elapsed = time.perf_counter() - t0
 
     ok = all(c.passed for c in checks) and elapsed < 180.0

@@ -126,17 +126,17 @@ def test_point_at_distance_postconditions():
         keep = d > 1e-6
         X, Y, d = X[keep], Y[keep], d[keep]
         s = 0.3 * d
-        P = ms.point_at_distance(spec, X, Y, s)
+        P = ms.unit_point_at_distance(spec.kind, X, Y, s)
         assert np.max(np.abs(ms.geodesic_distance(spec, X, P) - s)) <= 1e-12
-        Q = ms.point_at_distance(spec, X, Y, d)
+        Q = ms.unit_point_at_distance(spec.kind, X, Y, d)
         assert np.max(np.abs(Q - Y)) <= 1e-10
 
 
 def test_point_at_distance_degenerate():
     with pytest.raises(DegenerateStateError):
-        ms.point_at_distance(E2, np.zeros(2), np.zeros(2), 1.0)
+        ms.unit_point_at_distance(E2.kind, np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(DegenerateStateError):
-        ms.point_at_distance(S2, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5)
+        ms.unit_point_at_distance(S2.kind, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5)
 
 
 def test_canonical_start():

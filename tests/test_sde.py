@@ -9,8 +9,9 @@ from detcouple import coupling as cp
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple.errors import ValidationError
-from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, path_gaussians,
-                           simulate_ensemble, time_grid)
+from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, simulate_ensemble,
+                           step_gaussians, time_grid)
+from detcouple.verify import rotation_ensemble
 
 S2 = ms.sphere(2)
 H2 = ms.hyperbolic(2)
@@ -36,11 +37,46 @@ def test_block_matches_sequential_draws():
     seq = np.array([block_gaussians(3, 5, i * blocks_per_draw(words), 1, words)[0]
                     for i in range(10)])
     assert np.array_equal(batch, seq)
-    # a path block is the per-path draws stacked, for any step range
-    z = path_gaussians(3, 4, 3, 2, 10, words)
-    assert z.shape == (3, 8, words)
+    # the stacked steps are the per-path draws
+    steps = [z.copy() for z in step_gaussians(3, 4, 3, 10, words)]
+    assert len(steps) == 10 and steps[0].shape == (3, words)
+    z = np.stack(steps, axis=1)
     for j in range(3):
-        assert np.array_equal(z[j], block_gaussians(3, 4 + j, 0, 10, words)[2:])
+        assert np.array_equal(z[j], block_gaussians(3, 4 + j, 0, 10, words))
+
+
+def test_small_noise_blocks_change_no_value(monkeypatch):
+    # 3 steps per block for the simulator's 6 words, 6 for the oracle's 3: many block
+    # boundaries and a partial last block
+    x0, y0 = ms.canonical_start(S2, 1.0)
+    prof = pf.sphere_contracting(S2, 1.0)
+
+    def run():
+        res = simulate_ensemble(S2, prof, x0, y0, 1e-2, 0.2, 9, 3, record_paths=True)
+        oracle = rotation_ensemble(1.0, 1e-2, 0.2, 9, 3)
+        steps = np.stack([z.copy() for z in step_gaussians(9, 0, 3, 20, 6)])
+        return [res.paths_X, res.paths_Y, res.d_emp, res.mean_d_emp, *oracle, steps]
+
+    whole = run()
+    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", 3 * 3 * 6 * 8)
+    blocked = run()
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
+
+
+def test_step_gaussians_holds_at_most_the_cap(monkeypatch):
+    draws = []
+
+    def counted(seed, path_index, counter, n_draws, words):
+        draws.append(n_draws)
+        return block_gaussians(seed, path_index, counter, n_draws, words)
+
+    monkeypatch.setattr(sde_mod, "block_gaussians", counted)
+    P, M, words = 2000, 1000, 3
+    for _ in step_gaussians(0, 0, P, M, words):
+        pass
+    assert max(draws) * P * words * 8 <= sde_mod.NOISE_BLOCK_BYTES
+    assert sum(draws) == P * M and len(draws) == 2 * P   # two blocks per path
 
 
 def test_driving_increment_moments():
@@ -128,7 +164,7 @@ def test_kernel_step_equals_matrix_step(spec):
     rng = np.random.default_rng(31 + spec.n)
     P, dt, rho = 64, 1e-2, 0.9
     X = ms.random_points(spec, P, rng)
-    Y = ms.point_at_distance(spec, X, ms.random_points(spec, P, rng), rho)
+    Y = ms.unit_point_at_distance(spec.kind, X, ms.random_points(spec, P, rng), rho)
     if spec.kind is ms.SpaceKind.HYPERBOLIC and spec.n > 1:
         # vertical pairs: the degenerate branch of the two-plane map
         Y[:8] = X[:8]
@@ -169,7 +205,8 @@ def test_general_curvature_step_equals_matrix_step(spec, prof):
 # input validation
 
 
-@pytest.mark.parametrize("seed", [-1, -2, 2**64, 2**70])
+@pytest.mark.parametrize("seed", [-1, -2, 2**64, 2**70, 2.7, 1.5, True, "5", np.inf, np.nan,
+                                  None])
 def test_out_of_range_seed_rejected(seed):
     x0, y0 = ms.canonical_start(E2, 1.0)
     with pytest.raises(ValidationError):
@@ -234,6 +271,14 @@ def test_time_grid():
     ts = time_grid(1e-3, 0.0025)   # partial final step
     assert ts.size == 4 and ts[-1] == 0.0025
     assert time_grid(0.1, 0.0).tolist() == [0.0]
+    # a horizon below the final-step snap still starts at 0
+    assert time_grid(1e-3, 1e-13).tolist() == [0.0, 1e-13]
+
+
+def test_checked_seed_stored():
+    x0, y0 = ms.canonical_start(E2, 1.0)
+    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, np.uint64(2**63), 2)
+    assert type(res.seed) is int and res.seed == 2**63
 
 
 def _one_path(spec, profile, x0, y0, dt, T, seed, path_index=0):

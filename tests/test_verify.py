@@ -81,7 +81,9 @@ def test_rotation_oracle_rho0_validation():
 
 
 def test_identity_scan_rejects_out_of_range_seed():
-    for num_samples, seed, what in ((10, -1, "seed"), (10, 2**64, "seed"),
+    for num_samples, seed, what in ((10, -1, "seed"), (10, 2**64, "seed"), (10, 2.7, "seed"),
+                                    (10, True, "seed"), (10, "5", "seed"), (10, np.inf, "seed"),
+                                    (10, np.nan, "seed"), (10, None, "seed"),
                                     (0, 0, "num_samples"), (-1, 0, "num_samples")):
         with pytest.raises(ValidationError, match=what):
             vf.identity_scan(S2, num_samples, seed)
@@ -90,13 +92,16 @@ def test_identity_scan_rejects_out_of_range_seed():
 
 def test_identity_scan_all_rejects_out_of_range_seed():
     # the per-scan seeds run up to seed + 97 * 2 + len(dims) - 1
-    for seed in (-1, 2**64 - 1):
+    for seed in (-1, 2**64 - 1, 2.7, True, "5", np.inf, np.nan, None):
         with pytest.raises(ValidationError, match="seed"):
             vf.identity_scan_all(10, seed)
+    for num_samples in (-5, 0, 2.5):
+        with pytest.raises(ValidationError, match="num_samples_per_space"):
+            vf.identity_scan_all(num_samples, 0)
 
 
 def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, 2.7, True, "5", np.inf, np.nan, None):
         with pytest.raises(ValidationError, match="seed"):
             vf.rotation_ensemble(1.0, 1e-2, 0.1, seed, 2)
     for n_paths in (0, -3, 2.5, True):
@@ -107,7 +112,7 @@ def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
 def test_mean_decay_euclidean_martingale():
     x0, y0 = ms.canonical_start(E2, 1.0)
     res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.5, 6, 600)
-    reports = vf.mean_decay_check(res, E2, x0, y0)
+    reports = vf.mean_decay_check(res, x0, y0)
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
 
@@ -116,8 +121,17 @@ def test_mean_decay_hyperbolic_n2_constant_mean():
     # n = 2 kills the drift: E[X1] stays at X1(0)
     x0, y0 = ms.canonical_start(H2, 1.0)
     res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 1.0), x0, y0, 1e-2, 0.5, 8, 600)
-    reports = vf.mean_decay_check(res, H2, x0, y0)
+    reports = vf.mean_decay_check(res, x0, y0)
     for rep in reports:
+        assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
+
+
+def test_mean_decay_reads_the_result_space():
+    # the curvature comes from the result: K = 4 quickens the decay of E[X(T)]
+    spec = ms.sphere(2, K=4.0)
+    x0, y0 = ms.canonical_start(spec, 0.5)
+    res = simulate_ensemble(spec, pf.constant(0.5), x0, y0, 1e-3, 0.1, 6, 600)
+    for rep in vf.mean_decay_check(res, x0, y0):
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
 
 
@@ -125,7 +139,7 @@ def test_mean_decay_requires_ensemble():
     x0, y0 = ms.canonical_start(E2, 1.0)
     res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 6, 10)
     with pytest.raises(ValidationError):
-        vf.mean_decay_check(res, E2, x0, y0)
+        vf.mean_decay_check(res, x0, y0)
 
 
 def test_convergence_study_small():
