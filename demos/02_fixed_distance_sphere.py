@@ -13,23 +13,21 @@ Run:  python demos/02_fixed_distance_sphere.py
 
 import numpy as np
 
-from detcouple import canonical_start, constant, simulate_ensemble, sphere
+from detcouple import constant, simulate_ensemble, sphere
 from detcouple.verify import rotation_ensemble
 
 print(__doc__)
 
 spec = sphere(2)
 rho0 = np.pi / 2
-x0, y0 = canonical_start(spec, rho0)
 dt, T, paths, seed = 1e-4, 1.0, 100, 42
 
 print(f"simulating {paths} coupled pairs, dt = {dt:g}, T = {T:g} ...")
-res = simulate_ensemble(spec, constant(rho0), x0, y0, dt, T, seed, paths)
+res = simulate_ensemble(spec, constant(rho0), dt, T, seed, paths)
 print(f"  sup |d(X,Y) - pi/2| per path: mean {res.mean_sup_err:.4f}, "
       f"max {res.max_sup_err:.4f}")
 
-enf = simulate_ensemble(spec, constant(rho0), x0, y0, dt, T, seed, paths,
-                        enforce_distance=True)
+enf = simulate_ensemble(spec, constant(rho0), dt, T, seed, paths, enforce_distance=True)
 print(f"  with exact re-projection onto the target distance: "
       f"max error {enf.max_sup_err:.2e}")
 
@@ -39,7 +37,7 @@ print(f"  distance deviation over 2000 paths: {sup.max():.2e} (isometry, roundof
 
 # Both ensembles are genuine sphere Brownian motions, so the mean of X(1)
 # contracts to exp(-n/2) times the start point (n = 2 here).
-coarse = simulate_ensemble(spec, constant(rho0), x0, y0, 1e-3, T, seed + 2, 2000)
+coarse = simulate_ensemble(spec, constant(rho0), 1e-3, T, seed + 2, 2000)
 m_sde = np.linalg.norm(coarse.final_X.mean(axis=0))
 m_rot = np.linalg.norm(rotX.mean(axis=0))
 print(f"\nmarginal mean decay at t = 1: |E X| = {m_sde:.4f} (coupled SDE), "

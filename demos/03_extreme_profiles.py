@@ -11,9 +11,8 @@ Run:  python demos/03_extreme_profiles.py
 
 import numpy as np
 
-from detcouple import (canonical_start, envelope, hyperbolic, hyperbolic_lower,
-                       hyperbolic_upper, simulate_ensemble, sphere,
-                       sphere_contracting, sphere_repulsive)
+from detcouple import (envelope, hyperbolic, hyperbolic_lower, hyperbolic_upper,
+                       simulate_ensemble, sphere, sphere_contracting, sphere_repulsive)
 
 print(__doc__)
 
@@ -22,11 +21,10 @@ dt, T, paths, seed = 1e-3, 1.0, 100, 7
 
 for spec, builders, rho0 in ((S2, (sphere_contracting, sphere_repulsive), np.pi / 2),
                              (H3, (hyperbolic_lower, hyperbolic_upper), 1.0)):
-    x0, y0 = canonical_start(spec, rho0)
     print(f"--- {spec.kind.value}, n = {spec.n}, rho0 = {rho0:.4f}")
     for build in builders:
         prof = build(spec, rho0)
-        res = simulate_ensemble(spec, prof, x0, y0, dt, T, seed, paths)
+        res = simulate_ensemble(spec, prof, dt, T, seed, paths)
         lo, hi = envelope(spec, rho0, res.times)
         inside = np.all(res.mean_d_emp >= lo - 0.05) and np.all(res.mean_d_emp <= hi + 0.05)
         print(f"  {prof.kind.value:<22} rho(T) = {res.target[-1]:.4f}  "

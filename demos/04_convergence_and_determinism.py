@@ -12,17 +12,15 @@ Run:  python demos/04_convergence_and_determinism.py
 
 import numpy as np
 
-from detcouple import canonical_start, constant, simulate_ensemble, sphere
+from detcouple import constant, simulate_ensemble, sphere
 from detcouple.sde import block_gaussians
 from detcouple.verify import convergence_study
 
 print(__doc__)
 
 spec = sphere(2)
-x0, y0 = canonical_start(spec, np.pi / 2)
 
-rep = convergence_study(spec, constant(np.pi / 2), [1e-2, 3e-3, 1e-3, 3e-4], 50, 11,
-                        x0, y0, T=1.0)
+rep = convergence_study(spec, constant(np.pi / 2), [1e-2, 3e-3, 1e-3, 3e-4], 50, 11, T=1.0)
 print(f"{'dt':>8}  {'mean sup error':>15}")
 for dt, err in zip(rep.details["dt"], rep.details["mean_sup_err"]):
     print(f"{dt:>8.0e}  {err:>15.5f}")
@@ -30,9 +28,8 @@ print(f"log-log slope: {rep.details['slope']:.3f}  "
       f"(strictly decreasing: {rep.details['strictly_decreasing']})\n")
 
 print("replay determinism:")
-ens = simulate_ensemble(spec, constant(np.pi / 2), x0, y0, 1e-3, 0.5, 99, n_paths=5,
-                        record_paths=True)
-one = simulate_ensemble(spec, constant(np.pi / 2), x0, y0, 1e-3, 0.5, 99, n_paths=1,
+ens = simulate_ensemble(spec, constant(np.pi / 2), 1e-3, 0.5, 99, n_paths=5, record_paths=True)
+one = simulate_ensemble(spec, constant(np.pi / 2), 1e-3, 0.5, 99, n_paths=1,
                         first_path_index=3, record_paths=True)
 print(f"  path 3 run alone equals path 3 of the ensemble: "
       f"{np.array_equal(one.d_emp[0], ens.d_emp[3])}")

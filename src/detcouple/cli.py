@@ -265,8 +265,7 @@ def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: boo
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    x0, y0 = ms.canonical_start(spec, profile.rho0)
-    result = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed, cfg.paths,
+    result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     passed = result.mean_sup_err <= cfg.tolerance
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -306,10 +305,9 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    x0, y0 = ms.canonical_start(spec, profile.rho0)
     reports: list[VerifyReport] = [identity_scan(spec, cfg.samples, cfg.seed)]
 
-    result = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed, cfg.paths,
+    result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     reports.append(distance_error_stats(result, tolerance=cfg.tolerance))
 
@@ -322,9 +320,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                                 cfg.paths, cfg.dt))
 
     marg_paths = max(cfg.paths, MIN_DECAY_PATHS)
-    marg = simulate_ensemble(spec, profile, x0, y0, cfg.dt, cfg.T, cfg.seed + 1, marg_paths,
+    marg = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed + 1, marg_paths,
                              enforce_distance=cfg.enforce_distance)
-    reports.extend(mean_decay_check(marg, x0, y0, bias_allowance=0.05))
+    reports.extend(mean_decay_check(marg, bias_allowance=0.05))
 
     if spec.kind is ms.SpaceKind.SPHERE and spec.n == 2 and spec.K == 1.0 \
             and cfg.profile == "constant":
@@ -350,9 +348,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    x0, y0 = ms.canonical_start(spec, profile.rho0)
-    report = convergence_study(spec, profile, list(cfg.dts), cfg.paths, cfg.seed,
-                               x0, y0, T=cfg.T)
+    report = convergence_study(spec, profile, list(cfg.dts), cfg.paths, cfg.seed, T=cfg.T)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "converge.csv", "w", newline="") as fh:
         fh.write("dt,mean_sup_err\n")

@@ -227,20 +227,7 @@ def unit_point_at_distance(kind: SpaceKind, x, y, s):
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers (tests and verification harness)
-
-
-def random_points(spec: SpaceSpec, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``size`` valid points, coordinate scale O(1)."""
-    N = spec.ambient_dim
-    if spec.kind is SpaceKind.SPHERE:
-        g = rng.standard_normal((size, N))
-        return spec.r * g / np.linalg.norm(g, axis=-1, keepdims=True)
-    if spec.kind is SpaceKind.HYPERBOLIC:
-        pts = 0.8 * rng.standard_normal((size, N))
-        pts[:, 0] = np.exp(0.4 * rng.standard_normal(size))
-        return pts
-    return rng.standard_normal((size, N))
+# the canonical start pair
 
 
 def canonical_start(spec: SpaceSpec, rho0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -61,10 +61,10 @@ class DistanceProfile:
     clamp_to: SpaceSpec | None = None
 
     def eval(self, t):
-        """Return (rho(t), rho'(t)) at times ``t >= 0``; vectorized over ``t``."""
+        """Return (rho(t), rho'(t)) at finite times ``t >= 0``; vectorized over ``t``."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValidationError("profile times must be non-negative")
+        if not np.all(np.isfinite(t) & (t >= 0)):
+            raise ValidationError("profile times must be finite and non-negative")
         kind = self.kind
         if kind is ProfileKind.CONSTANT:
             rho, drho = np.full(t.shape, self.rho0), np.zeros_like(t)
@@ -192,10 +192,11 @@ def tabulated_from_csv(path) -> DistanceProfile:
                 raise ValidationError(f"{path}: expected CSV header 't,rho'")
             for row in filter(None, reader):
                 try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
+                    t, rho = map(float, row)    # exactly two fields
+                except ValueError:
                     raise ValidationError(f"{path}:{reader.line_num}: expected two numbers "
                                           f"t,rho, got {','.join(row)!r}") from None
+                rows.append((t, rho))
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read table: {exc.strerror}") from None
     if not rows:

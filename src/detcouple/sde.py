@@ -28,8 +28,8 @@ from scipy.special import ndtri
 
 from .coupling import _dots, drive, eta_from_rho
 from .errors import ValidationError, _key_word, _require_positive_int
-from .model_space import (SpaceKind, SpaceSpec, from_unit_model, geodesic_distance,
-                          require_valid_point, to_unit_model, unit_point_at_distance)
+from .model_space import (SpaceKind, SpaceSpec, canonical_start, from_unit_model, to_unit_model,
+                          unit_point_at_distance)
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 
@@ -50,6 +50,8 @@ class EnsembleResult:
     seed: int
     n_paths: int
     enforce_distance: bool
+    x0: np.ndarray               # (N,) start pair, canonical_start(spec, rho(0)),
+    y0: np.ndarray               #      in the space's own coordinates
     times: np.ndarray            # (M+1,) sample times
     target: np.ndarray           # (M+1,) profile values
     sup_err: np.ndarray          # (P,) per-path sup |d_emp - target|
@@ -174,28 +176,26 @@ def time_grid(dt: float, T: float) -> np.ndarray:
 # ensembles
 
 
-def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
-                      seed: int, n_paths: int, enforce_distance: bool = False,
+def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
+                      n_paths: int, enforce_distance: bool = False,
                       record_distances: bool = False, record_paths: bool = False,
                       first_path_index: int = 0) -> EnsembleResult:
     """Simulate ``n_paths`` independent coupled pairs on a common grid.
 
-    Paths ``first_path_index``, ... run in fixed chunks of CHUNK_PATHS, and
-    each path's noise depends only on (seed, path index, step).
+    Every pair starts from ``canonical_start(spec, profile.rho0)``: the spaces
+    are two-point homogeneous, so only rho(0) matters.  Paths
+    ``first_path_index``, ... run in fixed chunks of CHUNK_PATHS, and each
+    path's noise depends only on (seed, path index, step).
     """
     _require_positive_int("n_paths", n_paths)
     seed = _key_word("seed", seed)
     first_path_index = _key_word("first_path_index", first_path_index)
     _key_word("last path index", first_path_index + n_paths - 1)
     times = time_grid(dt, T)
-    x0 = require_valid_point(spec, x0)
-    y0 = require_valid_point(spec, y0)
+    x0, y0 = canonical_start(spec, profile.rho0)
     if np.isfinite(profile.end_time) and T > profile.end_time * (1 + 1e-12):
         raise ValidationError(f"profile only defined up to t = {profile.end_time:.6g}")
     target = np.atleast_1d(np.asarray(profile.eval(times)[0], dtype=float))
-    rho0, d0 = target[0], geodesic_distance(spec, x0, y0)
-    if abs(d0 - rho0) > 1e-9 * max(1.0, rho0):
-        raise ValidationError(f"initial distance {d0:.12g} does not match rho(0) = {rho0:.12g}")
 
     r = spec.r
     if times.size > 1:
@@ -248,5 +248,5 @@ def simulate_ensemble(spec: SpaceSpec, profile, x0, y0, dt: float, T: float,
     fX, fY = from_unit_model(spec, final_X), from_unit_model(spec, final_Y)
     if record_paths:
         pX, pY = from_unit_model(spec, pX), from_unit_model(spec, pY)
-    return EnsembleResult(spec, dt, T, seed, n_paths, enforce_distance, times, target,
+    return EnsembleResult(spec, dt, T, seed, n_paths, enforce_distance, x0, y0, times, target,
                           sup_err, fX, fY, mean_d, d_all, pX, pY)

@@ -252,10 +252,10 @@ def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: f
     return stat, se
 
 
-def mean_decay_check(result: EnsembleResult, x0, y0,
-                     bias_allowance: float = 0.0) -> list[VerifyReport]:
+def mean_decay_check(result: EnsembleResult, bias_allowance: float = 0.0) -> list[VerifyReport]:
     """Check E[X(T)] (and Y) against the exact Brownian mean decay on ``result.spec``.
 
+    Each motion is compared with its own start, ``result.x0`` or ``result.y0``.
     The coupling must not distort either marginal; the tolerance is three
     standard errors plus an explicit discretization-bias allowance.
     """
@@ -264,7 +264,8 @@ def mean_decay_check(result: EnsembleResult, x0, y0,
     spec = result.spec
     t_unit = result.T / spec.r**2
     out = []
-    for label, states, start in (("X", result.final_X, x0), ("Y", result.final_Y, y0)):
+    for label, states, start in (("X", result.final_X, result.x0),
+                                 ("Y", result.final_Y, result.y0)):
         stat, se = _mean_decay_stat(to_unit_model(spec, states), to_unit_model(spec, start),
                                     spec.kind, spec.n, t_unit)
         out.append(VerifyReport(
@@ -318,18 +319,19 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
 
 
 def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed: int,
-                      x0, y0, T: float = 1.0) -> VerifyReport:
+                      T: float = 1.0) -> VerifyReport:
     """Mean sup tracking error per dt, with the fitted log-log slope.
 
-    Passes when the errors strictly decrease along decreasing dt and the
-    slope lies inside ``SLOPE_RANGE``.
+    Every dt runs from the profile's canonical start, on its own block of
+    path indices.  Passes when the errors strictly decrease along decreasing
+    dt and the slope lies inside ``SLOPE_RANGE``.
     """
     dt_list = list(dt_list)
     if len(dt_list) < 3 or any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValidationError("need at least 3 strictly decreasing dt values")
     errors = []
     for level, dt in enumerate(dt_list):
-        res = simulate_ensemble(spec, profile, x0, y0, dt, T, seed, paths_per_dt,
+        res = simulate_ensemble(spec, profile, dt, T, seed, paths_per_dt,
                                 first_path_index=level * paths_per_dt)
         errors.append(res.mean_sup_err)
     slope = float(np.polyfit(np.log(dt_list), np.log(errors), 1)[0])

@@ -15,6 +15,7 @@ from detcouple import profiles as pf
 from detcouple import verify as vf
 from detcouple.coupling import sphere_matrices
 from detcouple.sde import simulate_ensemble
+from sampling import random_points
 
 S2 = ms.sphere(2)
 H2 = ms.hyperbolic(2)
@@ -39,12 +40,11 @@ def scan_reports():
 @pytest.fixture(scope="module")
 def sphere_marginal_ensembles():
     """Fixed-distance sphere ensembles at dt and 2 dt for the bias estimate."""
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
     prof = pf.constant(np.pi / 2)
     runs = {}
     for dt in (1e-3, 2e-3):
-        runs[dt] = simulate_ensemble(S2, prof, x0, y0, dt, 1.0, SEED + 1, 2000)
-    return (x0, y0), runs
+        runs[dt] = simulate_ensemble(S2, prof, dt, 1.0, SEED + 1, 2000)
+    return runs
 
 
 def test_criterion_01_algebraic_identity_suite(scan_reports):
@@ -63,7 +63,7 @@ def test_criterion_02_drift_match_oracle(scan_reports):
     rng = np.random.default_rng(SEED + 2)
     mismatch = []
     for _ in range(200):
-        X = ms.random_points(S2, 1, rng)[0]
+        X = random_points(S2, 1, rng)[0]
         t = rng.standard_normal(3)
         t -= (t @ X) * X
         t /= np.linalg.norm(t)
@@ -83,12 +83,10 @@ def test_criterion_02_drift_match_oracle(scan_reports):
 
 
 def test_criterion_03_fixed_distance_tracking():
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
     prof = pf.constant(np.pi / 2)
     t0 = time.perf_counter()
-    raw = simulate_ensemble(S2, prof, x0, y0, 1e-4, 1.0, SEED + 3, 100)
-    enforced = simulate_ensemble(S2, prof, x0, y0, 1e-4, 1.0, SEED + 3, 100,
-                                 enforce_distance=True)
+    raw = simulate_ensemble(S2, prof, 1e-4, 1.0, SEED + 3, 100)
+    enforced = simulate_ensemble(S2, prof, 1e-4, 1.0, SEED + 3, 100, enforce_distance=True)
     elapsed = time.perf_counter() - t0
     ok = raw.mean_sup_err <= 0.05 and enforced.max_sup_err <= 1e-12 and elapsed < 60.0
     report(3, ok, f"sphere fixed-distance sup error {raw.mean_sup_err:.4f} <= 0.05; "
@@ -97,15 +95,13 @@ def test_criterion_03_fixed_distance_tracking():
 
 
 def test_criterion_04_extreme_profile_tracking():
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
     prof = pf.sphere_contracting(S2, np.pi / 2)
-    res_a = simulate_ensemble(S2, prof, x0, y0, 1e-4, 1.0, SEED + 4, 100)
+    res_a = simulate_ensemble(S2, prof, 1e-4, 1.0, SEED + 4, 100)
     target_a = 2.0 * np.arcsin(np.exp(-res_a.times / 2.0) * np.sin(np.pi / 4))
     assert np.max(np.abs(res_a.target - target_a)) <= 1e-12
 
-    xh, yh = ms.canonical_start(H3, 1.0)
     profh = pf.hyperbolic_lower(H3, 1.0)
-    res_b = simulate_ensemble(H3, profh, xh, yh, 1e-4, 1.0, SEED + 5, 100)
+    res_b = simulate_ensemble(H3, profh, 1e-4, 1.0, SEED + 5, 100)
     target_b = 2.0 * np.arcsinh(np.exp(res_b.times) * np.sinh(0.5))
     assert np.max(np.abs(res_b.target - target_b)) <= 1e-12
 
@@ -143,7 +139,7 @@ def test_criterion_06_admissibility_rejections():
 
 def test_criterion_07_marginal_sanity(sphere_marginal_ensembles):
     t0 = time.perf_counter()
-    (x0, y0), runs = sphere_marginal_ensembles
+    runs = sphere_marginal_ensembles
     res, coarse = runs[1e-3], runs[2e-3]
 
     def mean_norm(states):
@@ -152,14 +148,13 @@ def test_criterion_07_marginal_sanity(sphere_marginal_ensembles):
     # discretization-bias coefficient from the same statistic at dt and 2 dt
     bias = 2.0 * max(abs(mean_norm(res.final_X) - mean_norm(coarse.final_X)),
                      abs(mean_norm(res.final_Y) - mean_norm(coarse.final_Y)))
-    checks = list(vf.mean_decay_check(res, x0, y0, bias_allowance=bias))
+    checks = list(vf.mean_decay_check(res, bias_allowance=bias))
 
-    xh, yh = ms.canonical_start(H3, 1.0)
     profh = pf.hyperbolic_lower(H3, 1.0)
-    hres = simulate_ensemble(H3, profh, xh, yh, 1e-3, 1.0, SEED + 6, 2000)
-    hcoarse = simulate_ensemble(H3, profh, xh, yh, 2e-3, 1.0, SEED + 6, 2000)
+    hres = simulate_ensemble(H3, profh, 1e-3, 1.0, SEED + 6, 2000)
+    hcoarse = simulate_ensemble(H3, profh, 2e-3, 1.0, SEED + 6, 2000)
     bias_h = 2.0 * abs(hres.final_X[:, 0].mean() - hcoarse.final_X[:, 0].mean())
-    checks.extend(vf.mean_decay_check(hres, xh, yh, bias_allowance=bias_h))
+    checks.extend(vf.mean_decay_check(hres, bias_allowance=bias_h))
     elapsed = time.perf_counter() - t0
 
     ok = all(c.passed for c in checks) and elapsed < 180.0
@@ -168,7 +163,7 @@ def test_criterion_07_marginal_sanity(sphere_marginal_ensembles):
 
 
 def test_criterion_08_oracle_equivalence(sphere_marginal_ensembles):
-    (x0, y0), runs = sphere_marginal_ensembles
+    runs = sphere_marginal_ensembles
     res = runs[1e-3]
     _, sup, rotX, _ = vf.rotation_ensemble(np.pi / 2, 1e-3, 1.0, SEED + 7, 2000)
 
@@ -188,10 +183,8 @@ def test_criterion_08_oracle_equivalence(sphere_marginal_ensembles):
 
 
 def test_criterion_09_convergence():
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
     rep = vf.convergence_study(S2, pf.constant(np.pi / 2),
-                               [1e-2, 3e-3, 1e-3, 3e-4, 1e-4], 100, SEED + 8,
-                               x0, y0, T=1.0)
+                               [1e-2, 3e-3, 1e-3, 3e-4, 1e-4], 100, SEED + 8, T=1.0)
     ok = rep.passed
     report(9, ok, f"tracking errors {['%.4f' % e for e in rep.details['mean_sup_err']]} "
                   f"strictly decreasing: {rep.details['strictly_decreasing']}; "

@@ -96,8 +96,7 @@ def test_simulate_csv_round_trip_and_summary(tmp_path, capsys):
     from detcouple import profiles as pf
     from detcouple.sde import simulate_ensemble
     spec = ms.sphere(2)
-    x0, y0 = ms.canonical_start(spec, 1.5707963267948966)
-    res = simulate_ensemble(spec, pf.constant(1.5707963267948966), x0, y0, 1e-3, 0.1, 7, 4,
+    res = simulate_ensemble(spec, pf.constant(1.5707963267948966), 1e-3, 0.1, 7, 4,
                             record_distances=True)
     lines = (tmp_path / "paths.csv").read_text().splitlines()[1:]
     for row in lines:
@@ -291,8 +290,7 @@ def test_write_paths_csv_matches_per_row_reference(tmp_path):
     from detcouple import profiles as pf
     from detcouple.sde import simulate_ensemble
     spec = ms.sphere(2)
-    x0, y0 = ms.canonical_start(spec, 1.0)
-    res = simulate_ensemble(spec, pf.sphere_contracting(spec, 1.0), x0, y0, 1e-2, 0.13, 2, 5,
+    res = simulate_ensemble(spec, pf.sphere_contracting(spec, 1.0), 1e-2, 0.13, 2, 5,
                             record_distances=True)
     d = res.d_emp.copy()
     # values whose text is easy to get wrong: signed zero, non-finite, subnormal, huge
@@ -310,9 +308,7 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
     from detcouple import profiles as pf
     from detcouple.sde import simulate_ensemble
     spec = ms.euclidean(2)
-    x0, y0 = ms.canonical_start(spec, 1.0)
-    res = simulate_ensemble(spec, pf.constant(1.0), x0, y0, 1e-2, 0.05, 0, 2,
-                            record_distances=True)
+    res = simulate_ensemble(spec, pf.constant(1.0), 1e-2, 0.05, 0, 2, record_distances=True)
     for stride in (0, -1):
         with pytest.raises(ValidationError, match="stride"):
             cli.write_paths_csv(tmp_path / "paths.csv", res, stride)
@@ -320,7 +316,8 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
 
 @pytest.mark.parametrize("case", ["config-value", "config-space", "flag-space", "flag-dim",
                                   "config-missing", "table-missing", "table-non-numeric",
-                                  "table-short-row", "flag-dt-inf", "flag-T-inf",
+                                  "table-short-row", "table-extra-number", "table-extra-text",
+                                  "flag-dt-inf", "flag-T-inf",
                                   "flag-dts-negative", "flag-rho0-inf"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
@@ -360,6 +357,12 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
         argv = ["check", "--space", "euclidean", "--profile", "constant", "--rho0", "inf",
                 "--out", str(tmp_path / "run")]
         expect = "rho0"
+    elif case == "table-extra-number":
+        table.write_text("t,rho\n0,1.0\n0.5,1.2,99\n1,1.3\n")
+        expect = f"{table}:3"
+    elif case == "table-extra-text":
+        table.write_text("t,rho\n0,1.0\n0.5,1.2\n1,1.3,junk\n")
+        expect = f"{table}:4"
     elif case == "table-non-numeric":
         table.write_text("t,rho\n0,1.0\n0.5,wide\n1,1.3\n")
         expect = f"{table}:3"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from detcouple import coupling as cp
 from detcouple import model_space as ms
 from detcouple.errors import AdmissibilityError, DegenerateStateError, ValidationError
+from sampling import random_points
 
 S2 = ms.sphere(2)
 
@@ -117,7 +118,7 @@ def test_sphere_cancellation_and_drift_random():
     for _ in range(200):
         n = int(rng.integers(2, 5))
         spec = ms.sphere(n)
-        X = ms.random_points(spec, 1, rng)[0]
+        X = random_points(spec, 1, rng)[0]
         t = rng.standard_normal(n + 1)
         t -= (t @ X) * X
         t /= np.linalg.norm(t)
@@ -142,8 +143,8 @@ def test_sphere_cancellation_and_drift_random():
 
 def test_sphere_reflection_on_span():
     rng = np.random.default_rng(12)
-    X = ms.random_points(S2, 1, rng)[0]
-    Y = ms.random_points(S2, 1, rng)[0]
+    X = random_points(S2, 1, rng)[0]
+    Y = random_points(S2, 1, rng)[0]
     J, K = cp.sphere_matrices(X, Y, float(X @ Y), 0.3)
     w = Y - (X @ Y) * X
     F = np.stack([X, w / np.linalg.norm(w)], axis=1)   # orthonormal basis of span{X, Y}
@@ -184,7 +185,7 @@ def test_sphere_drift_consistent_gamma_vs_one_minus_variant():
     mismatch = []
     for _ in range(100):
         n = 2
-        X = ms.random_points(S2, 1, rng)[0]
+        X = random_points(S2, 1, rng)[0]
         t = rng.standard_normal(3)
         t -= (t @ X) * X
         t /= np.linalg.norm(t)
@@ -247,8 +248,8 @@ def test_hyperbolic_cancellation_drift_random():
     for _ in range(300):
         n = int(rng.integers(2, 5))
         spec = ms.hyperbolic(n)
-        X = ms.random_points(spec, 1, rng)[0]
-        Y = ms.random_points(spec, 1, rng)[0]
+        X = random_points(spec, 1, rng)[0]
+        Y = random_points(spec, 1, rng)[0]
         if rng.random() < 0.3:
             Y[1:] = X[1:]
             if abs(X[0] - Y[0]) < 1e-6:
@@ -330,8 +331,8 @@ def test_a_phi_postconditions():
     for _ in range(100):
         n = int(rng.integers(2, 5))
         spec = ms.hyperbolic(n)
-        X = ms.random_points(spec, 1, rng)[0]
-        Y = ms.random_points(spec, 1, rng)[0]
+        X = random_points(spec, 1, rng)[0]
+        Y = random_points(spec, 1, rng)[0]
         eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
         k = n - 1
         etap = k * eta + rng.uniform(0, 2 * k)
@@ -444,8 +445,8 @@ def _admissible_batch(kind, n, size=48):
     spec = ms.SpaceSpec(kind, n, {ms.SpaceKind.EUCLIDEAN: 0.0, ms.SpaceKind.SPHERE: 1.0,
                                   ms.SpaceKind.HYPERBOLIC: -1.0}[kind])
     rng = np.random.default_rng(10 * n + list(ms.SpaceKind).index(kind))
-    X = ms.random_points(spec, size, rng)
-    Y = ms.random_points(spec, size, rng)
+    X = random_points(spec, size, rng)
+    Y = random_points(spec, size, rng)
     k = n - 1
     if kind is ms.SpaceKind.EUCLIDEAN:
         eta = 0.5 * np.sum((X - Y) ** 2, axis=-1)

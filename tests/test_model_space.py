@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from detcouple import model_space as ms
 from detcouple.errors import DegenerateStateError, ValidationError
+from sampling import random_points
 
 E2 = ms.euclidean(2)
 S2 = ms.sphere(2)
@@ -31,8 +32,8 @@ def test_hyperbolic_distance_log2():
 def test_distance_symmetry_and_zero():
     rng = np.random.default_rng(1)
     for spec in ALL_UNIT:
-        X = ms.random_points(spec, 50, rng)
-        Y = ms.random_points(spec, 50, rng)
+        X = random_points(spec, 50, rng)
+        Y = random_points(spec, 50, rng)
         dxy = ms.geodesic_distance(spec, X, Y)
         dyx = ms.geodesic_distance(spec, Y, X)
         assert np.max(np.abs(dxy - dyx)) <= 1e-12
@@ -46,8 +47,8 @@ def test_sphere_arccos_cross_check():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3):
         spec = ms.sphere(n)
-        X = ms.random_points(spec, 300, rng)
-        Y = ms.random_points(spec, 300, rng)
+        X = random_points(spec, 300, rng)
+        Y = random_points(spec, 300, rng)
         chord_form = ms.geodesic_distance(spec, X, Y)
         arccos_form = np.arccos(np.clip((X * Y).sum(axis=-1), -1.0, 1.0))
         assert np.max(np.abs(chord_form - arccos_form)) <= 1e-12 * np.pi + 1e-7
@@ -59,9 +60,9 @@ def test_sphere_arccos_cross_check():
 def test_triangle_inequality_random_triples():
     rng = np.random.default_rng(3)
     for spec in ALL_UNIT:
-        X = ms.random_points(spec, 1000, rng)
-        Y = ms.random_points(spec, 1000, rng)
-        Z = ms.random_points(spec, 1000, rng)
+        X = random_points(spec, 1000, rng)
+        Y = random_points(spec, 1000, rng)
+        Z = random_points(spec, 1000, rng)
         dxz = ms.geodesic_distance(spec, X, Z)
         dxy = ms.geodesic_distance(spec, X, Y)
         dyz = ms.geodesic_distance(spec, Y, Z)
@@ -98,7 +99,7 @@ def test_unit_model_round_trip():
     for spec in (ms.sphere(2, K=0.25), ms.hyperbolic(3, K=-4.0), ms.euclidean(2)):
         unit = unit_spec(spec)
         for _ in range(20):
-            xu = ms.random_points(unit, 1, rng)[0]
+            xu = random_points(unit, 1, rng)[0]
             xb = ms.to_unit_model(spec, ms.from_unit_model(spec, xu))
             assert np.max(np.abs(xb - xu)) <= 1e-14 * max(1.0, np.abs(xu).max())
 
@@ -108,8 +109,8 @@ def test_distance_scaling_invariant():
     for spec in (ms.sphere(2, K=4.0), ms.sphere(3, K=0.25), ms.hyperbolic(2, K=-0.0625),
                  ms.hyperbolic(3, K=-9.0)):
         unit = unit_spec(spec)
-        Xu = ms.random_points(unit, 200, rng)
-        Yu = ms.random_points(unit, 200, rng)
+        Xu = random_points(unit, 200, rng)
+        Yu = random_points(unit, 200, rng)
         X = np.array([ms.from_unit_model(spec, x) for x in Xu])
         Y = np.array([ms.from_unit_model(spec, y) for y in Yu])
         dK = ms.geodesic_distance(spec, X, Y)
@@ -120,8 +121,8 @@ def test_distance_scaling_invariant():
 def test_point_at_distance_postconditions():
     rng = np.random.default_rng(6)
     for spec in ALL_UNIT + [ms.hyperbolic(1)]:
-        X = ms.random_points(spec, 40, rng)
-        Y = ms.random_points(spec, 40, rng)
+        X = random_points(spec, 40, rng)
+        Y = random_points(spec, 40, rng)
         d = ms.geodesic_distance(spec, X, Y)
         keep = d > 1e-6
         X, Y, d = X[keep], Y[keep], d[keep]

@@ -158,6 +158,21 @@ def test_envelope_hyperbolic_linear_growth():
         pf.envelope(ms.hyperbolic(2), 1.0, -1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.0, 0.5, np.nan], [0.0, np.inf]],
+                         ids=["nan", "inf", "-inf", "grid-nan", "grid-inf"])
+def test_non_finite_times_rejected(t):
+    ts = np.linspace(0.0, 1.0, 11)
+    profiles = [pf.constant(1.0), pf.tabulated(ts, 1.0 + 0.1 * ts),
+                pf.clamped(S2, pf.constant(1.0))] + [prof for _, prof, _ in builtin_profiles()]
+    assert {prof.kind for prof in profiles} == set(pf.ProfileKind)
+    for prof in profiles:
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            prof.eval(t)
+    for spec in (S2, H3, E3):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            pf.envelope(spec, 1.0, t)
+
+
 def test_envelope_attained_by_extremes():
     t = np.linspace(0.0, 1.0, 11)
     for spec, prof, side in builtin_profiles():

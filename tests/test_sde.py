@@ -12,6 +12,7 @@ from detcouple.errors import ValidationError
 from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, simulate_ensemble,
                            step_gaussians, time_grid)
 from detcouple.verify import rotation_ensemble
+from sampling import random_points
 
 S2 = ms.sphere(2)
 H2 = ms.hyperbolic(2)
@@ -48,11 +49,10 @@ def test_block_matches_sequential_draws():
 def test_small_noise_blocks_change_no_value(monkeypatch):
     # 3 steps per block for the simulator's 6 words, 6 for the oracle's 3: many block
     # boundaries and a partial last block
-    x0, y0 = ms.canonical_start(S2, 1.0)
     prof = pf.sphere_contracting(S2, 1.0)
 
     def run():
-        res = simulate_ensemble(S2, prof, x0, y0, 1e-2, 0.2, 9, 3, record_paths=True)
+        res = simulate_ensemble(S2, prof, 1e-2, 0.2, 9, 3, record_paths=True)
         oracle = rotation_ensemble(1.0, 1e-2, 0.2, 9, 3)
         steps = np.stack([z.copy() for z in step_gaussians(9, 0, 3, 20, 6)])
         return [res.paths_X, res.paths_Y, res.d_emp, res.mean_d_emp, *oracle, steps]
@@ -106,22 +106,20 @@ def test_zero_noise_sphere_step_is_fixed_point():
 
 
 def test_euclidean_translation_coupling_keeps_z_exactly():
-    x0, y0 = ms.canonical_start(E2, 1.5)
-    res = simulate_ensemble(E2, pf.constant(1.5), x0, y0, 1e-2, 0.5, 5, 4)
+    res = simulate_ensemble(E2, pf.constant(1.5), 1e-2, 0.5, 5, 4)
     assert res.times.size == 51
     # J = I, K = 0: both points receive bitwise-identical increments, so Z
     # only moves by the rounding of the two running sums
-    assert np.max(np.abs((res.final_X - res.final_Y) - (x0 - y0))) <= 1e-13
+    assert np.max(np.abs((res.final_X - res.final_Y) - (res.x0 - res.y0))) <= 1e-13
 
 
 def test_sphere_single_step_distance_error_order_dt():
     dt = 1e-4
     prof = pf.constant(np.pi / 2)
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
-    res = simulate_ensemble(S2, prof, x0, y0, dt, dt, 77, 50)
+    res = simulate_ensemble(S2, prof, dt, dt, 77, 50)
     assert res.times.size == 2
     assert res.max_sup_err <= 100 * dt
-    res = simulate_ensemble(S2, prof, x0, y0, dt, dt, 77, 1, enforce_distance=True)
+    res = simulate_ensemble(S2, prof, dt, dt, 77, 1, enforce_distance=True)
     assert res.max_sup_err <= 1e-14
 
 
@@ -163,8 +161,8 @@ KERNEL_SPACES = [ms.euclidean(n) for n in (1, 2, 3)] + [ms.sphere(n) for n in (1
 def test_kernel_step_equals_matrix_step(spec):
     rng = np.random.default_rng(31 + spec.n)
     P, dt, rho = 64, 1e-2, 0.9
-    X = ms.random_points(spec, P, rng)
-    Y = ms.unit_point_at_distance(spec.kind, X, ms.random_points(spec, P, rng), rho)
+    X = random_points(spec, P, rng)
+    Y = ms.unit_point_at_distance(spec.kind, X, random_points(spec, P, rng), rho)
     if spec.kind is ms.SpaceKind.HYPERBOLIC and spec.n > 1:
         # vertical pairs: the degenerate branch of the two-plane map
         Y[:8] = X[:8]
@@ -189,7 +187,7 @@ def test_general_curvature_step_equals_matrix_step(spec, prof):
     profile = prof(spec)
     x0, y0 = ms.canonical_start(spec, 1.0)
     dt, P, seed = 1e-2, 5, 3
-    res = simulate_ensemble(spec, profile, x0, y0, dt, dt, seed, P)
+    res = simulate_ensemble(spec, profile, dt, dt, seed, P)
     r, N = spec.r, spec.ambient_dim
     z = np.stack([block_gaussians(seed, j, 0, 1, 2 * N)[0] for j in range(P)])
     xu = ms.to_unit_model(spec, x0)
@@ -208,12 +206,10 @@ def test_general_curvature_step_equals_matrix_step(spec, prof):
 @pytest.mark.parametrize("seed", [-1, -2, 2**64, 2**70, 2.7, 1.5, True, "5", np.inf, np.nan,
                                   None])
 def test_out_of_range_seed_rejected(seed):
-    x0, y0 = ms.canonical_start(E2, 1.0)
     with pytest.raises(ValidationError):
-        simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, seed, 2)
+        simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, seed, 2)
     with pytest.raises(ValidationError):
-        simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 0, 2,
-                          first_path_index=seed)
+        simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 0, 2, first_path_index=seed)
 
 
 def test_large_seeds_do_not_alias():
@@ -224,10 +220,8 @@ def test_large_seeds_do_not_alias():
         for j in range(i):
             assert not np.array_equal(draws[i], draws[j])
     assert np.array_equal(block_gaussians(2**63 + 1, 0, 0, 1, 4), draws[3])
-    x0, y0 = ms.canonical_start(E2, 1.0)
     with pytest.raises(ValidationError):   # the last path index would pass 2**64
-        simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 0, 3,
-                          first_path_index=2**64 - 2)
+        simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 0, 3, first_path_index=2**64 - 2)
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -250,19 +244,17 @@ def test_cli_negative_seed_exits_2(command, tmp_path, capsys):
     (1e-2, 1.0, -3),
 ], ids=["T-inf", "T-nan", "dt-inf", "dt-nan", "T-negative", "dt-zero", "paths-0", "paths-neg"])
 def test_bad_grid_and_ensemble_inputs_rejected(dt, T, n_paths):
-    x0, y0 = ms.canonical_start(E2, 1.0)
     if n_paths >= 1:
         with pytest.raises(ValidationError):
             time_grid(dt, T)
     with pytest.raises(ValidationError):
-        simulate_ensemble(E2, pf.constant(1.0), x0, y0, dt, T, 0, n_paths)
+        simulate_ensemble(E2, pf.constant(1.0), dt, T, 0, n_paths)
 
 
 def test_non_integer_n_paths_rejected():
-    x0, y0 = ms.canonical_start(E2, 1.0)
     for n_paths in (2.5, True):
         with pytest.raises(ValidationError, match="n_paths"):
-            simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 0, n_paths)
+            simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 0, n_paths)
 
 
 def test_time_grid():
@@ -276,48 +268,43 @@ def test_time_grid():
 
 
 def test_checked_seed_stored():
-    x0, y0 = ms.canonical_start(E2, 1.0)
-    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, np.uint64(2**63), 2)
+    res = simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, np.uint64(2**63), 2)
     assert type(res.seed) is int and res.seed == 2**63
 
 
-def _one_path(spec, profile, x0, y0, dt, T, seed, path_index=0):
+def _one_path(spec, profile, dt, T, seed, path_index=0):
     """Path ``path_index`` of the seed's ensemble, recorded in full."""
-    return simulate_ensemble(spec, profile, x0, y0, dt, T, seed, n_paths=1,
+    return simulate_ensemble(spec, profile, dt, T, seed, n_paths=1,
                              first_path_index=path_index, record_paths=True)
 
 
 def test_single_path_t0():
-    x0, y0 = ms.canonical_start(S2, 1.0)
-    res = _one_path(S2, pf.constant(1.0), x0, y0, 1e-3, 0.0, 11)
+    res = _one_path(S2, pf.constant(1.0), 1e-3, 0.0, 11)
     assert res.times.tolist() == [0.0]
     assert res.d_emp.shape == (1, 1)
     assert res.d_emp[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rms_err_needs_recorded_distances():
-    x0, y0 = ms.canonical_start(S2, 1.0)
     prof = pf.sphere_contracting(S2, 1.0)
-    res = simulate_ensemble(S2, prof, x0, y0, 1e-2, 0.2, 4, 5, record_distances=True)
+    res = simulate_ensemble(S2, prof, 1e-2, 0.2, 4, 5, record_distances=True)
     per_path = np.concatenate([np.abs(row - res.target) for row in res.d_emp])
     assert res.rms_err() == pytest.approx(np.sqrt(np.mean(per_path ** 2)), rel=1e-12)
-    bare = simulate_ensemble(S2, prof, x0, y0, 1e-2, 0.2, 4, 5)
+    bare = simulate_ensemble(S2, prof, 1e-2, 0.2, 4, 5)
     with pytest.raises(ValidationError, match="recorded distances"):
         bare.rms_err()
 
 
 def test_path_replay_bitwise():
-    x0, y0 = ms.canonical_start(S2, 1.0)
-    a = _one_path(S2, pf.constant(1.0), x0, y0, 1e-3, 0.3, 21, path_index=4)
-    b = _one_path(S2, pf.constant(1.0), x0, y0, 1e-3, 0.3, 21, path_index=4)
+    a = _one_path(S2, pf.constant(1.0), 1e-3, 0.3, 21, path_index=4)
+    b = _one_path(S2, pf.constant(1.0), 1e-3, 0.3, 21, path_index=4)
     assert np.array_equal(a.paths_X, b.paths_X) and np.array_equal(a.d_emp, b.d_emp)
 
 
 def test_single_path_equals_ensemble_row():
-    x0, y0 = ms.canonical_start(H3, 1.0)
     prof = pf.hyperbolic_lower(H3, 1.0)
-    res = simulate_ensemble(H3, prof, x0, y0, 1e-3, 0.2, 33, n_paths=6, record_paths=True)
-    one = _one_path(H3, prof, x0, y0, 1e-3, 0.2, 33, path_index=2)
+    res = simulate_ensemble(H3, prof, 1e-3, 0.2, 33, n_paths=6, record_paths=True)
+    one = _one_path(H3, prof, 1e-3, 0.2, 33, path_index=2)
     assert np.array_equal(one.paths_X[0], res.paths_X[2])
     assert np.array_equal(one.paths_Y[0], res.paths_Y[2])
     assert np.array_equal(one.d_emp[0], res.d_emp[2])
@@ -327,40 +314,32 @@ def test_single_path_equals_ensemble_row():
 
 
 def test_hyperbolic_plane_lower_extreme_tracks_closed_form():
-    x0, y0 = ms.canonical_start(H2, 1.0)
     prof = pf.hyperbolic_lower(H2, 1.0)
-    res = simulate_ensemble(H2, prof, x0, y0, 1e-3, 1.0, 44, 20)
+    res = simulate_ensemble(H2, prof, 1e-3, 1.0, 44, 20)
     target = 2.0 * np.arcsinh(np.exp(res.times / 2.0) * np.sinh(0.5))
     assert np.max(np.abs(res.target - target)) <= 1e-12
     assert res.mean_sup_err <= 0.08
 
 
 def test_on_manifold_invariants():
-    x0, y0 = ms.canonical_start(S2, 1.2)
-    res = simulate_ensemble(S2, pf.constant(1.2), x0, y0, 1e-3, 0.3, 8, 4,
-                            record_paths=True)
+    res = simulate_ensemble(S2, pf.constant(1.2), 1e-3, 0.3, 8, 4, record_paths=True)
     norms = np.linalg.norm(res.paths_X, axis=-1)
     assert np.max(np.abs(norms - 1.0)) <= 5e-15
-    xh, yh = ms.canonical_start(H3, 1.0)
-    resh = simulate_ensemble(H3, pf.hyperbolic_lower(H3, 1.0), xh, yh, 5e-3, 0.5, 8, 4,
-                             record_paths=True)
+    resh = simulate_ensemble(H3, pf.hyperbolic_lower(H3, 1.0), 5e-3, 0.5, 8, 4, record_paths=True)
     assert np.all(resh.paths_X[..., 0] > 0)
     assert np.all(resh.paths_Y[..., 0] > 0)
 
 
 def test_hyperbolic_positivity_under_coarse_steps():
     # the lognormal first-coordinate update cannot cross zero even at dt = 0.1
-    xh, yh = ms.canonical_start(H2, 0.5)
-    res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 0.5), xh, yh, 0.1, 5.0, 13, 64,
-                            record_paths=True)
+    res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 0.5), 0.1, 5.0, 13, 64, record_paths=True)
     assert np.all(res.paths_X[..., 0] > 0)
     assert np.all(res.paths_Y[..., 0] > 0)
 
 
 def test_euclidean_quadratic_variation():
     T, dt = 1.0, 1e-3
-    x0, y0 = ms.canonical_start(E2, 1.0)
-    X = _one_path(E2, pf.constant(1.0), x0, y0, dt, T, 99).paths_X[0]
+    X = _one_path(E2, pf.constant(1.0), dt, T, 99).paths_X[0]
     for coord in range(2):
         qv = np.sum(np.diff(X[:, coord]) ** 2)
         assert abs(qv - T) <= 3 * np.sqrt(2 * T * dt)
@@ -368,8 +347,7 @@ def test_euclidean_quadratic_variation():
 
 def test_hyperbolic_quadratic_variation_matches_integrated_x1sq():
     T, dt = 1.0, 1e-4
-    xh, yh = ms.canonical_start(H2, 1.0)
-    X = _one_path(H2, pf.hyperbolic_lower(H2, 1.0), xh, yh, dt, T, 101).paths_X[0]
+    X = _one_path(H2, pf.hyperbolic_lower(H2, 1.0), dt, T, 101).paths_X[0]
     qv = np.sum(np.diff(X[:, 1]) ** 2)
     riemann = np.sum(X[:-1, 0] ** 2) * dt
     assert abs(qv / riemann - 1.0) <= 0.05
@@ -380,32 +358,46 @@ def test_dimension_one_couplings_are_exact():
     # the only admissible couplings in dimension 1 keep the distance fixed
     # to rounding, with no discretization error
     for spec, rho0 in ((ms.euclidean(1), 1.0), (ms.sphere(1), 1.0), (ms.hyperbolic(1), 0.8)):
-        x0, y0 = ms.canonical_start(spec, rho0)
-        res = simulate_ensemble(spec, pf.constant(rho0), x0, y0, 1e-3, 0.5, 3, 8)
+        res = simulate_ensemble(spec, pf.constant(rho0), 1e-3, 0.5, 3, 8)
         assert res.max_sup_err <= 1e-12, spec.kind
 
 
-def test_initial_distance_mismatch_rejected():
-    x0, y0 = ms.canonical_start(S2, 1.0)
-    with pytest.raises(ValidationError):
-        simulate_ensemble(S2, pf.constant(1.1), x0, y0, 1e-3, 0.1, 0, 2)
+def test_start_beyond_the_diameter_rejected_before_stepping(monkeypatch):
+    # the start pair comes from canonical_start, which rejects rho(0) >= pi r
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(sde_mod, "_advance_batch", no_step)
+    with pytest.raises(ValidationError, match="rho0 must lie in"):
+        simulate_ensemble(S2, pf.constant(4.0), 1e-2, 0.1, 0, 2)
+
+
+@pytest.mark.parametrize("build", [pf.sphere_repulsive, lambda spec, rho0: _s3_table(spec, rho0)],
+                         ids=["closed-form", "tabulated"])
+def test_result_records_the_canonical_start(build):
+    spec = ms.sphere(3, K=0.3)
+    profile = build(spec, 1.0)
+    res = simulate_ensemble(spec, profile, 1e-2, 0.1, 4, 3, record_paths=True)
+    x0, y0 = ms.canonical_start(spec, profile.rho0)
+    assert res.x0.tobytes() == x0.tobytes() and res.y0.tobytes() == y0.tobytes()
+    # and the recorded paths begin there
+    assert np.max(np.abs(res.paths_X[:, 0] - x0)) <= 1e-15
+    assert np.max(np.abs(res.paths_Y[:, 0] - y0)) <= 1e-15
 
 
 def test_inadmissible_profile_rejected_before_stepping():
     ts = np.linspace(0.0, 1.0, 101)
     bad = pf.tabulated(ts, 1.0 - 0.5 * ts)
-    x0, y0 = ms.canonical_start(E2, 1.0)
     with pytest.raises(ValidationError):
-        simulate_ensemble(E2, bad, x0, y0, 1e-2, 1.0, 0, 2)
+        simulate_ensemble(E2, bad, 1e-2, 1.0, 0, 2)
     # beyond the tabulated range
     ok = pf.tabulated(ts, 1.0 + 0.5 * ts)
     with pytest.raises(ValidationError):
-        simulate_ensemble(E2, ok, x0, y0, 1e-2, 2.0, 0, 2)
+        simulate_ensemble(E2, ok, 1e-2, 2.0, 0, 2)
 
 
 def test_enforce_distance_exact_tracking():
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
-    res = simulate_ensemble(S2, pf.sphere_contracting(S2, np.pi / 2), x0, y0, 1e-3, 1.0,
+    res = simulate_ensemble(S2, pf.sphere_contracting(S2, np.pi / 2), 1e-3, 1.0,
                             17, 8, enforce_distance=True)
     assert res.max_sup_err <= 1e-12
 
@@ -413,19 +405,17 @@ def test_enforce_distance_exact_tracking():
 def test_general_curvature_sphere_tracks():
     spec = ms.sphere(2, K=4.0)
     prof = pf.constant(0.7)
-    x0, y0 = ms.canonical_start(spec, 0.7)
-    res = simulate_ensemble(spec, prof, x0, y0, 1e-4, 0.25, 23, 20)
+    res = simulate_ensemble(spec, prof, 1e-4, 0.25, 23, 20)
     assert res.mean_sup_err <= 0.05
     assert np.allclose(np.linalg.norm(res.final_X, axis=-1), spec.r, atol=1e-12)
 
 
 def test_chunked_ensembles_cross_chunk_boundary(monkeypatch):
     # fixed chunking: path results must not depend on which chunk ran them
-    x0, y0 = ms.canonical_start(E2, 1.0)
     prof = pf.constant(1.0)
-    big = simulate_ensemble(E2, prof, x0, y0, 1e-2, 0.1, 5, 10, record_distances=True)
+    big = simulate_ensemble(E2, prof, 1e-2, 0.1, 5, 10, record_distances=True)
     monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 4)
-    small = simulate_ensemble(E2, prof, x0, y0, 1e-2, 0.1, 5, 10, record_distances=True)
+    small = simulate_ensemble(E2, prof, 1e-2, 0.1, 5, 10, record_distances=True)
     assert np.array_equal(big.d_emp, small.d_emp)
 
 
@@ -511,8 +501,7 @@ ARRAY_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
 def test_simulate_ensemble_array_digests(case):
     spec, build, P, dt, T, seed, enforce = ARRAY_CASES[case]
-    x0, y0 = ms.canonical_start(spec, 1.0)
-    res = simulate_ensemble(spec, build(spec, 1.0), x0, y0, dt, T, seed, P,
+    res = simulate_ensemble(spec, build(spec, 1.0), dt, T, seed, P,
                             enforce_distance=enforce, record_paths=True)
     got = {name: hashlib.sha256(np.ascontiguousarray(getattr(res, name), dtype="<f8")
                                 .tobytes()).hexdigest()

@@ -35,8 +35,7 @@ def test_identity_scan_hyperbolic_details():
 
 
 def test_distance_error_stats_enforced():
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
-    res = simulate_ensemble(S2, pf.constant(np.pi / 2), x0, y0, 1e-3, 0.5, 3, 16,
+    res = simulate_ensemble(S2, pf.constant(np.pi / 2), 1e-3, 0.5, 3, 16,
                             enforce_distance=True, record_distances=True)
     rep = vf.distance_error_stats(res, tolerance=1e-12)
     assert rep.passed
@@ -110,46 +109,59 @@ def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
 
 
 def test_mean_decay_euclidean_martingale():
-    x0, y0 = ms.canonical_start(E2, 1.0)
-    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.5, 6, 600)
-    reports = vf.mean_decay_check(res, x0, y0)
+    res = simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.5, 6, 600)
+    reports = vf.mean_decay_check(res)
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
+
+
+# (statistic, tolerance, standard error) of each check, recorded when every
+# caller still passed canonical_start's pair to simulate_ensemble and mean_decay_check
+DECAY_PINS = {
+    "mean-decay-hyperbolic-X": (0.03699648229208141, 0.10559815591162594, 0.035199385303875314),
+    "mean-decay-hyperbolic-Y": (0.02815857538554667, 0.275893372339049, 0.09196445744634967),
+    "mean-decay-sphere-X": (0.021127134030897055, 0.05772623864045755, 0.019242079546819182),
+    "mean-decay-sphere-Y": (0.03492989153081731, 0.057843628894846386, 0.019281209631615462),
+}
+
+
+def _assert_pinned(reports):
+    for rep in reports:
+        got = (rep.statistic, rep.tolerance, rep.details["standard_error"])
+        assert got == DECAY_PINS[rep.name], rep.name
 
 
 def test_mean_decay_hyperbolic_n2_constant_mean():
     # n = 2 kills the drift: E[X1] stays at X1(0)
-    x0, y0 = ms.canonical_start(H2, 1.0)
-    res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 1.0), x0, y0, 1e-2, 0.5, 8, 600)
-    reports = vf.mean_decay_check(res, x0, y0)
+    res = simulate_ensemble(H2, pf.hyperbolic_lower(H2, 1.0), 1e-2, 0.5, 8, 600)
+    reports = vf.mean_decay_check(res)
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
+    _assert_pinned(reports)
 
 
 def test_mean_decay_reads_the_result_space():
     # the curvature comes from the result: K = 4 quickens the decay of E[X(T)]
     spec = ms.sphere(2, K=4.0)
-    x0, y0 = ms.canonical_start(spec, 0.5)
-    res = simulate_ensemble(spec, pf.constant(0.5), x0, y0, 1e-3, 0.1, 6, 600)
-    for rep in vf.mean_decay_check(res, x0, y0):
+    res = simulate_ensemble(spec, pf.constant(0.5), 1e-3, 0.1, 6, 600)
+    reports = vf.mean_decay_check(res)
+    for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
+    _assert_pinned(reports)
 
 
 def test_mean_decay_requires_ensemble():
-    x0, y0 = ms.canonical_start(E2, 1.0)
-    res = simulate_ensemble(E2, pf.constant(1.0), x0, y0, 1e-2, 0.1, 6, 10)
+    res = simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 6, 10)
     with pytest.raises(ValidationError):
-        vf.mean_decay_check(res, x0, y0)
+        vf.mean_decay_check(res)
 
 
 def test_convergence_study_small():
-    x0, y0 = ms.canonical_start(S2, np.pi / 2)
-    rep = vf.convergence_study(S2, pf.constant(np.pi / 2), [1e-2, 3e-3, 1e-3], 32, 15,
-                               x0, y0, T=0.5)
+    rep = vf.convergence_study(S2, pf.constant(np.pi / 2), [1e-2, 3e-3, 1e-3], 32, 15, T=0.5)
     assert rep.details["strictly_decreasing"]
     assert 0.3 <= rep.details["slope"] <= 1.2
     with pytest.raises(ValidationError):
-        vf.convergence_study(S2, pf.constant(np.pi / 2), [1e-3, 1e-2], 8, 0, x0, y0)
+        vf.convergence_study(S2, pf.constant(np.pi / 2), [1e-3, 1e-2], 8, 0)
 
 
 def test_verify_report_serialization():
