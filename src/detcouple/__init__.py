@@ -13,7 +13,7 @@ from .errors import (AdmissibilityError, DegenerateStateError, DetcoupleError,
 from .model_space import (SpaceKind, SpaceSpec, canonical_start, euclidean, from_unit_model,
                           geodesic_distance, hyperbolic, sphere, to_unit_model)
 from .profiles import (AdmissibilityReport, DistanceProfile, ProfileKind,
-                       admissible_bounds, check_admissibility, clamped, constant, envelope,
+                       admissible_bounds, check_admissibility, constant, envelope,
                        euclidean_max_growth, hyperbolic_lower, hyperbolic_upper,
                        sphere_contracting, sphere_repulsive, tabulated, tabulated_from_csv)
 from .sde import EnsembleResult, simulate_ensemble, time_grid

@@ -87,7 +87,6 @@ FIELDS = {
     "seed": Field(Kind(int, "an integer in [0, 2**64)", lambda value: 0 <= value < 2**64),
                   "0", "noise seed"),
     "enforce_distance": Field(BOOL, "false", "put Y back at the target distance after each step"),
-    "clamp_derivative": Field(BOOL, "false", "clip rho' into the admissible band"),
     "tolerance": Field(POSITIVE, "0.05", "pass threshold for mean sup error"),
     "csv_stride": Field(COUNT, "1", "write every k-th sample to paths.csv"),
     "samples": Field(COUNT, "20000", "identity-scan sample count (verify)"),
@@ -192,10 +191,8 @@ def build_profile(cfg: RunConfig, spec: ms.SpaceSpec) -> pf.DistanceProfile:
     if kind is pf.ProfileKind.TABULATED:
         if not cfg.table:
             raise ValidationError("field table: required for tabulated profiles")
-        prof = pf.tabulated_from_csv(cfg.table)
-    else:
-        prof = pf.BUILDERS[kind](spec, cfg.rho0)
-    return pf.clamped(spec, prof) if cfg.clamp_derivative else prof
+        return pf.tabulated_from_csv(cfg.table)
+    return pf.BUILDERS[kind](spec, cfg.rho0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,28 @@
 
 A profile is the prescribed geodesic distance t -> rho(t) between the two
 coupled Brownian motions.  A profile is realizable on a space exactly when
-rho'(t) stays inside the curvature-dependent band [lo(rho), hi(rho)] returned
-by :func:`admissible_bounds`:
+rho is continuous and rho'(t) stays inside the curvature-dependent band
+[lo(rho), hi(rho)] returned by :func:`admissible_bounds` (k = n - 1):
 
-* K > 0:  lo = -(n-1) sqrt(K) tan(sqrt(K) rho / 2),  hi = lo + 2 (n-1) sqrt(K) / sin(sqrt(K) rho)
-* K = 0:  lo = 0,                                    hi = 2 (n-1) / rho
-* K < 0:  lo = (n-1) s tanh(s rho / 2),              hi = lo + 2 (n-1) s / sinh(s rho),  s = sqrt(-K)
+* K > 0:  lo = -k sqrt(K) tan(sqrt(K) rho / 2),  hi = k sqrt(K) cot(sqrt(K) rho / 2)
+* K = 0:  lo = 0,                                hi = 2k / rho
+* K < 0:  lo = k s tanh(s rho / 2),              hi = k s coth(s rho / 2),  s = sqrt(-K)
+
+lo is monotone in rho and hi decreasing, so a linear piece of a profile lies
+in the band exactly when its slope does at both of its end values.
 
 The built-in profiles are the closed forms that saturate one endpoint of the
 band everywhere (extreme couplings), plus the constant profile; ``BUILDERS``
 maps each of their kinds to its builder.  Closed forms are evaluated in the
 unit-curvature model of their space and rescaled by r in length and r^2 in
-time.  :func:`clamped` marks a profile whose rho' is clipped into the band.
+time.  A tabulated profile is the piecewise-linear function through its nodes.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +46,13 @@ class ProfileKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Target distance rho(t) with analytic or finite-difference derivative.
+    """Target distance rho(t) and its derivative rho'(t).
 
     Closed-form kinds carry the ``spec`` of the space they were built for and
-    are evaluated in its unit-curvature model; tabulated profiles carry the
-    sample arrays and use centered differences on the table's own grid
-    (one-sided at the ends).  A profile made by :func:`clamped` clips rho'
-    into the admissible band of ``clamp_to``.
+    are evaluated in its unit-curvature model.  Tabulated profiles carry
+    their nodes and are the piecewise-linear function through them: rho' is
+    the slope of the segment [t_i, t_{i+1}) that contains t, and the last
+    node takes the last slope.
     """
 
     kind: ProfileKind
@@ -57,8 +60,6 @@ class DistanceProfile:
     spec: SpaceSpec | None = None
     times: np.ndarray | None = None
     values: np.ndarray | None = None
-    derivs: np.ndarray | None = None
-    clamp_to: SpaceSpec | None = None
 
     def eval(self, t):
         """Return (rho(t), rho'(t)) at finite times ``t >= 0``; vectorized over ``t``."""
@@ -74,7 +75,8 @@ class DistanceProfile:
                 raise ValidationError(f"time outside tabulated range [0, {tmax:.6g}]")
             tt = np.minimum(t, tmax)
             rho = np.interp(tt, self.times, self.values)
-            drho = np.interp(tt, self.times, self.derivs)
+            seg = np.searchsorted(self.times, tt, side="right").clip(1, self.times.size - 1)
+            drho = (np.diff(self.values) / np.diff(self.times))[seg - 1]
         else:
             # closed forms: evaluate in the unit model and rescale
             r, k = self.spec.r, self.spec.n - 1
@@ -99,8 +101,6 @@ class DistanceProfile:
                 rho_u = 2.0 * np.arccosh(w)
                 drho_u = k * w / np.sqrt(w * w - 1.0)
             rho, drho = r * rho_u, drho_u / r
-        if self.clamp_to is not None:
-            drho = np.clip(drho, *admissible_bounds(self.clamp_to, rho))
         return rho[()], drho[()]
 
     @property
@@ -173,12 +173,7 @@ def tabulated(times, values) -> DistanceProfile:
         raise ValidationError("tabulated times must be strictly increasing")
     if not np.all(values > 0):
         raise ValidationError("tabulated rho values must be positive")
-    derivs = np.empty_like(values)
-    derivs[1:-1] = (values[2:] - values[:-2]) / (times[2:] - times[:-2])
-    derivs[0] = (values[1] - values[0]) / (times[1] - times[0])
-    derivs[-1] = (values[-1] - values[-2]) / (times[-1] - times[-2])
-    return DistanceProfile(ProfileKind.TABULATED, float(values[0]),
-                           times=times, values=values, derivs=derivs)
+    return DistanceProfile(ProfileKind.TABULATED, float(values[0]), times=times, values=values)
 
 
 def tabulated_from_csv(path) -> DistanceProfile:
@@ -202,16 +197,10 @@ def tabulated_from_csv(path) -> DistanceProfile:
     if not rows:
         raise ValidationError(f"{path}: empty table")
     arr = np.asarray(rows, dtype=float)
-    return tabulated(arr[:, 0], arr[:, 1])
-
-
-def clamped(spec: SpaceSpec, profile: DistanceProfile) -> DistanceProfile:
-    """``profile`` with rho' clipped into the admissible band of ``spec``.
-
-    Opt-in derivative clamping for simulation of tabulated profiles whose
-    finite-difference derivative is noisy; rho itself is unchanged.
-    """
-    return replace(profile, clamp_to=spec)
+    try:
+        return tabulated(arr[:, 0], arr[:, 1])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +218,20 @@ def admissible_bounds(spec: SpaceSpec, rho):
             raise ValidationError("distance at or beyond the sphere pole")
         sK = np.sqrt(spec.K)
         lo = -k * sK * np.tan(sK * rho / 2.0)
-        hi = lo + 2.0 * k * sK / np.sin(sK * rho)
+        hi = k * sK / np.tan(sK * rho / 2.0)
     elif spec.kind is SpaceKind.HYPERBOLIC:
         s = np.sqrt(-spec.K)
         lo = k * s * np.tanh(s * rho / 2.0)
-        hi = lo + 2.0 * k * s / np.sinh(s * rho)
+        hi = k * s / np.tanh(s * rho / 2.0)
     else:
         lo = np.zeros_like(rho)
-        hi = lo + 2.0 * k / rho
+        hi = 2.0 * k / rho
     return lo[()], hi[()]
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Grid check of the band inequality, with per-point margins."""
+    """Band check, with margins per grid point (for a table, per segment)."""
 
     admissible: bool
     first_violation_time: float | None
@@ -256,13 +245,15 @@ class AdmissibilityReport:
 
 def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
                         T: float | None = None) -> AdmissibilityReport:
-    """Check lo(rho) - tol <= rho' <= hi(rho) + tol on a finite time grid.
+    """Check lo(rho) - tol <= rho' <= hi(rho) + tol on [0, T]; tol = 1e-8 absorbs rounding.
 
-    ``grid`` defaults to 10^4 uniform points on [0, T] (T defaults to the
-    table range for tabulated profiles, else 1).  ``tol`` is 1e-8, plus an
-    allowance for the finite-difference error of tabulated derivatives.
-    Range violations (rho <= 0, or rho at the sphere pole) are reported, not
-    raised.
+    A closed form is checked at the points of ``grid`` (default: 10^4 uniform
+    points on [0, T], T defaulting to 1).  A table is checked exactly on
+    [0, grid[-1]] or [0, T] (T defaulting to its range): the band ends are
+    monotone in rho, so a segment keeps its slope in the band iff it does at
+    both end values.  Its report's grid is its nodes in range plus the
+    range's end, and each margin is a segment's, at its worse end.  Range
+    violations (rho <= 0, or rho at the sphere pole) are reported, not raised.
     """
     if grid is None:
         if T is None:
@@ -272,6 +263,9 @@ def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
     if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] != 0.0
             or np.any(np.diff(grid) <= 0)):
         raise ValidationError("grid must be a nonempty, finite, increasing 1-d array from 0")
+    table = profile.kind is ProfileKind.TABULATED
+    if table:
+        grid = np.append(profile.times[profile.times < grid[-1]], grid[-1])
 
     rho, drho = profile.eval(grid)
 
@@ -283,32 +277,36 @@ def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
         bad = int(np.argmin(in_range))
         reasons.append(f"rho leaves the valid range at t = {grid[bad]:.6g}")
 
-    # analytic derivatives are exact; finite differences get an allowance of
-    # 10 h |rho''| estimated from second differences
-    tol_pt = np.full(grid.shape, 1e-8)
-    if profile.kind is ProfileKind.TABULATED:
-        h = np.gradient(profile.times)
-        curv = np.abs(np.gradient(profile.derivs, profile.times))
-        tol_pt = tol_pt + np.interp(grid, profile.times, 10.0 * h * curv)
-
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
     if np.any(in_range):
         lo[in_range], hi[in_range] = admissible_bounds(spec, rho[in_range])
-    lo_margin = drho - lo
-    hi_margin = hi - drho
+    if table:
+        # segment j, [grid[j], grid[j + 1]], has slope drho[j]
+        drho = drho[:-1]
+        lo_margin = np.minimum(drho - lo[:-1], drho - lo[1:])
+        hi_margin = np.minimum(hi[:-1] - drho, hi[1:] - drho)
+        in_range = in_range[:-1] & in_range[1:]
+    else:
+        lo_margin = drho - lo
+        hi_margin = hi - drho
 
-    ok = in_range & (lo_margin >= -tol_pt) & (hi_margin >= -tol_pt)
+    tol = 1e-8
+    ok = in_range & (lo_margin >= -tol) & (hi_margin >= -tol)
     admissible = bool(np.all(ok))
-    first_violation = None if admissible else float(grid[int(np.argmin(ok))])
+    i = int(np.argmin(ok))
+    first_violation = None if admissible else float(grid[i])
     if not admissible and not reasons:
-        i = int(np.argmin(ok))
-        reasons.append(
-            f"rho' = {drho[i]:.6g} outside [{lo[i]:.6g}, {hi[i]:.6g}] at t = {grid[i]:.6g}")
+        band = f"[{lo[i]:.6g}, {hi[i]:.6g}]"
+        if table:
+            reasons.append(f"slope {drho[i]:.6g} of segment [{grid[i]:.6g}, {grid[i + 1]:.6g}] "
+                           f"leaves the band, {band} at its start and "
+                           f"[{lo[i + 1]:.6g}, {hi[i + 1]:.6g}] at its end")
+        else:
+            reasons.append(f"rho' = {drho[i]:.6g} outside {band} at t = {grid[i]:.6g}")
 
-    act = np.maximum(tol_pt, 1e-9)
-    lo_active = bool(np.any(in_range & (np.abs(lo_margin) <= act)))
-    hi_active = bool(np.any(in_range & (np.abs(hi_margin) <= act)))
+    lo_active = bool(np.any(in_range & (np.abs(lo_margin) <= tol)))
+    hi_active = bool(np.any(in_range & (np.abs(hi_margin) <= tol)))
     return AdmissibilityReport(admissible, first_violation, grid, lo_margin, hi_margin,
                                tuple(reasons), lo_active, hi_active)
 

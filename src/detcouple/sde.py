@@ -195,7 +195,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     x0, y0 = canonical_start(spec, profile.rho0)
     if np.isfinite(profile.end_time) and T > profile.end_time * (1 + 1e-12):
         raise ValidationError(f"profile only defined up to t = {profile.end_time:.6g}")
-    target = np.atleast_1d(np.asarray(profile.eval(times)[0], dtype=float))
+    target, drho = profile.eval(times)
 
     r = spec.r
     if times.size > 1:
@@ -206,8 +206,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     xu, yu = to_unit_model(spec, x0), to_unit_model(spec, y0)
     taus = times / r**2
     # the profile's (rho, rho') at every grid time, in unit-model units
-    rho_u, drho_u = profile.eval(taus * r**2)
-    rho_u, drho_u = rho_u / r, drho_u * r
+    rho_u, drho_u = target / r, drho * r
     N = spec.ambient_dim
     M = times.size - 1
 

@@ -196,14 +196,17 @@ def test_verify_subcommand_euclidean(tmp_path, capsys):
 
 def test_tabulated_profile_end_to_end(tmp_path, capsys):
     ts = np.linspace(0.0, 0.5, 201)
-    rho = np.sqrt(1.0 + 8.0 * ts)    # max growth for n = 3
     table = tmp_path / "profile.csv"
-    table.write_text("t,rho\n" + "\n".join(f"{a:.17g},{b:.17g}" for a, b in zip(ts, rho)))
-    rc = run_main(["simulate", "--space", "euclidean", "--dim", "3", "--profile",
-                   "tabulated", "--table", str(table), "--dt", "1e-3", "--T", "0.5",
-                   "--paths", "8", "--seed", "13", "--clamp-derivative",
-                   "--tolerance", "0.2", "--out", str(tmp_path)])
-    assert rc == 0
+    argv = ["simulate", "--space", "euclidean", "--dim", "3", "--profile", "tabulated",
+            "--table", str(table), "--dt", "1e-3", "--T", "0.5", "--paths", "8", "--seed", "13",
+            "--tolerance", "0.2", "--out", str(tmp_path)]
+    # nodes of the max growth sqrt(1 + 8t) for n = 3: each chord is steeper
+    # than the band allows at its segment's end; half that growth is inside
+    for growth, code in ((8.0, 2), (4.0, 0)):
+        rho = np.sqrt(1.0 + growth * ts)
+        table.write_text("t,rho\n" + "\n".join(f"{a:.17g},{b:.17g}" for a, b in zip(ts, rho)))
+        assert run_main(argv) == code
+    assert "of segment [0, 0.0025] leaves the band" in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["profile"] == "tabulated"
 
@@ -317,6 +320,7 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
 @pytest.mark.parametrize("case", ["config-value", "config-space", "flag-space", "flag-dim",
                                   "config-missing", "table-missing", "table-non-numeric",
                                   "table-short-row", "table-extra-number", "table-extra-text",
+                                  "table-inf", "table-repeated-time",
                                   "flag-dt-inf", "flag-T-inf",
                                   "flag-dts-negative", "flag-rho0-inf"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys):
@@ -363,6 +367,12 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     elif case == "table-extra-text":
         table.write_text("t,rho\n0,1.0\n0.5,1.2\n1,1.3,junk\n")
         expect = f"{table}:4"
+    elif case == "table-inf":
+        table.write_text("t,rho\n0,1.0\n0.5,inf\n1,1.3\n")
+        expect = f"{table}: tabulated t and rho values must be finite"
+    elif case == "table-repeated-time":
+        table.write_text("t,rho\n0,1.0\n0.5,1.2\n0.5,1.3\n")
+        expect = f"{table}: tabulated times must be strictly increasing"
     elif case == "table-non-numeric":
         table.write_text("t,rho\n0,1.0\n0.5,wide\n1,1.3\n")
         expect = f"{table}:3"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from detcouple import coupling as cp
 from detcouple import model_space as ms
+from detcouple import profiles as pf
 from detcouple.errors import AdmissibilityError, DegenerateStateError, ValidationError
 from sampling import random_points
 
@@ -381,6 +382,28 @@ def test_matrices_reject_batch_at_first_bad_state():
     # an eta that does not belong to the points can put d outside [-1, 1]
     with pytest.raises(AdmissibilityError, match="two-plane determinant d = 1.94118"):
         cp.hyperbolic_matrices([1.0, 1.0], [1.0, 0.0], 0.1, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind", list(ms.SpaceKind), ids=lambda kind: kind.value)
+def test_eta_band_matches_admissible_bounds(kind, n):
+    # the matrices' band on eta' is admissible_bounds' band on rho', mapped
+    # through eta' = (d eta / d rho) rho'
+    spec = ms.SpaceSpec(kind, n, {ms.SpaceKind.EUCLIDEAN: 0.0, ms.SpaceKind.SPHERE: 1.0,
+                                  ms.SpaceKind.HYPERBOLIC: -1.0}[kind])
+    rng = np.random.default_rng(n)
+    X, Y = random_points(spec, 100, rng), random_points(spec, 100, rng)
+    rho = ms.unit_distance(kind, X, Y)
+    eta, deta = cp.eta_from_rho(kind, rho, 1.0)
+    lo, hi = np.sort(np.stack(pf.admissible_bounds(spec, rho)) * deta, axis=0)
+    slack = 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    # each end is accepted from inside and rejected from outside the tolerance
+    cp._checked(kind, X, Y, eta, lo + slack)
+    cp._checked(kind, X, Y, eta, hi - slack)
+    for i in range(len(rho)):
+        for outside in (lo[i] - slack[i] - 2 * cp.BAND_TOL, hi[i] + slack[i] + 2 * cp.BAND_TOL):
+            with pytest.raises(AdmissibilityError):
+                cp._checked(kind, X[i], Y[i], eta[i], outside)
 
 
 @settings(max_examples=150, deadline=None)

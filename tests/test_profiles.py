@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple.errors import ValidationError
+from detcouple.sde import simulate_ensemble
 
 E2, E3 = ms.euclidean(2), ms.euclidean(3)
 S2, S3 = ms.sphere(2), ms.sphere(3)
@@ -162,8 +166,8 @@ def test_envelope_hyperbolic_linear_growth():
                          ids=["nan", "inf", "-inf", "grid-nan", "grid-inf"])
 def test_non_finite_times_rejected(t):
     ts = np.linspace(0.0, 1.0, 11)
-    profiles = [pf.constant(1.0), pf.tabulated(ts, 1.0 + 0.1 * ts),
-                pf.clamped(S2, pf.constant(1.0))] + [prof for _, prof, _ in builtin_profiles()]
+    profiles = [pf.constant(1.0), pf.tabulated(ts, 1.0 + 0.1 * ts)] \
+        + [prof for _, prof, _ in builtin_profiles()]
     assert {prof.kind for prof in profiles} == set(pf.ProfileKind)
     for prof in profiles:
         with pytest.raises(ValidationError, match="finite and non-negative"):
@@ -191,9 +195,61 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert np.allclose(prof.values, rho, atol=0)
     got, dgot = prof.eval(0.5)
     assert got == pytest.approx(np.sqrt(3.0), abs=1e-12)
-    assert dgot == pytest.approx(2.0 / np.sqrt(3.0), rel=5e-3)   # centered differences
+    assert dgot == (rho[11] - rho[10]) / (ts[11] - ts[10])   # the slope of [0.5, 0.55)
     with pytest.raises(ValidationError):
         prof.eval(1.5)
+
+
+def test_tabulated_is_piecewise_linear():
+    ts = np.array([0.0, 0.5, 1.0, 2.0])
+    prof = pf.tabulated(ts, [1.0, 1.5, 1.5, 2.5])
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+    rho, drho = prof.eval(t)
+    assert np.array_equal(rho, [1.0, 1.25, 1.5, 1.5, 1.5, 2.0, 2.5])
+    # segments are right-continuous, and the last node takes the last slope
+    assert np.array_equal(drho, [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+# 11 nodes of an extreme profile: each chord leaves the band at the end of its
+# segment, on the side the profile saturates
+SAMPLED_EXTREMES = [
+    (S2, pf.sphere_contracting(S2, np.pi / 2), "lo", "slope -0.953068 of segment [0, 0.1]",
+     -0.0441),
+    (H3, pf.hyperbolic_lower(H3, 1.0), "lo", "slope 0.960985 of segment [0, 0.1]", -0.0384),
+    (H3, pf.hyperbolic_upper(H3, 1.0), "hi", "slope 3.7617 of segment [0, 0.1]", -0.4102),
+]
+
+
+@pytest.mark.parametrize("spec,extreme,side,reason,worst", SAMPLED_EXTREMES,
+                         ids=["s2-contracting", "h3-lower", "h3-upper"])
+def test_sampled_extremes_rejected(spec, extreme, side, reason, worst):
+    ts = np.linspace(0.0, 1.0, 11)
+    rep = pf.check_admissibility(spec, pf.tabulated(ts, extreme.eval(ts)[0]))
+    assert not rep.admissible and rep.first_violation_time == 0.0
+    assert rep.reasons[0].startswith(reason)
+    assert np.array_equal(rep.grid, ts)
+    margins = rep.lo_margin if side == "lo" else rep.hi_margin
+    assert margins.shape == (10,) and np.all(margins < 0)
+    assert np.min(margins) == pytest.approx(worst, abs=1e-4)
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        simulate_ensemble(spec, pf.tabulated(ts, extreme.eval(ts)[0]), 1e-2, 1.0, 0, 2)
+
+
+def test_table_checked_exactly_on_its_range():
+    # slope 1 in the plane: inside [0, 2/rho] while rho <= 2, that is t <= 1
+    prof = pf.tabulated([0.0, 0.5, 1.5], [1.0, 1.5, 2.5])
+    rep = pf.check_admissibility(E2, prof)
+    assert not rep.admissible and rep.first_violation_time == 0.5
+    assert rep.reasons[0] == ("slope 1 of segment [0.5, 1.5] leaves the band, "
+                              "[0, 1.33333] at its start and [0, 0.8] at its end")
+    # a range that ends inside a segment checks the segment up to that end
+    rep = pf.check_admissibility(E2, prof, T=0.8)
+    assert rep.admissible and np.array_equal(rep.grid, [0.0, 0.5, 0.8])
+    rep = pf.check_admissibility(E2, prof, T=1.0)
+    assert rep.admissible and rep.hi_active
+    rep = pf.check_admissibility(E2, prof, grid=[0.0, 0.3, 1.2])
+    assert np.array_equal(rep.grid, [0.0, 0.5, 1.2]) and not rep.admissible
+    assert "segment [0.5, 1.2]" in rep.reasons[0]
 
 
 def test_tabulated_csv_header_strict(tmp_path):
@@ -227,17 +283,6 @@ def test_profile_scaling_general_curvature():
         assert drho_K == pytest.approx(drho_u / spec.r, rel=1e-13)
 
 
-def test_clamped_profile():
-    ts = np.linspace(0.0, 1.0, 101)
-    prof = pf.tabulated(ts, 1.0 - 0.3 * ts)    # decreasing: inadmissible on E2
-    clamped = pf.clamped(E2, prof)
-    rho, drho = clamped.eval(ts)
-    assert np.array_equal(rho, prof.eval(ts)[0])
-    lo, hi = pf.admissible_bounds(E2, rho)
-    assert np.all(drho >= lo) and np.all(drho <= hi)
-    assert pf.check_admissibility(E2, clamped, grid=ts).admissible
-
-
 def test_check_admissibility_grid_validation():
     with pytest.raises(ValidationError):
         pf.check_admissibility(E2, pf.constant(1.0), grid=np.array([0.5, 1.0]))
@@ -266,8 +311,7 @@ def test_exponential_rate_profiles_on_sphere():
     prof = pf.tabulated(ts2, np.exp(ts2 / 2.0))
     rep = pf.check_admissibility(S2, prof, grid=ts2)
     assert not rep.admissible
-    # grid spacing plus the finite-difference allowance delay detection a touch
-    assert rep.first_violation_time == pytest.approx(t0_expected, abs=5e-3)
+    assert rep.first_violation_time == pytest.approx(t0_expected, abs=5e-4)   # one node spacing
     # the same profile restricted to most of the window is admissible
     ts3 = np.linspace(0.0, 0.95 * t0_expected, 2001)
     assert pf.check_admissibility(S2, pf.tabulated(ts3, np.exp(ts3 / 2.0)), grid=ts3).admissible
@@ -280,15 +324,32 @@ def test_sphere_pole_range_violation_reported():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["euclidean", "sphere", "hyperbolic"]),
-       st.integers(1, 6), st.floats(0.05, 3.0))
-def test_bounds_ordered(kind, n, rho):
-    spec = {"euclidean": ms.euclidean, "sphere": ms.sphere, "hyperbolic": ms.hyperbolic}[kind](n)
-    if spec.kind is ms.SpaceKind.SPHERE and rho >= spec.max_distance - 1e-6:
-        rho = spec.max_distance / 2
-    lo, hi = pf.admissible_bounds(spec, rho)
-    assert lo <= hi
-    assert hi - lo == pytest.approx(0.0 if n == 1 else hi - lo)
+@given(st.sampled_from(["euclidean", "sphere", "hyperbolic"]), st.integers(1, 6),
+       st.floats(0.1, 4.0), st.floats(0.05, 1.5), st.floats(1.01, 2.0))
+def test_bounds_ordered(kind, n, absK, u, ratio):
+    # the exact segment check of a table rests on hi decreasing and lo monotone in rho
+    spec = {"euclidean": ms.euclidean, "sphere": lambda n: ms.sphere(n, K=absK),
+            "hyperbolic": lambda n: ms.hyperbolic(n, K=-absK)}[kind](n)
+    rho1, rho2 = spec.r * u, spec.r * u * ratio      # both below the sphere's r pi
+    (lo1, hi1), (lo2, hi2) = pf.admissible_bounds(spec, rho1), pf.admissible_bounds(spec, rho2)
+    assert lo1 <= hi1 and lo2 <= hi2
+    if n >= 2:
+        assert hi2 < hi1
+    if spec.kind is ms.SpaceKind.SPHERE:
+        assert lo2 <= lo1
+    elif spec.kind is ms.SpaceKind.HYPERBOLIC:
+        assert lo2 >= lo1
+    else:
+        assert lo1 == lo2 == 0.0
+
+
+def test_admissible_bounds_finite_far_out():
+    # sinh(s rho) overflows past rho = 710, so hi is written with coth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = pf.admissible_bounds(H3, [400.0, 800.0])
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+    assert np.array_equal(lo, [2.0, 2.0]) and np.array_equal(hi, [2.0, 2.0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -396,6 +397,20 @@ def test_inadmissible_profile_rejected_before_stepping():
         simulate_ensemble(E2, ok, 1e-2, 2.0, 0, 2)
 
 
+def test_kinked_table_tracked_at_its_slopes():
+    # rho = pi/2 until t = 0.5, then falling at rate 0.6, inside the band: the
+    # ensemble mean follows the kink (a rate interpolated across the kink, not
+    # the segment slopes, biases it by 0.015)
+    ts = np.linspace(0.0, 1.0, 11)
+    after = np.maximum(ts - 0.5, 0.0)
+    res = simulate_ensemble(S2, pf.tabulated(ts, np.pi / 2 - 0.6 * after), 1e-4, 1.0, 0, 400)
+    assert np.max(np.abs(res.mean_d_emp - res.target)) <= 0.005
+    # the nodes of sphere_contracting after the kink leave the band on [0.5, 0.6]
+    kinked = np.where(ts <= 0.5, np.pi / 2, pf.sphere_contracting(S2, np.pi / 2).eval(after)[0])
+    with pytest.raises(ValidationError, match=re.escape("of segment [0.5, 0.6] leaves the band")):
+        simulate_ensemble(S2, pf.tabulated(ts, kinked), 1e-4, 1.0, 0, 400)
+
+
 def test_enforce_distance_exact_tracking():
     res = simulate_ensemble(S2, pf.sphere_contracting(S2, np.pi / 2), 1e-3, 1.0,
                             17, 8, enforce_distance=True)
@@ -432,8 +447,6 @@ ARRAY_CASES = {
     "s2-K2-contracting-enforced": (ms.sphere(2, K=2.0), pf.sphere_contracting, 5, 1e-3, 1.1, 3,
                                    True),
     "h3-K-0.5-upper": (ms.hyperbolic(3, K=-0.5), pf.hyperbolic_upper, 7, 1e-2, 0.5, 4, False),
-    # at K=0.3, 128 grid times differ from taus * r**2 in the last bit; a
-    # closed form maps both to the same tau, a table interpolates in t itself
     "s3-K0.3-repulsive-enforced": (ms.sphere(3, K=0.3), pf.sphere_repulsive, 5, 1e-3, 1.1, 6,
                                    True),
     "s3-K0.3-tabulated-enforced": (ms.sphere(3, K=0.3), _s3_table, 5, 1e-3, 1.1, 8, True),
@@ -443,7 +456,8 @@ ARRAY_CASES = {
 
 # SHA-256 of each little-endian float64 array, recorded before the
 # simulator became one serial loop with a grid-wide profile evaluation (the
-# K=0.3 cases: before the unit-model scaling moved into model_space)
+# K=0.3 cases: before the unit-model scaling moved into model_space; the
+# tabulated case: when a table's rho' became its segment slopes)
 ARRAY_DIGESTS = {
     "s2-K2-contracting-enforced": {
         "d_emp": "d5bb83c545ba2e9228368b75bc87e512ee29d3611f191831a3e287008412634b",
@@ -476,13 +490,13 @@ ARRAY_DIGESTS = {
         "target": "6b00b24423c749b75d8b27fd07579914ce81773c32f22f375af2123849296eaa",
     },
     "s3-K0.3-tabulated-enforced": {
-        "d_emp": "c5eb764268f29a5e649a937b3ca63a39a7eef735fcd84604727fc3b07e15554c",
+        "d_emp": "89672ac7457271539bf663a38ba09d7f9521ec594b882a866860658c52288db6",
         "paths_X": "dbd679a1fac2946c2c468ca818b2af980035246296d990aa9d1e0a40dfb8ef59",
-        "paths_Y": "f4c723a4e3774a87a3d32aa6958bf6cd34589cfb71f8d413abf48be121bc407b",
+        "paths_Y": "82508bd1267405e2dfb8b037b0710c04fae83546c9b9737881269c2788a1287a",
         "final_X": "577ef0319a7b15733f894e6a25ffcd80f9f43f539bcd35a8a9e5e8c30d9d427d",
-        "final_Y": "c88ec8dbe54fa3e8201fc4d62f1e254f2ae1eace75faa9dc30621ee80b9713d6",
-        "sup_err": "3f05edce4be73b68310cef0cdc0df8b75f531eec2e69029a9b723dc5e5512ef6",
-        "mean_d_emp": "fd4f60d8348167361b02d61c5e87ca4dc0a989357955b33d2e310fde9a5d4e35",
+        "final_Y": "ecfeeca3f57b943629de1ed55703b4bd856ca96f4a488d47b0b6f1cf86063cfb",
+        "sup_err": "620ef1dadcfb6d02f311a728877155ef40861cd7f4dd61f84e55fda4f436525c",
+        "mean_d_emp": "cfe91841fcef17c9a17b7bd85817e38cfb52443f91576b8d27d6a0b551126566",
         "target": "21fe989c912af25caa266ffde311de01a09e6e1cfe6abfd439020ac55f64b859",
     },
     "e3-260-paths": {
