@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import make_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -203,11 +206,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+MIN_SHARD_ROWS = 100_000     # fewer rows per shard than this do not pay for a fork
+
+
+def _write_rows(fh, d_emp, idx, target, template, p0, p1) -> None:
+    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``."""
+    rows = np.empty((idx.size, 2))
+    for p in range(p0, p1):
+        rows[:, 0] = d_emp[p, idx]
+        np.abs(np.subtract(rows[:, 0], target, out=rows[:, 1]), out=rows[:, 1])
+        fh.write(template.replace("\0", str(p)) % tuple(rows.ravel().tolist()))
+
+
 def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     """Per-sample rows ``t,path,dist,target,abs_err`` with 17 significant digits.
 
     Rows are path-major: every kept sample of path 0, then of path 1, and so
     on.  Every ``stride``-th sample is kept, plus the final one.
+
+    The paths are cut into contiguous shards, one per usable core but with at
+    least ``MIN_SHARD_ROWS`` rows and one path each.  This process formats
+    shard 0 straight into ``path``; a forked child formats each other shard
+    ``i`` into ``<path>.part<i>``, which is appended in order and removed.
+    Every shard runs the same ``_write_rows``, so the bytes do not depend on
+    the number of cores.  A failed shard raises ``OSError``; no part file
+    and no child process outlives the call.
     """
     if result.d_emp is None:
         raise ValidationError("ensemble was run without recorded distances")
@@ -219,19 +242,48 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
         idx.append(last)
     idx = np.array(idx)
     target = result.target[idx]
-    # t and target are shared by all paths: format them once into a per-path
-    # template whose %-slots take (path, dist, abs_err) of each row.
+    # t and target are shared by all paths: format them once into a template
+    # whose \0 takes the path index and whose %-slots take (dist, abs_err).
     # '%.17g' % x gives the same text as f"{x:.17g}".
-    template = "".join(f"{_fmt(t)},%d,%.17g,{_fmt(g)},%.17g\n"
+    template = "".join(f"{_fmt(t)},\0,%.17g,{_fmt(g)},%.17g\n"
                        for t, g in zip(result.times[idx], target))
-    rows = np.empty((idx.size, 3))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,path,dist,target,abs_err\n")
-        for p in range(result.n_paths):
-            rows[:, 0] = p
-            rows[:, 1] = result.d_emp[p, idx]
-            np.abs(np.subtract(rows[:, 1], target, out=rows[:, 2]), out=rows[:, 2])
-            fh.write(template % tuple(rows.ravel().tolist()))
+    shard_args = (result.d_emp, idx, target, template)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cores, result.n_paths * idx.size // MIN_SHARD_ROWS, result.n_paths))
+    bounds = [result.n_paths * i // n for i in range(n + 1)]
+    parts = [f"{path}.part{i}" for i in range(1, n)]
+    children = []                       # (shard, pid), in shard order
+    try:
+        for i in range(1, n):
+            pid = os.fork()
+            # the child runs only Python formatting and element-wise numpy, which
+            # need no lock another thread could hold at the fork, and never returns
+            if pid == 0:
+                status = 1
+                try:
+                    with open(parts[i - 1], "w", newline="") as fh:
+                        _write_rows(fh, *shard_args, bounds[i], bounds[i + 1])
+                    status = 0
+                finally:
+                    os._exit(status)    # no atexit handlers, no flush of inherited buffers
+            children.append((i, pid))
+        with open(path, "w", newline="") as fh:
+            fh.write("t,path,dist,target,abs_err\n")
+            _write_rows(fh, *shard_args, bounds[0], bounds[1])
+            fh.flush()                  # the parts go to fh.buffer, below the text layer
+            while children:
+                i, pid = children.pop(0)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status != 0:
+                    raise OSError(f"path shard {i} of {n} exited with status {status}")
+                with open(parts[i - 1], "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer, 1 << 20)
+    finally:
+        for _, pid in children:
+            os.waitpid(pid, 0)
+        for part in parts:
+            Path(part).unlink(missing_ok=True)
 
 
 def _write_json(path, payload) -> None:
@@ -259,15 +311,28 @@ def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: boo
 # subcommands
 
 
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` into a ``ValidationError`` naming the file, so it exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {exc.filename or path}: "
+                              f"{exc.strerror or exc}") from None
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
+    with _writing(cfg.out):
+        cfg.out.mkdir(parents=True, exist_ok=True)
     result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     passed = result.mean_sup_err <= cfg.tolerance
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_paths_csv(cfg.out / "paths.csv", result, cfg.csv_stride)
-    write_summary_json(cfg.out / "summary.json", result, cfg, passed)
+    with _writing(cfg.out / "paths.csv"):
+        write_paths_csv(cfg.out / "paths.csv", result, cfg.csv_stride)
+    with _writing(cfg.out / "summary.json"):
+        write_summary_json(cfg.out / "summary.json", result, cfg, passed)
     print(f"mean sup error {result.mean_sup_err:.6g} "
           f"(max {result.max_sup_err:.6g}) over {cfg.paths} paths -> "
           f"{'pass' if passed else 'FAIL'}")

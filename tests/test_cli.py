@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -13,6 +16,31 @@ from detcouple.errors import ValidationError
 
 def run_main(argv):
     return cli.main(argv)
+
+
+@pytest.fixture
+def shards(monkeypatch):
+    """``shards(k)``: paths.csv is written in ``k`` shards when there are ``k`` paths or more.
+
+    Every row may start a shard, and ``k`` cores are usable.  The returned
+    list collects the pid of every fork the writer makes.
+    """
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def set_cores(k):
+        monkeypatch.setattr(cli, "MIN_SHARD_ROWS", 1)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        return forks
+
+    return set_cores
 
 
 def test_parse_simulate_flags():
@@ -157,12 +185,14 @@ def test_check_prints_checked_range(extra, table_end, printed, tmp_path, capsys)
     assert f"admissible on {printed}" in capsys.readouterr().out
 
 
-def test_determinism_across_runs(tmp_path, capsys):
+def test_determinism_across_runs(tmp_path, capsys, shards):
+    # repeat runs written in 1, 2 and 3 shards
     argv = ["simulate", "--space", "sphere", "--dim", "2", "--profile", "constant",
             "--rho0", "1.0", "--dt", "1e-3", "--T", "0.2", "--paths", "300",
             "--seed", "5"]
     outs = []
-    for sub in ("a", "b", "c"):
+    for sub, cores in (("a", 1), ("b", 2), ("c", 3)):
+        shards(cores)
         out = tmp_path / sub
         assert run_main(argv + ["--out", str(out)]) == 0
         outs.append(((out / "paths.csv").read_bytes(), (out / "summary.json").read_bytes()))
@@ -306,6 +336,75 @@ def test_write_paths_csv_matches_per_row_reference(tmp_path):
         assert out.read_bytes() == _reference_paths_csv(res, stride), stride
 
 
+def _special_values_ensemble():
+    """5 paths of 14 samples holding the values of the per-row reference test."""
+    from detcouple import model_space as ms
+    from detcouple import profiles as pf
+    from detcouple.sde import simulate_ensemble
+    spec = ms.sphere(2)
+    res = simulate_ensemble(spec, pf.sphere_contracting(spec, 1.0), 1e-2, 0.13, 2, 5,
+                            record_distances=True)
+    d = res.d_emp.copy()
+    d[1, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+    d[2, 3] = res.target[3]
+    return dataclasses.replace(res, d_emp=d)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_write_paths_csv_bytes_do_not_depend_on_shards(cores, tmp_path, shards):
+    # 3 shards of 5 paths are paths [0], [1, 2] and [3, 4]
+    forks = shards(cores)
+    res = _special_values_ensemble()
+    for stride in (1, 3, 13, 100):
+        out = tmp_path / f"paths-{stride}.csv"
+        cli.write_paths_csv(out, res, stride)
+        assert out.read_bytes() == _reference_paths_csv(res, stride), stride
+    assert len(forks) == 4 * (cores - 1)
+    assert sorted(f.name for f in tmp_path.iterdir()) == \
+        sorted(f"paths-{stride}.csv" for stride in (1, 3, 13, 100))
+
+
+@pytest.mark.parametrize("min_rows,cores,n_forks", [
+    (100_000, 3, 0),    # 70 rows: too few for a second shard
+    (30, 3, 1),         # 70 // 30 = 2 shards
+    (1, 1, 0),          # one usable core
+    (1, 8, 4),          # 5 paths: at most 5 shards
+])
+def test_write_paths_csv_shard_count_is_bounded(min_rows, cores, n_forks, tmp_path,
+                                                shards, monkeypatch):
+    forks = shards(cores)
+    monkeypatch.setattr(cli, "MIN_SHARD_ROWS", min_rows)
+    res = _special_values_ensemble()
+    cli.write_paths_csv(tmp_path / "paths.csv", res)
+    assert len(forks) == n_forks
+    assert (tmp_path / "paths.csv").read_bytes() == _reference_paths_csv(res, 1)
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_write_paths_csv_failed_shard_leaves_nothing_behind(failing, tmp_path, shards,
+                                                            monkeypatch):
+    shards(3)
+    real_write_rows = cli._write_rows
+
+    def write_rows(fh, d_emp, idx, target, template, p0, p1):
+        if (p0 > 0) == (failing == "child"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_write_rows(fh, d_emp, idx, target, template, p0, p1)
+
+    monkeypatch.setattr(cli, "_write_rows", write_rows)
+    res = _special_values_ensemble()
+    # a block-buffered stdout still holds the line when the children fork
+    with open(tmp_path / "stdout.txt", "w") as stdout, contextlib.redirect_stdout(stdout):
+        print("printed once")
+        with pytest.raises(OSError,
+                           match="path shard 1 of 3" if failing == "child" else "No space"):
+            cli.write_paths_csv(tmp_path / "paths.csv", res)
+    assert (tmp_path / "stdout.txt").read_text() == "printed once\n"
+    assert list(tmp_path.glob("paths.csv.part*")) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_write_paths_csv_rejects_bad_stride(tmp_path):
     from detcouple import model_space as ms
     from detcouple import profiles as pf
@@ -322,8 +421,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "table-short-row", "table-extra-number", "table-extra-text",
                                   "table-inf", "table-repeated-time",
                                   "flag-dt-inf", "flag-T-inf",
-                                  "flag-dts-negative", "flag-rho0-inf"])
-def test_bad_input_files_exit_2(case, tmp_path, capsys):
+                                  "flag-dts-negative", "flag-rho0-inf",
+                                  "out-not-a-directory", "out-is-a-file", "out-shard-fails"])
+def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
             "--T", "0.5", "--paths", "2", "--out", str(tmp_path / "run")]
@@ -373,6 +473,24 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     elif case == "table-repeated-time":
         table.write_text("t,rho\n0,1.0\n0.5,1.2\n0.5,1.3\n")
         expect = f"{table}: tabulated times must be strictly increasing"
+    elif case in ("out-not-a-directory", "out-is-a-file"):
+        out = table / "run" if case == "out-not-a-directory" else table
+        argv[argv.index("--out") + 1] = str(out)
+        expect = f"cannot write {out}: " + \
+            ("Not a directory" if case == "out-not-a-directory" else "File exists")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the output directory was made")
+        monkeypatch.setattr(cli, "simulate_ensemble", no_simulation)
+    elif case == "out-shard-fails":
+        shards(2)
+
+        def write_rows(fh, *args):
+            if args[-2] > 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(cli, "_write_rows", write_rows)
+        expect = f"cannot write {tmp_path / 'run' / 'paths.csv'}: " \
+                 "path shard 1 of 2 exited with status 1"
     elif case == "table-non-numeric":
         table.write_text("t,rho\n0,1.0\n0.5,wide\n1,1.3\n")
         expect = f"{table}:3"
