@@ -13,8 +13,7 @@ Run:  python demos/02_fixed_distance_sphere.py
 
 import numpy as np
 
-from detcouple import constant, simulate_ensemble, sphere
-from detcouple.verify import rotation_ensemble
+from detcouple import constant, oracle_check, simulate_ensemble, sphere
 
 print(__doc__)
 
@@ -32,13 +31,15 @@ print(f"  with exact re-projection onto the target distance: "
       f"max error {enf.max_sup_err:.2e}")
 
 print("\nrotation-coupling oracle (same rotation applied to both points):")
-_, sup, rotX, _ = rotation_ensemble(rho0, 1e-3, T, seed + 1, 2000)
-print(f"  distance deviation over 2000 paths: {sup.max():.2e} (isometry, roundoff only)")
+marg = simulate_ensemble(spec, constant(rho0), 1e-3, T, seed + 2, 2000)
+constancy, agreement = oracle_check(marg, seed + 1)
+print(f"  distance deviation over 2000 paths: {constancy.statistic:.2e} "
+      f"(isometry, roundoff only)")
 
 # Both ensembles are genuine sphere Brownian motions, so the mean of X(1)
 # contracts to exp(-n/2) times the start point (n = 2 here).
-coarse = simulate_ensemble(spec, constant(rho0), 1e-3, T, seed + 2, 2000)
-m_sde = np.linalg.norm(coarse.final_X.mean(axis=0))
-m_rot = np.linalg.norm(rotX.mean(axis=0))
-print(f"\nmarginal mean decay at t = 1: |E X| = {m_sde:.4f} (coupled SDE), "
-      f"{m_rot:.4f} (rotation), theory e^-1 = {np.exp(-1):.4f}")
+d = agreement.details
+print(f"\nmarginal mean decay at t = 1: |E X| = {d['mean_norm_sde']:.4f} (coupled SDE), "
+      f"{d['mean_norm_oracle']:.4f} (rotation), theory e^-1 = {np.exp(-1):.4f}")
+print(f"  difference {agreement.statistic:.4f} within 3 mutual standard errors "
+      f"{agreement.tolerance:.4f}: {'pass' if agreement.passed else 'FAIL'}")

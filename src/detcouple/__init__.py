@@ -17,7 +17,8 @@ from .profiles import (AdmissibilityReport, DistanceProfile, ProfileKind,
                        euclidean_max_growth, hyperbolic_lower, hyperbolic_upper,
                        sphere_contracting, sphere_repulsive, tabulated, tabulated_from_csv)
 from .sde import EnsembleResult, simulate_ensemble, time_grid
-from .verify import (VerifyReport, convergence_study, distance_error_stats, identity_scan,
-                     identity_scan_all, mean_decay_check, rotation_ensemble)
+from .verify import (VerifyReport, convergence_study, distance_error_stats, envelope_check,
+                     identity_scan, identity_scan_all, mean_decay_check, oracle_check,
+                     rotation_ensemble)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from . import profiles as pf
 from .errors import DetcoupleError, ValidationError
 from .sde import EnsembleResult, simulate_ensemble
 from .verify import (MIN_DECAY_PATHS, VerifyReport, convergence_study, distance_error_stats,
-                     identity_scan, mean_decay_check, rotation_ensemble)
+                     envelope_check, identity_scan, mean_decay_check, oracle_check)
 
 
 class Kind(NamedTuple):
@@ -202,6 +202,16 @@ def build_profile(cfg: RunConfig, spec: ms.SpaceSpec) -> pf.DistanceProfile:
 # output files
 
 
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` into a ``ValidationError`` naming the file, so it exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {exc.filename or path}: "
+                              f"{exc.strerror or exc}") from None
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -287,7 +297,8 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _writing(path):
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: bool) -> None:
@@ -311,28 +322,15 @@ def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: boo
 # subcommands
 
 
-@contextmanager
-def _writing(path):
-    """Turn an ``OSError`` into a ``ValidationError`` naming the file, so it exits 2."""
-    try:
-        yield
-    except OSError as exc:
-        raise ValidationError(f"cannot write {exc.filename or path}: "
-                              f"{exc.strerror or exc}") from None
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
-    with _writing(cfg.out):
-        cfg.out.mkdir(parents=True, exist_ok=True)
     result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     passed = result.mean_sup_err <= cfg.tolerance
     with _writing(cfg.out / "paths.csv"):
         write_paths_csv(cfg.out / "paths.csv", result, cfg.csv_stride)
-    with _writing(cfg.out / "summary.json"):
-        write_summary_json(cfg.out / "summary.json", result, cfg, passed)
+    write_summary_json(cfg.out / "summary.json", result, cfg, passed)
     print(f"mean sup error {result.mean_sup_err:.6g} "
           f"(max {result.max_sup_err:.6g}) over {cfg.paths} paths -> "
           f"{'pass' if passed else 'FAIL'}")
@@ -353,7 +351,6 @@ def cmd_check(cfg: RunConfig) -> int:
         "min_lo_margin": float(np.nanmin(report.lo_margin)),
         "min_hi_margin": float(np.nanmin(report.hi_margin)),
     }
-    cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "admissibility.json", payload)
     if report.admissible:
         active = [s for s, a in (("lower", report.lo_active), ("upper", report.hi_active)) if a]
@@ -372,34 +369,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     reports.append(distance_error_stats(result, tolerance=cfg.tolerance))
+    reports.append(envelope_check(result, cfg.tolerance))
 
-    # envelope bracketing of the ensemble-mean distance
-    rho0 = profile.rho0
-    env_lo, env_hi = pf.envelope(spec, rho0, result.times)
-    bracket = max(0.0, float(np.max(env_lo - result.mean_d_emp)),
-                  float(np.max(result.mean_d_emp - env_hi)))
-    reports.append(VerifyReport("envelope-bracket", bracket, cfg.tolerance,
-                                cfg.paths, cfg.dt))
-
-    marg_paths = max(cfg.paths, MIN_DECAY_PATHS)
-    marg = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed + 1, marg_paths,
-                             enforce_distance=cfg.enforce_distance)
-    reports.extend(mean_decay_check(marg, bias_allowance=0.05))
-
-    if spec.kind is ms.SpaceKind.SPHERE and spec.n == 2 and spec.K == 1.0 \
-            and cfg.profile == "constant":
-        _, sup, fX, _ = rotation_ensemble(rho0, cfg.dt, cfg.T, cfg.seed + 2, marg_paths)
-        reports.append(VerifyReport("rotation-oracle-constancy", float(sup.max()), 1e-12,
-                                    marg_paths, cfg.dt))
-        m1 = np.linalg.norm(marg.final_X.mean(axis=0))
-        m2 = np.linalg.norm(fX.mean(axis=0))
-        se = np.sqrt(2.0 / marg_paths)   # conservative scale for unit vectors
-        reports.append(VerifyReport("rotation-oracle-mean-agreement", float(abs(m1 - m2)),
-                                    3.0 * se, marg_paths, cfg.dt))
+    # the marginal ensemble, and the same run at 2 dt for its bias allowance
+    marg, coarse = (simulate_ensemble(spec, profile, dt, cfg.T, cfg.seed + 1,
+                                      max(cfg.paths, MIN_DECAY_PATHS),
+                                      enforce_distance=cfg.enforce_distance)
+                    for dt in (cfg.dt, 2 * cfg.dt))
+    reports.extend(mean_decay_check(marg, coarse))
+    if spec == ms.sphere(2) and cfg.profile == "constant":
+        reports.extend(oracle_check(marg, cfg.seed + 2))
 
     payload = {"reports": [r.to_dict() for r in reports],
                "pass": all(r.passed for r in reports)}
-    cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "verify.json", payload)
     for r in reports:
         print(f"[{'pass' if r.passed else 'FAIL'}] {r.name}: "
@@ -411,8 +393,8 @@ def cmd_converge(cfg: RunConfig) -> int:
     spec = build_space(cfg)
     profile = build_profile(cfg, spec)
     report = convergence_study(spec, profile, list(cfg.dts), cfg.paths, cfg.seed, T=cfg.T)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out / "converge.csv", "w", newline="") as fh:
+    path = cfg.out / "converge.csv"
+    with _writing(path), open(path, "w", newline="") as fh:
         fh.write("dt,mean_sup_err\n")
         for dt, err in zip(report.details["dt"], report.details["mean_sup_err"]):
             fh.write(f"{_fmt(dt)},{_fmt(err)}\n")
@@ -433,6 +415,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         command, cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        with _writing(cfg.out):
+            cfg.out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[command](cfg)
     except DetcoupleError as exc:
         print(f"error: {exc}", file=sys.stderr)

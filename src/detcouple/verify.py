@@ -5,12 +5,18 @@ Three independent lines of evidence that the constructions are right:
 * identity scans: the matrix identities (J J' + K K' = I, the cancellation
   relations, the drift match, the two-plane scalar identities) hold at
   random admissible states up to rounding;
-* path statistics: simulated ensembles track the target distance, and the
-  marginals of each motion decay like genuine Brownian motion;
+* path statistics: simulated ensembles track the target distance, their
+  mean distance stays inside the reachable envelope, and the marginals of
+  each motion decay like genuine Brownian motion;
 * the rotation oracle: an entirely different construction of the sphere
   fixed-distance coupling (a common random rotation applied to both start
   points), exact up to roundoff, to cross-check the SDE ensembles. Its
   increments come from the simulator's noise stream, ``sde.step_gaussians``.
+
+Each property has one check here, which ``detcouple verify`` and the
+acceptance suite both call.  Statistical tolerances are derived from the
+runs themselves: standard errors of the ensembles compared, and a
+discretization-bias allowance from the same run at dt and 2 dt.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_p
                        sphere_matrices)
 from .errors import ValidationError, _key_word, _require_positive_int
 from .model_space import SpaceKind, SpaceSpec, canonical_start, sphere, to_unit_model
+from .profiles import envelope
 from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
 
 SCAN_TOL = 1e-10                   # identity residuals pass at or below this
@@ -226,7 +233,29 @@ def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyRepor
 
 
 # ---------------------------------------------------------------------------
-# marginal sanity: mean decay of each motion
+# path statistics: envelope, marginal mean decay
+
+
+def envelope_check(result: EnsembleResult, tolerance: float) -> VerifyReport:
+    """How far the ensemble-mean distance leaves the reachable envelope from
+    the profile's start value ``result.target[0]``; passes within ``tolerance``."""
+    env_lo, env_hi = envelope(result.spec, result.target[0], result.times)
+    bracket = max(0.0, float(np.max(env_lo - result.mean_d_emp)),
+                  float(np.max(result.mean_d_emp - env_hi)))
+    return VerifyReport("envelope-bracket", bracket, tolerance, result.n_paths, result.dt)
+
+
+def _se_along(states, u):
+    """Standard error of the ensemble mean of ``states`` along the unit vector ``u``."""
+    return float(np.sqrt(u @ np.atleast_2d(np.cov(states.T)) @ u / states.shape[0]))
+
+
+def _mean_scale(states_unit, kind: SpaceKind) -> float:
+    """The decaying size of the ensemble mean: its norm on S^n and E^n, its
+    first coordinate on H^n."""
+    if kind is SpaceKind.HYPERBOLIC:
+        return float(states_unit[:, 0].mean())
+    return float(np.linalg.norm(states_unit.mean(axis=0)))
 
 
 def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: float):
@@ -235,10 +264,8 @@ def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: f
         mean = states_unit.mean(axis=0)
         diff = mean - theory
         stat = float(np.linalg.norm(diff))
-        cov = np.cov(states_unit.T)
         u = diff / stat if stat > 0 else np.ones(len(mean)) / np.sqrt(len(mean))
-        se = float(np.sqrt(u @ np.atleast_2d(cov) @ u / states_unit.shape[0]))
-        return stat, se
+        return stat, _se_along(states_unit, u)
     if kind is SpaceKind.HYPERBOLIC:
         theory = start_unit[0] * np.exp(-(n - 2) * t_unit / 2.0)
         x1 = states_unit[:, 0]
@@ -252,16 +279,32 @@ def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: f
     return stat, se
 
 
-def mean_decay_check(result: EnsembleResult, bias_allowance: float = 0.0) -> list[VerifyReport]:
-    """Check E[X(T)] (and Y) against the exact Brownian mean decay on ``result.spec``.
+def mean_decay_check(result: EnsembleResult, coarse: EnsembleResult) -> list[VerifyReport]:
+    """Check E[X(T)] and E[Y(T)] against the exact Brownian mean decay on ``result.spec``.
 
     Each motion is compared with its own start, ``result.x0`` or ``result.y0``.
-    The coupling must not distort either marginal; the tolerance is three
-    standard errors plus an explicit discretization-bias allowance.
+    ``coarse`` is the same run at twice the step: same spec, T, seed, path
+    count, start pair and ``enforce_distance``.  The tolerance is three
+    standard errors plus a discretization-bias allowance, twice the change of
+    the mean's size (``_mean_scale``) of X from ``coarse`` to ``result``.  X is
+    driven by dB alone, so this measures the scheme's bias, not the coupling's.
     """
     if result.n_paths < MIN_DECAY_PATHS:
         raise ValidationError(f"need at least {MIN_DECAY_PATHS} paths, got {result.n_paths}")
+    if not result.T > 0:
+        # at T = 0 every statistic is rounding noise and every standard error 0
+        raise ValidationError(f"a mean-decay check needs a horizon T > 0, got T = {result.T}")
+    for name in ("spec", "T", "seed", "n_paths", "enforce_distance"):
+        if getattr(coarse, name) != getattr(result, name):
+            raise ValidationError(f"coarse run differs in {name}: "
+                                  f"{getattr(coarse, name)} != {getattr(result, name)}")
+    if not (np.array_equal(coarse.x0, result.x0) and np.array_equal(coarse.y0, result.y0)):
+        raise ValidationError("coarse run starts from a different pair")
+    if coarse.dt != 2 * result.dt:
+        raise ValidationError(f"coarse run needs dt = {2 * result.dt}, got {coarse.dt}")
     spec = result.spec
+    bias = 2.0 * abs(_mean_scale(to_unit_model(spec, result.final_X), spec.kind)
+                     - _mean_scale(to_unit_model(spec, coarse.final_X), spec.kind))
     t_unit = result.T / spec.r**2
     out = []
     for label, states, start in (("X", result.final_X, result.x0),
@@ -269,8 +312,9 @@ def mean_decay_check(result: EnsembleResult, bias_allowance: float = 0.0) -> lis
         stat, se = _mean_decay_stat(to_unit_model(spec, states), to_unit_model(spec, start),
                                     spec.kind, spec.n, t_unit)
         out.append(VerifyReport(
-            f"mean-decay-{spec.kind.value}-{label}", stat, 3.0 * se + bias_allowance,
-            result.n_paths, result.dt, {"standard_error": se, "bias_allowance": bias_allowance}))
+            f"mean-decay-{spec.kind.value}-{label}", stat, 3.0 * se + bias,
+            result.n_paths, result.dt,
+            {"standard_error": se, "bias_allowance": bias, "coarse_dt": coarse.dt}))
     return out
 
 
@@ -314,6 +358,39 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     return times, sup, Z @ x, Z @ y
 
 
+def oracle_check(result: EnsembleResult, seed: int) -> list[VerifyReport]:
+    """Cross-check a constant-distance ensemble on the unit 2-sphere against a
+    :func:`rotation_ensemble` of the same size, step and horizon.
+
+    Two reports: the oracle's distance stays constant to 1e-12, and the
+    norms of the two ensemble means of X agree within three mutual standard
+    errors.
+    """
+    if result.spec != sphere(2):
+        raise ValidationError(f"the rotation oracle lives on sphere(2), not {result.spec}")
+    rho0 = result.target[0]
+    if np.any(result.target != rho0):
+        raise ValidationError("the rotation oracle needs a constant distance profile")
+    _, sup, rot_X, _ = rotation_ensemble(rho0, result.dt, result.T, seed, result.n_paths)
+    m_sde, se_sde = _mean_norm_and_se(result.final_X)
+    m_rot, se_rot = _mean_norm_and_se(rot_X)
+    return [
+        VerifyReport("rotation-oracle-constancy", float(sup.max()), 1e-12,
+                     result.n_paths, result.dt),
+        VerifyReport("rotation-oracle-mean-agreement", abs(m_sde - m_rot),
+                     float(3.0 * np.hypot(se_sde, se_rot)), result.n_paths, result.dt, {
+            "mean_norm_sde": m_sde, "mean_norm_oracle": m_rot,
+            "standard_error_sde": se_sde, "standard_error_oracle": se_rot}),
+    ]
+
+
+def _mean_norm_and_se(states):
+    """Norm of the ensemble mean and its standard error along the mean's direction."""
+    mean = states.mean(axis=0)
+    nrm = np.linalg.norm(mean)
+    return float(nrm), _se_along(states, mean / nrm)
+
+
 # ---------------------------------------------------------------------------
 # dt-convergence of the tracking error
 
@@ -326,6 +403,8 @@ def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed
     path indices.  Passes when the errors strictly decrease along decreasing
     dt and the slope lies inside ``SLOPE_RANGE``.
     """
+    if not T > 0:
+        raise ValidationError(f"a convergence study needs a horizon T > 0, got T = {T}")
     dt_list = list(dt_list)
     if len(dt_list) < 3 or any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValidationError("need at least 3 strictly decreasing dt values")

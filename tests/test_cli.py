@@ -219,9 +219,14 @@ def test_verify_subcommand_euclidean(tmp_path, capsys):
     assert rc == 0
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert payload["pass"] is True
-    names = {r["name"] for r in payload["reports"]}
-    assert "identity-scan-euclidean-n3" in names
-    assert "envelope-bracket" in names
+    reports = {r["name"]: r for r in payload["reports"]}
+    assert "identity-scan-euclidean-n3" in reports
+    assert "envelope-bracket" in reports
+    for label in "XY":
+        details = reports[f"mean-decay-euclidean-{label}"]["details"]
+        assert details["coarse_dt"] == 2e-3
+        assert reports[f"mean-decay-euclidean-{label}"]["tolerance"] == \
+            3 * details["standard_error"] + details["bias_allowance"]
 
 
 def test_tabulated_profile_end_to_end(tmp_path, capsys):
@@ -422,7 +427,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "table-inf", "table-repeated-time",
                                   "flag-dt-inf", "flag-T-inf",
                                   "flag-dts-negative", "flag-rho0-inf",
-                                  "out-not-a-directory", "out-is-a-file", "out-shard-fails"])
+                                  "out-not-a-directory", "out-is-a-file", "out-shard-fails",
+                                  "check-out-is-a-file", "verify-out-is-a-file",
+                                  "converge-out-is-a-file", "converge-T-0", "verify-T-0"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -482,6 +489,21 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the output directory was made")
         monkeypatch.setattr(cli, "simulate_ensemble", no_simulation)
+    elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file"):
+        argv[0] = case.split("-")[0]
+        argv[argv.index("--out") + 1] = str(table)
+        expect = f"cannot write {table}: File exists"
+        work = {"check": (cli.pf, "check_admissibility"), "verify": (cli, "identity_scan"),
+                "converge": (cli, "convergence_study")}[argv[0]]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} worked before the output directory was made")
+        monkeypatch.setattr(*work, no_work)
+        monkeypatch.setattr(cli, "simulate_ensemble", no_work)
+    elif case in ("converge-T-0", "verify-T-0"):
+        argv[0] = case.split("-")[0]
+        argv[argv.index("--T") + 1] = "0"
+        expect = "T > 0"
     elif case == "out-shard-fails":
         shards(2)
 

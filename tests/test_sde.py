@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import detcouple.sde as sde_mod
 from detcouple import cli
@@ -344,6 +345,32 @@ def test_euclidean_quadratic_variation():
     for coord in range(2):
         qv = np.sum(np.diff(X[:, coord]) ** 2)
         assert abs(qv - T) <= 3 * np.sqrt(2 * T * dt)
+
+
+KS_SEED = 20240917
+KS_MIN_P = 1e-4     # fixed in advance: a fixed-seed KS test fails by chance at its own level
+
+
+def _euclidean_radius_ks_p_value():
+    """KS p-value of |Y(T) - y0|^2 / T against chi^2_3 for 2,000 E3 pairs.
+
+    Y is a Brownian motion, and on E^n its Euler step is exact, so the law
+    holds at any dt, whatever the coupling does to the distance.
+    """
+    E3 = ms.euclidean(3)
+    res = simulate_ensemble(E3, pf.tabulated([0, 1], [1, 1.5]), 1e-3, 1.0, KS_SEED, 2000)
+    r2 = ((res.final_Y - res.y0) ** 2).sum(axis=1) / res.T
+    return stats.kstest(r2, stats.chi2(3).cdf).pvalue
+
+
+def test_euclidean_marginal_has_its_exact_law(monkeypatch):
+    assert _euclidean_radius_ks_p_value() >= KS_MIN_P
+    # driving dC by dB makes Cov(dW) = (J + K)(J + K)', not I: the law breaks
+    # while every first moment stays right
+    real_drive = sde_mod.drive
+    monkeypatch.setattr(sde_mod, "drive", lambda kind, n, X, Y, eta, eta_prime, dB, dC:
+                        real_drive(kind, n, X, Y, eta, eta_prime, dB, dB))
+    assert _euclidean_radius_ks_p_value() < KS_MIN_P
 
 
 def test_hyperbolic_quadratic_variation_matches_integrated_x1sq():
