@@ -29,7 +29,8 @@ from . import profiles as pf
 from .errors import DetcoupleError, ValidationError
 from .sde import EnsembleResult, simulate_ensemble
 from .verify import (MIN_DECAY_PATHS, VerifyReport, convergence_study, distance_error_stats,
-                     envelope_check, identity_scan, mean_decay_check, oracle_check)
+                     envelope_check, identity_scan, mean_decay_check, oracle_applies,
+                     oracle_check)
 
 
 class Kind(NamedTuple):
@@ -181,6 +182,9 @@ def parse_config(argv) -> tuple[str, RunConfig]:
         cfg.rho0 = np.radians(cfg.rho0_deg) * r
     if cfg.rho0 is None and cfg.profile != "tabulated":
         raise ValidationError("field rho0: required for closed-form profiles")
+    if args.command in ("verify", "converge") and not cfg.T > 0:
+        # at T = 0 every statistic is rounding noise
+        raise ValidationError(f"field T: {args.command} needs a horizon T > 0, got {cfg.T}")
     return args.command, cfg
 
 
@@ -322,9 +326,7 @@ def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: boo
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    spec = build_space(cfg)
-    profile = build_profile(cfg, spec)
+def cmd_simulate(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) -> int:
     result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
                                enforce_distance=cfg.enforce_distance, record_distances=True)
     passed = result.mean_sup_err <= cfg.tolerance
@@ -337,9 +339,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    spec = build_space(cfg)
-    profile = build_profile(cfg, spec)
+def cmd_check(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) -> int:
     report = pf.check_admissibility(spec, profile, T=cfg.T if cfg.T > 0 else None)
     payload = {
         "space": cfg.space, "n": cfg.dim, "K": cfg.K, "profile": cfg.profile,
@@ -361,9 +361,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    spec = build_space(cfg)
-    profile = build_profile(cfg, spec)
+def cmd_verify(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) -> int:
     reports: list[VerifyReport] = [identity_scan(spec, cfg.samples, cfg.seed)]
 
     result = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed, cfg.paths,
@@ -377,7 +375,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                                       enforce_distance=cfg.enforce_distance)
                     for dt in (cfg.dt, 2 * cfg.dt))
     reports.extend(mean_decay_check(marg, coarse))
-    if spec == ms.sphere(2) and cfg.profile == "constant":
+    if oracle_applies(marg):
         reports.extend(oracle_check(marg, cfg.seed + 2))
 
     payload = {"reports": [r.to_dict() for r in reports],
@@ -389,9 +387,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if payload["pass"] else 1
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    spec = build_space(cfg)
-    profile = build_profile(cfg, spec)
+def cmd_converge(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) -> int:
     report = convergence_study(spec, profile, list(cfg.dts), cfg.paths, cfg.seed, T=cfg.T)
     path = cfg.out / "converge.csv"
     with _writing(path), open(path, "w", newline="") as fh:
@@ -415,9 +411,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         command, cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        spec = build_space(cfg)
+        profile = build_profile(cfg, spec)
+        # the input is good: make the output directory before any work
         with _writing(cfg.out):
             cfg.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[command](cfg)
+        return _COMMANDS[command](cfg, spec, profile)
     except DetcoupleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -258,6 +258,12 @@ def _mean_scale(states_unit, kind: SpaceKind) -> float:
     return float(np.linalg.norm(states_unit.mean(axis=0)))
 
 
+def _mean_norm_and_se(states):
+    """Norm of the ensemble mean and its standard error along the mean's direction."""
+    nrm = _mean_scale(states, SpaceKind.SPHERE)
+    return nrm, _se_along(states, states.mean(axis=0) / nrm)
+
+
 def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: float):
     if kind is SpaceKind.SPHERE:
         theory = np.exp(-n * t_unit / 2.0) * np.asarray(start_unit)
@@ -269,7 +275,7 @@ def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: f
     if kind is SpaceKind.HYPERBOLIC:
         theory = start_unit[0] * np.exp(-(n - 2) * t_unit / 2.0)
         x1 = states_unit[:, 0]
-        stat = float(abs(x1.mean() - theory))
+        stat = float(abs(_mean_scale(states_unit, kind) - theory))
         se = float(x1.std(ddof=1) / np.sqrt(len(x1)))
         return stat, se
     mean = states_unit.mean(axis=0)
@@ -288,6 +294,7 @@ def mean_decay_check(result: EnsembleResult, coarse: EnsembleResult) -> list[Ver
     standard errors plus a discretization-bias allowance, twice the change of
     the mean's size (``_mean_scale``) of X from ``coarse`` to ``result``.  X is
     driven by dB alone, so this measures the scheme's bias, not the coupling's.
+    On E^n X's step X + dB is exact: there is no bias, and the allowance is 0.
     """
     if result.n_paths < MIN_DECAY_PATHS:
         raise ValidationError(f"need at least {MIN_DECAY_PATHS} paths, got {result.n_paths}")
@@ -303,8 +310,10 @@ def mean_decay_check(result: EnsembleResult, coarse: EnsembleResult) -> list[Ver
     if coarse.dt != 2 * result.dt:
         raise ValidationError(f"coarse run needs dt = {2 * result.dt}, got {coarse.dt}")
     spec = result.spec
-    bias = 2.0 * abs(_mean_scale(to_unit_model(spec, result.final_X), spec.kind)
-                     - _mean_scale(to_unit_model(spec, coarse.final_X), spec.kind))
+    bias = 0.0
+    if spec.kind is not SpaceKind.EUCLIDEAN:
+        bias = 2.0 * abs(_mean_scale(to_unit_model(spec, result.final_X), spec.kind)
+                         - _mean_scale(to_unit_model(spec, coarse.final_X), spec.kind))
     t_unit = result.T / spec.r**2
     out = []
     for label, states, start in (("X", result.final_X, result.x0),
@@ -358,6 +367,12 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     return times, sup, Z @ x, Z @ y
 
 
+def oracle_applies(result: EnsembleResult) -> bool:
+    """Whether :func:`oracle_check` can check ``result``: a constant distance
+    on the unit 2-sphere, the one coupling the rotation oracle builds."""
+    return result.spec == sphere(2) and bool(np.all(result.target == result.target[0]))
+
+
 def oracle_check(result: EnsembleResult, seed: int) -> list[VerifyReport]:
     """Cross-check a constant-distance ensemble on the unit 2-sphere against a
     :func:`rotation_ensemble` of the same size, step and horizon.
@@ -366,12 +381,12 @@ def oracle_check(result: EnsembleResult, seed: int) -> list[VerifyReport]:
     norms of the two ensemble means of X agree within three mutual standard
     errors.
     """
-    if result.spec != sphere(2):
-        raise ValidationError(f"the rotation oracle lives on sphere(2), not {result.spec}")
-    rho0 = result.target[0]
-    if np.any(result.target != rho0):
-        raise ValidationError("the rotation oracle needs a constant distance profile")
-    _, sup, rot_X, _ = rotation_ensemble(rho0, result.dt, result.T, seed, result.n_paths)
+    if not oracle_applies(result):
+        raise ValidationError("the rotation oracle needs a constant distance on sphere(2), "
+                              f"got {result.spec} with distances {result.target.min():.6g} "
+                              f"to {result.target.max():.6g}")
+    _, sup, rot_X, _ = rotation_ensemble(result.target[0], result.dt, result.T, seed,
+                                         result.n_paths)
     m_sde, se_sde = _mean_norm_and_se(result.final_X)
     m_rot, se_rot = _mean_norm_and_se(rot_X)
     return [
@@ -382,13 +397,6 @@ def oracle_check(result: EnsembleResult, seed: int) -> list[VerifyReport]:
             "mean_norm_sde": m_sde, "mean_norm_oracle": m_rot,
             "standard_error_sde": se_sde, "standard_error_oracle": se_rot}),
     ]
-
-
-def _mean_norm_and_se(states):
-    """Norm of the ensemble mean and its standard error along the mean's direction."""
-    mean = states.mean(axis=0)
-    nrm = np.linalg.norm(mean)
-    return float(nrm), _se_along(states, mean / nrm)
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,10 @@ def test_verify_subcommand_euclidean(tmp_path, capsys):
     for label in "XY":
         details = reports[f"mean-decay-euclidean-{label}"]["details"]
         assert details["coarse_dt"] == 2e-3
+        # the Euler step is exact on E^n: no bias allowance
+        assert details["bias_allowance"] == 0.0
         assert reports[f"mean-decay-euclidean-{label}"]["tolerance"] == \
-            3 * details["standard_error"] + details["bias_allowance"]
+            3 * details["standard_error"]
 
 
 def test_tabulated_profile_end_to_end(tmp_path, capsys):
@@ -489,21 +491,23 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the output directory was made")
         monkeypatch.setattr(cli, "simulate_ensemble", no_simulation)
-    elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file"):
+    elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file",
+                  "converge-T-0", "verify-T-0"):
         argv[0] = case.split("-")[0]
-        argv[argv.index("--out") + 1] = str(table)
-        expect = f"cannot write {table}: File exists"
+        if case.endswith("T-0"):
+            argv[argv.index("--T") + 1] = "0"
+            expect = f"field T: {argv[0]} needs a horizon T > 0"
+        else:
+            argv[argv.index("--out") + 1] = str(table)
+            expect = f"cannot write {table}: File exists"
         work = {"check": (cli.pf, "check_admissibility"), "verify": (cli, "identity_scan"),
                 "converge": (cli, "convergence_study")}[argv[0]]
 
         def no_work(*args, **kwargs):
-            raise AssertionError(f"{argv[0]} worked before the output directory was made")
+            raise AssertionError(f"{argv[0]} worked before its input was checked "
+                                 "and its output directory made")
         monkeypatch.setattr(*work, no_work)
         monkeypatch.setattr(cli, "simulate_ensemble", no_work)
-    elif case in ("converge-T-0", "verify-T-0"):
-        argv[0] = case.split("-")[0]
-        argv[argv.index("--T") + 1] = "0"
-        expect = "T > 0"
     elif case == "out-shard-fails":
         shards(2)
 
@@ -521,3 +525,5 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         expect = f"{table}:4"
     assert run_main(argv) == 2
     assert expect in capsys.readouterr().err
+    # bad input leaves no output directory behind
+    assert (tmp_path / "run").exists() == (case == "out-shard-fails")

@@ -120,6 +120,10 @@ def test_mean_decay_euclidean_martingale():
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
         assert rep.details["coarse_dt"] == 2e-2
+        # X + dB is exact: no bias allowance, the tolerance is 3 SE as it always was
+        assert rep.details["bias_allowance"] == 0.0
+        assert rep.tolerance == 3 * rep.details["standard_error"]
+        assert rep.statistic <= 3 * rep.details["standard_error"], rep.name
 
 
 # (statistic, tolerance, standard error) of each check.  The statistics and
@@ -188,7 +192,12 @@ def test_oracle_check_needs_a_constant_distance_on_the_unit_2_sphere():
         res = simulate_ensemble(spec, profile, 1e-2, 0.1, 3, 4)
         with pytest.raises(ValidationError, match="rotation oracle"):
             vf.oracle_check(res, 4)
+        assert not vf.oracle_applies(res)
+    # a constant table is a constant distance too
+    res = simulate_ensemble(S2, pf.tabulated([0.0, 1.0], [1.0, 1.0]), 1e-2, 0.1, 3, 4)
+    assert vf.oracle_applies(res)
     res = simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.1, 3, 4)
+    assert vf.oracle_applies(res)
     constancy, agreement = vf.oracle_check(res, 4)
     assert constancy.passed and constancy.ensemble == 4 and agreement.dt == 1e-2
     assert set(agreement.details) == {"mean_norm_sde", "mean_norm_oracle",
