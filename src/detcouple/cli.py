@@ -369,12 +369,10 @@ def cmd_verify(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) 
     reports.append(distance_error_stats(result, tolerance=cfg.tolerance))
     reports.append(envelope_check(result, cfg.tolerance))
 
-    # the marginal ensemble, and the same run at 2 dt for its bias allowance
-    marg, coarse = (simulate_ensemble(spec, profile, dt, cfg.T, cfg.seed + 1,
-                                      max(cfg.paths, MIN_DECAY_PATHS),
-                                      enforce_distance=cfg.enforce_distance)
-                    for dt in (cfg.dt, 2 * cfg.dt))
-    reports.extend(mean_decay_check(marg, coarse))
+    marg = simulate_ensemble(spec, profile, cfg.dt, cfg.T, cfg.seed + 1,
+                             max(cfg.paths, MIN_DECAY_PATHS),
+                             enforce_distance=cfg.enforce_distance)
+    reports.extend(mean_decay_check(marg))
     if oracle_applies(marg):
         reports.extend(oracle_check(marg, cfg.seed + 2))
 

@@ -7,16 +7,17 @@ Three independent lines of evidence that the constructions are right:
   random admissible states up to rounding;
 * path statistics: simulated ensembles track the target distance, their
   mean distance stays inside the reachable envelope, and the marginals of
-  each motion decay like genuine Brownian motion;
+  each motion have the exact mean of the scheme that moved it;
 * the rotation oracle: an entirely different construction of the sphere
   fixed-distance coupling (a common random rotation applied to both start
   points), exact up to roundoff, to cross-check the SDE ensembles. Its
   increments come from the simulator's noise stream, ``sde.step_gaussians``.
 
 Each property has one check here, which ``detcouple verify`` and the
-acceptance suite both call.  Statistical tolerances are derived from the
-runs themselves: standard errors of the ensembles compared, and a
-discretization-bias allowance from the same run at dt and 2 dt.
+acceptance suite both call.  Statistical tolerances are three standard
+errors of the ensembles compared, derived from the runs themselves.  The
+mean-decay check needs one run: it compares each motion with the exact mean
+of its integrator at the run's own steps, not with the dt -> 0 limit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import hyperu
 
 from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_plane_scalars,
                        sphere_matrices)
@@ -245,85 +247,77 @@ def envelope_check(result: EnsembleResult, tolerance: float) -> VerifyReport:
     return VerifyReport("envelope-bracket", bracket, tolerance, result.n_paths, result.dt)
 
 
-def _se_along(states, u):
-    """Standard error of the ensemble mean of ``states`` along the unit vector ``u``."""
-    return float(np.sqrt(u @ np.atleast_2d(np.cov(states.T)) @ u / states.shape[0]))
-
-
-def _mean_scale(states_unit, kind: SpaceKind) -> float:
-    """The decaying size of the ensemble mean: its norm on S^n and E^n, its
-    first coordinate on H^n."""
-    if kind is SpaceKind.HYPERBOLIC:
-        return float(states_unit[:, 0].mean())
-    return float(np.linalg.norm(states_unit.mean(axis=0)))
-
-
 def _mean_norm_and_se(states):
     """Norm of the ensemble mean and its standard error along the mean's direction."""
-    nrm = _mean_scale(states, SpaceKind.SPHERE)
-    return nrm, _se_along(states, states.mean(axis=0) / nrm)
+    mean = states.mean(axis=0)
+    nrm = float(np.linalg.norm(mean))
+    u = mean / nrm
+    return nrm, float(np.sqrt(u @ np.atleast_2d(np.cov(states.T)) @ u / states.shape[0]))
 
 
-def _mean_decay_stat(states_unit, start_unit, kind: SpaceKind, n: int, t_unit: float):
-    if kind is SpaceKind.SPHERE:
-        theory = np.exp(-n * t_unit / 2.0) * np.asarray(start_unit)
-        mean = states_unit.mean(axis=0)
-        diff = mean - theory
-        stat = float(np.linalg.norm(diff))
-        u = diff / stat if stat > 0 else np.ones(len(mean)) / np.sqrt(len(mean))
-        return stat, _se_along(states_unit, u)
-    if kind is SpaceKind.HYPERBOLIC:
-        theory = start_unit[0] * np.exp(-(n - 2) * t_unit / 2.0)
-        x1 = states_unit[:, 0]
-        stat = float(abs(_mean_scale(states_unit, kind) - theory))
-        se = float(x1.std(ddof=1) / np.sqrt(len(x1)))
-        return stat, se
-    mean = states_unit.mean(axis=0)
-    diff = mean - np.asarray(start_unit)
-    stat = float(np.linalg.norm(diff))
-    se = float(np.sqrt(np.trace(np.atleast_2d(np.cov(states_unit.T))) / states_unit.shape[0]))
-    return stat, se
+def sphere_mean_factor(n: int, h) -> np.ndarray:
+    """The factor c by which one step of the sphere integrator, of unit-model
+    length ``h`` (an array), shrinks the mean: E[X(t + h) | X(t)] = c X(t).
+
+    The step is X <- (a X + sqrt(h) g) / |a X + sqrt(h) g| with a = 1 - n h / 2
+    and g a standard normal tangent vector, so c = E[a / sqrt(a^2 + h Q)] with
+    Q ~ chi^2_n.  In closed form c = sign(a) z^(n/2) U(n/2, (n+1)/2, z) with
+    z = a^2 / (2 h); Kummer's transformation turns it into the form used here,
+    sign(a) sqrt(z) U(1/2, (3-n)/2, z), which does not overflow at large n.
+    At a = 0, c = 0.
+    """
+    h = np.asarray(h, dtype=float)
+    a = 1.0 - n * h / 2.0
+    c = np.zeros_like(h)
+    live = a != 0
+    z = a[live] ** 2 / (2.0 * h[live])
+    c[live] = np.sign(a[live]) * np.sqrt(z) * hyperu(0.5, (3 - n) / 2.0, z)
+    return c
 
 
-def mean_decay_check(result: EnsembleResult, coarse: EnsembleResult) -> list[VerifyReport]:
-    """Check E[X(T)] and E[Y(T)] against the exact Brownian mean decay on ``result.spec``.
+def mean_decay_check(result: EnsembleResult) -> list[VerifyReport]:
+    """Check E[X(T)] and E[Y(T)] against the exact mean of the scheme that produced them.
 
-    Each motion is compared with its own start, ``result.x0`` or ``result.y0``.
-    ``coarse`` is the same run at twice the step: same spec, T, seed, path
-    count, start pair and ``enforce_distance``.  The tolerance is three
-    standard errors plus a discretization-bias allowance, twice the change of
-    the mean's size (``_mean_scale``) of X from ``coarse`` to ``result``.  X is
-    driven by dB alone, so this measures the scheme's bias, not the coupling's.
-    On E^n X's step X + dB is exact: there is no bias, and the allowance is 0.
+    Given the past, dW = J dB + K dC is N(0, dt I) because J J' + K K' = I, so
+    Y's step has the law of X's, and each motion's exact mean follows from its
+    own start, ``result.x0`` or ``result.y0``, in the unit model (time
+    tau = t / r^2):
+
+    * E^n: the start, since X + dB is exact;
+    * H^n: the first coordinate only, x1(0) exp(-(n-2) tau / 2), since the
+      lognormal x1 step is exact;
+    * S^n: the start times the product of :func:`sphere_mean_factor` over the
+      steps of ``result.times``.
+
+    The statistic is |mean - exact| over those coordinates, and the tolerance
+    three standard errors sqrt(tr Cov / P), as E|mean - exact|^2 = tr Cov / P.
+    With ``enforce_distance`` Y is put back on the target distance after each
+    step, so it is not the scheme and its check may fail.
     """
     if result.n_paths < MIN_DECAY_PATHS:
         raise ValidationError(f"need at least {MIN_DECAY_PATHS} paths, got {result.n_paths}")
     if not result.T > 0:
         # at T = 0 every statistic is rounding noise and every standard error 0
         raise ValidationError(f"a mean-decay check needs a horizon T > 0, got T = {result.T}")
-    for name in ("spec", "T", "seed", "n_paths", "enforce_distance"):
-        if getattr(coarse, name) != getattr(result, name):
-            raise ValidationError(f"coarse run differs in {name}: "
-                                  f"{getattr(coarse, name)} != {getattr(result, name)}")
-    if not (np.array_equal(coarse.x0, result.x0) and np.array_equal(coarse.y0, result.y0)):
-        raise ValidationError("coarse run starts from a different pair")
-    if coarse.dt != 2 * result.dt:
-        raise ValidationError(f"coarse run needs dt = {2 * result.dt}, got {coarse.dt}")
     spec = result.spec
-    bias = 0.0
-    if spec.kind is not SpaceKind.EUCLIDEAN:
-        bias = 2.0 * abs(_mean_scale(to_unit_model(spec, result.final_X), spec.kind)
-                         - _mean_scale(to_unit_model(spec, coarse.final_X), spec.kind))
-    t_unit = result.T / spec.r**2
+    coords = slice(None)
+    if spec.kind is SpaceKind.SPHERE:
+        decay = np.prod(sphere_mean_factor(spec.n, np.diff(result.times / spec.r**2)))
+    elif spec.kind is SpaceKind.HYPERBOLIC:
+        coords = slice(0, 1)
+        decay = np.exp(-(spec.n - 2) * (result.T / spec.r**2) / 2.0)
+    else:
+        decay = 1.0
     out = []
     for label, states, start in (("X", result.final_X, result.x0),
                                  ("Y", result.final_Y, result.y0)):
-        stat, se = _mean_decay_stat(to_unit_model(spec, states), to_unit_model(spec, start),
-                                    spec.kind, spec.n, t_unit)
-        out.append(VerifyReport(
-            f"mean-decay-{spec.kind.value}-{label}", stat, 3.0 * se + bias,
-            result.n_paths, result.dt,
-            {"standard_error": se, "bias_allowance": bias, "coarse_dt": coarse.dt}))
+        states = to_unit_model(spec, states)[:, coords]
+        exact = to_unit_model(spec, start)[coords] * decay
+        stat = float(np.linalg.norm(states.mean(axis=0) - exact))
+        se = float(np.sqrt(np.trace(np.atleast_2d(np.cov(states.T))) / result.n_paths))
+        out.append(VerifyReport(f"mean-decay-{spec.kind.value}-{label}", stat, 3.0 * se,
+                                result.n_paths, result.dt,
+                                {"standard_error": se, "exact_mean": exact}))
     return out
 
 

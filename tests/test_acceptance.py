@@ -38,13 +38,9 @@ def scan_reports():
 
 
 @pytest.fixture(scope="module")
-def sphere_marginal_ensembles():
-    """Fixed-distance sphere ensembles at dt and 2 dt for the bias estimate."""
-    prof = pf.constant(np.pi / 2)
-    runs = {}
-    for dt in (1e-3, 2e-3):
-        runs[dt] = simulate_ensemble(S2, prof, dt, 1.0, SEED + 1, 2000)
-    return runs
+def sphere_marginal_ensemble():
+    """The fixed-distance sphere ensemble of criteria 7 and 8."""
+    return simulate_ensemble(S2, pf.constant(np.pi / 2), 1e-3, 1.0, SEED + 1, 2000)
 
 
 def test_criterion_01_algebraic_identity_suite(scan_reports):
@@ -136,14 +132,12 @@ def test_criterion_06_admissibility_rejections():
                   "(all three spaces)")
 
 
-def test_criterion_07_marginal_sanity(sphere_marginal_ensembles):
+def test_criterion_07_marginal_sanity(sphere_marginal_ensemble):
     t0 = time.perf_counter()
-    runs = sphere_marginal_ensembles
-    checks = vf.mean_decay_check(runs[1e-3], runs[2e-3])
+    checks = vf.mean_decay_check(sphere_marginal_ensemble)
 
     profh = pf.hyperbolic_lower(H3, 1.0)
-    checks += vf.mean_decay_check(*(simulate_ensemble(H3, profh, dt, 1.0, SEED + 6, 2000)
-                                    for dt in (1e-3, 2e-3)))
+    checks += vf.mean_decay_check(simulate_ensemble(H3, profh, 1e-3, 1.0, SEED + 6, 2000))
     elapsed = time.perf_counter() - t0
 
     ok = all(c.passed for c in checks) and elapsed < 180.0
@@ -151,8 +145,8 @@ def test_criterion_07_marginal_sanity(sphere_marginal_ensembles):
     report(7, ok, f"{detail}; runtime {elapsed:.0f}s < 180s")
 
 
-def test_criterion_08_oracle_equivalence(sphere_marginal_ensembles):
-    constancy, agreement = vf.oracle_check(sphere_marginal_ensembles[1e-3], SEED + 7)
+def test_criterion_08_oracle_equivalence(sphere_marginal_ensemble):
+    constancy, agreement = vf.oracle_check(sphere_marginal_ensemble, SEED + 7)
     ok = constancy.passed and agreement.passed
     report(8, ok, f"rotation coupling distance constant to {constancy.statistic:.2e} <= 1e-12; "
                   f"mean-decay stats differ by {agreement.statistic:.4f} <= "

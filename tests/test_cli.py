@@ -211,7 +211,10 @@ def test_converge_subcommand(tmp_path, capsys):
     assert data["pass"] is True and data["details"]["strictly_decreasing"] is True
 
 
-def test_verify_subcommand_euclidean(tmp_path, capsys):
+def test_verify_subcommand_euclidean(tmp_path, capsys, monkeypatch):
+    real, runs = cli.simulate_ensemble, []       # the dt of every ensemble verify runs
+    monkeypatch.setattr(cli, "simulate_ensemble",
+                        lambda *args, **kwargs: runs.append(args[2]) or real(*args, **kwargs))
     rc = run_main(["verify", "--space", "euclidean", "--dim", "3", "--profile",
                    "euclidean-max-growth", "--rho0", "1.0", "--dt", "1e-3", "--T", "0.5",
                    "--paths", "64", "--samples", "2000", "--seed", "11",
@@ -222,11 +225,12 @@ def test_verify_subcommand_euclidean(tmp_path, capsys):
     reports = {r["name"]: r for r in payload["reports"]}
     assert "identity-scan-euclidean-n3" in reports
     assert "envelope-bracket" in reports
+    # one tracking ensemble and one marginal ensemble, both at --dt
+    assert runs == [1e-3, 1e-3]
     for label in "XY":
         details = reports[f"mean-decay-euclidean-{label}"]["details"]
-        assert details["coarse_dt"] == 2e-3
-        # the Euler step is exact on E^n: no bias allowance
-        assert details["bias_allowance"] == 0.0
+        # the Euler step is exact on E^n: its mean is the start, its tolerance 3 SE
+        assert sorted(details) == ["exact_mean", "standard_error"]
         assert reports[f"mean-decay-euclidean-{label}"]["tolerance"] == \
             3 * details["standard_error"]
 

@@ -1,8 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.stats import chi
 
 from detcouple import model_space as ms
 from detcouple import profiles as pf
@@ -110,34 +110,48 @@ def test_rotation_ensemble_rejects_bad_seed_and_n_paths():
             vf.rotation_ensemble(1.0, 1e-2, 0.1, 0, n_paths)
 
 
-def _at_dt_and_2dt(spec, profile, dt, T, seed, n_paths, **kwargs):
-    return [simulate_ensemble(spec, profile, step, T, seed, n_paths, **kwargs)
-            for step in (dt, 2 * dt)]
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sphere_mean_factor_is_the_chi_square_expectation(n):
+    # c = E[a / sqrt(a^2 + h Q)], Q ~ chi^2_n, written as Q = R^2 with R ~ chi_n,
+    # whose density is smooth; h > 2 / n makes a < 0
+    hs = np.concatenate([np.geomspace(1e-6, 1.5, 25), [0.9 * 2 / n, 1.1 * 2 / n]])
+    got = vf.sphere_mean_factor(n, hs)
+    for h, c in zip(hs, got):
+        a = 1.0 - n * h / 2.0
+        want = quad(lambda r: a / np.sqrt(a * a + h * r * r) * chi.pdf(r, n), 0.0, np.inf,
+                    epsabs=0.0, epsrel=1e-12)[0]
+        # scipy's hyperu is good to about 3e-8 here (worst at z = a^2 / (2h) of 10 to 20),
+        # far below any standard error the check meets
+        assert abs(c - want) <= 1e-7, (h, c, want)
+    assert np.all(got[hs > 2 / n] < 0)
+
+
+def test_sphere_mean_factor_vanishes_at_a_zero():
+    # h = 2 / n gives a = 0 exactly: the step is a pure tangent jump, and no
+    # RuntimeWarning (an error under pytest) comes from the 0 * inf of the closed form
+    for n in (1, 2, 3, 5):
+        assert 1.0 - n * (2.0 / n) / 2.0 == 0.0
+        assert vf.sphere_mean_factor(n, np.array([2.0 / n])).tolist() == [0.0]
 
 
 def test_mean_decay_euclidean_martingale():
-    reports = vf.mean_decay_check(*_at_dt_and_2dt(E2, pf.constant(1.0), 1e-2, 0.5, 6, 600))
+    reports = vf.mean_decay_check(simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.5, 6, 600))
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
-        assert rep.details["coarse_dt"] == 2e-2
-        # X + dB is exact: no bias allowance, the tolerance is 3 SE as it always was
-        assert rep.details["bias_allowance"] == 0.0
+        # X + dB is exact: the exact mean is the start, the tolerance 3 SE
         assert rep.tolerance == 3 * rep.details["standard_error"]
-        assert rep.statistic <= 3 * rep.details["standard_error"], rep.name
+        assert sorted(rep.details) == ["exact_mean", "standard_error"]
+    assert reports[0].details["exact_mean"].tolist() == [0.0, 0.0]
 
 
-# (statistic, tolerance, standard error) of each check.  The statistics and
-# standard errors were recorded when every caller still passed canonical_start's
-# pair to simulate_ensemble and mean_decay_check.  The tolerances were
-# re-recorded when the bias allowance became twice the change of X's mean
-# from 2 dt to dt (it was 0 here): 3 SE + 0.02270019695721892 on H2 and
-# 3 SE + 0.006580798465769977 on S2 with K = 4.  Each statistic still passes
-# within 3 SE alone, as it did with no allowance.
+# (statistic, tolerance, standard error) of each check.  The tolerance is three
+# standard errors of the whole compared mean, sqrt(tr Cov / P), about the exact
+# mean of the scheme.
 DECAY_PINS = {
-    "mean-decay-hyperbolic-X": (0.03699648229208141, 0.12829835286884486, 0.035199385303875314),
-    "mean-decay-hyperbolic-Y": (0.02815857538554667, 0.2985935692962679, 0.09196445744634967),
-    "mean-decay-sphere-X": (0.021127134030897055, 0.06430703710622752, 0.019242079546819182),
-    "mean-decay-sphere-Y": (0.03492989153081731, 0.06442442736061636, 0.019281209631615462),
+    "mean-decay-hyperbolic-X": (0.03699648229208141, 0.10559815591162594, 0.035199385303875314),
+    "mean-decay-hyperbolic-Y": (0.02815857538554667, 0.27589337233904904, 0.09196445744634968),
+    "mean-decay-sphere-X": (0.021077787400457508, 0.09067068921832233, 0.030223563072774108),
+    "mean-decay-sphere-Y": (0.03494466957374652, 0.09094268659742011, 0.030314228865806703),
 }
 
 
@@ -145,44 +159,45 @@ def _assert_pinned(reports):
     for rep in reports:
         got = (rep.statistic, rep.tolerance, rep.details["standard_error"])
         assert got == DECAY_PINS[rep.name], rep.name
-        assert rep.statistic <= 3 * rep.details["standard_error"], rep.name
 
 
 def test_mean_decay_hyperbolic_n2_constant_mean():
     # n = 2 kills the drift: E[X1] stays at X1(0)
-    reports = vf.mean_decay_check(*_at_dt_and_2dt(H2, pf.hyperbolic_lower(H2, 1.0),
-                                                  1e-2, 0.5, 8, 600))
+    reports = vf.mean_decay_check(simulate_ensemble(H2, pf.hyperbolic_lower(H2, 1.0),
+                                                    1e-2, 0.5, 8, 600))
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
+        assert rep.details["exact_mean"].shape == (1,)
     _assert_pinned(reports)
 
 
 def test_mean_decay_reads_the_result_space():
     # the curvature comes from the result: K = 4 quickens the decay of E[X(T)]
     spec = ms.sphere(2, K=4.0)
-    reports = vf.mean_decay_check(*_at_dt_and_2dt(spec, pf.constant(0.5), 1e-3, 0.1, 6, 600))
+    reports = vf.mean_decay_check(simulate_ensemble(spec, pf.constant(0.5), 1e-3, 0.1, 6, 600))
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
     _assert_pinned(reports)
 
 
+def test_mean_decay_reads_the_scheme_not_the_dt_to_0_limit():
+    # at dt = 0.1 on S5 four steps take the scheme's |E X| to 0.315, against
+    # e^(-nT/2) = 0.368: about 8 standard errors at 20,000 paths.  The check
+    # passes against the first and would fail against the second.
+    spec = ms.sphere(5)
+    res = simulate_ensemble(spec, pf.constant(np.pi / 2), 0.1, 0.4, 3, 20_000)
+    reports = vf.mean_decay_check(res)
+    for rep, start, final in zip(reports, (res.x0, res.y0), (res.final_X, res.final_Y)):
+        assert rep.passed, (rep.name, rep.statistic, rep.tolerance)
+        limit = np.exp(-spec.n * res.T / 2.0) * start
+        assert np.linalg.norm(final.mean(axis=0) - limit) > 3 * rep.details["standard_error"]
+
+
 def test_mean_decay_requires_ensemble():
     with pytest.raises(ValidationError, match="paths"):
-        vf.mean_decay_check(*_at_dt_and_2dt(E2, pf.constant(1.0), 1e-2, 0.1, 6, 10))
+        vf.mean_decay_check(simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 6, 10))
     with pytest.raises(ValidationError, match="T > 0"):
-        vf.mean_decay_check(*_at_dt_and_2dt(S2, pf.constant(1.0), 1e-2, 0.0, 6, 500))
-
-
-@pytest.mark.parametrize("field, value", [
-    ("seed", 7), ("spec", ms.euclidean(3)), ("n_paths", 501), ("T", 0.2),
-    ("dt", 3e-2), ("dt", 1e-2), ("enforce_distance", True),
-    ("y0", np.array([1.5, 0.0])),
-])
-def test_mean_decay_rejects_a_coarse_run_of_another_ensemble(field, value):
-    res, coarse = _at_dt_and_2dt(E2, pf.constant(1.0), 1e-2, 0.1, 6, 500)
-    assert len(vf.mean_decay_check(res, coarse)) == 2
-    with pytest.raises(ValidationError, match="coarse run"):
-        vf.mean_decay_check(res, dataclasses.replace(coarse, **{field: value}))
+        vf.mean_decay_check(simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.0, 6, 500))
 
 
 def test_oracle_check_needs_a_constant_distance_on_the_unit_2_sphere():
