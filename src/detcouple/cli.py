@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 from contextlib import contextmanager
@@ -28,6 +27,7 @@ from . import model_space as ms
 from . import profiles as pf
 from .errors import DetcoupleError, ValidationError
 from .sde import EnsembleResult, simulate_ensemble
+from .shards import fork_map, shard_count
 from .verify import (MIN_DECAY_PATHS, VerifyReport, convergence_study, distance_error_stats,
                      envelope_check, identity_scan, mean_decay_check, oracle_applies,
                      oracle_check)
@@ -220,9 +220,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-MIN_SHARD_ROWS = 100_000     # fewer rows per shard than this do not pay for a fork
-
-
 def _write_rows(fh, d_emp, idx, target, template, p0, p1) -> None:
     """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``."""
     rows = np.empty((idx.size, 2))
@@ -239,12 +236,12 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     on.  Every ``stride``-th sample is kept, plus the final one.
 
     The paths are cut into contiguous shards, one per usable core but with at
-    least ``MIN_SHARD_ROWS`` rows and one path each.  This process formats
-    shard 0 straight into ``path``; a forked child formats each other shard
-    ``i`` into ``<path>.part<i>``, which is appended in order and removed.
-    Every shard runs the same ``_write_rows``, so the bytes do not depend on
-    the number of cores.  A failed shard raises ``OSError``; no part file
-    and no child process outlives the call.
+    least ``shards.MIN_SHARD_WORK`` rows and one path each, and written by
+    ``shards.fork_map``: shard 0 in this process straight into ``path``, each
+    other shard ``i`` by a forked child into ``<path>.part<i>``, which is
+    appended in order and removed.  Every shard runs the same ``_write_rows``,
+    so the bytes do not depend on the number of cores.  A failed shard raises
+    its own exception here; no part file outlives the call.
     """
     if result.d_emp is None:
         raise ValidationError("ensemble was run without recorded distances")
@@ -261,42 +258,25 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     # '%.17g' % x gives the same text as f"{x:.17g}".
     template = "".join(f"{_fmt(t)},\0,%.17g,{_fmt(g)},%.17g\n"
                        for t, g in zip(result.times[idx], target))
-    shard_args = (result.d_emp, idx, target, template)
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(cores, result.n_paths * idx.size // MIN_SHARD_ROWS, result.n_paths))
+    n = shard_count(result.n_paths * idx.size, result.n_paths)
     bounds = [result.n_paths * i // n for i in range(n + 1)]
-    parts = [f"{path}.part{i}" for i in range(1, n)]
-    children = []                       # (shard, pid), in shard order
+    parts = [path] + [f"{path}.part{i}" for i in range(1, n)]
+
+    def write_shard(i):
+        with open(parts[i], "w", newline="") as fh:
+            if i == 0:
+                fh.write("t,path,dist,target,abs_err\n")
+            _write_rows(fh, result.d_emp, idx, target, template, bounds[i], bounds[i + 1])
+
     try:
-        for i in range(1, n):
-            pid = os.fork()
-            # the child runs only Python formatting and element-wise numpy, which
-            # need no lock another thread could hold at the fork, and never returns
-            if pid == 0:
-                status = 1
-                try:
-                    with open(parts[i - 1], "w", newline="") as fh:
-                        _write_rows(fh, *shard_args, bounds[i], bounds[i + 1])
-                    status = 0
-                finally:
-                    os._exit(status)    # no atexit handlers, no flush of inherited buffers
-            children.append((i, pid))
-        with open(path, "w", newline="") as fh:
-            fh.write("t,path,dist,target,abs_err\n")
-            _write_rows(fh, *shard_args, bounds[0], bounds[1])
-            fh.flush()                  # the parts go to fh.buffer, below the text layer
-            while children:
-                i, pid = children.pop(0)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if status != 0:
-                    raise OSError(f"path shard {i} of {n} exited with status {status}")
-                with open(parts[i - 1], "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer, 1 << 20)
+        fork_map(write_shard, range(n))
+        with open(path, "ab") as fh:
+            for part in parts[1:]:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh, 1 << 20)
     finally:
-        for _, pid in children:
-            os.waitpid(pid, 0)
-        for part in parts:
+        for part in parts[1:]:
             Path(part).unlink(missing_ok=True)
 
 

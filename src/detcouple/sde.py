@@ -17,6 +17,11 @@ Noise is counter-based: the increments of a path are a pure function of
 which chunk of the ensemble runs it. Every ensemble, the rotation oracle's
 included, steps through :func:`step_gaussians`, the one owner of how draws
 are blocked in memory.
+
+An ensemble runs on every usable core: its chunks are cut into contiguous
+groups, one per core, and ``shards.fork_map`` runs each group but the first
+in a forked child.  The chunk sums of the distance are added in chunk order
+whatever the grouping, so no output bit depends on the number of cores.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ from .model_space import (SpaceKind, SpaceSpec, canonical_start, from_unit_model
                           unit_point_at_distance)
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
+from .shards import fork_map, shard_count
 
 # Paths are simulated in fixed-size chunks, whose one job is to fix the order
-# in which mean_d_emp sums the paths (chunk sums, added in chunk order).
+# in which mean_d_emp sums the paths (chunk sums, added in chunk order).  A
+# shard is a group of whole chunks, so fewer chunks also mean fewer shards.
 CHUNK_PATHS = 256
 # Most bytes of normals step_gaussians holds at once; the block shape changes no value.
 NOISE_BLOCK_BYTES = 32 * 2**20
@@ -185,7 +192,9 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     Every pair starts from ``canonical_start(spec, profile.rho0)``: the spaces
     are two-point homogeneous, so only rho(0) matters.  Paths
     ``first_path_index``, ... run in fixed chunks of CHUNK_PATHS, and each
-    path's noise depends only on (seed, path index, step).
+    path's noise depends only on (seed, path index, step).  Groups of whole
+    chunks run on every usable core, with at least ``shards.MIN_SHARD_WORK``
+    path-steps each; the result has the same bits on any number of cores.
     """
     _require_positive_int("n_paths", n_paths)
     seed = _key_word("seed", seed)
@@ -213,34 +222,51 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     sup_err = np.empty(n_paths)
     final_X = np.empty((n_paths, N))
     final_Y = np.empty((n_paths, N))
-    mean_d = np.zeros(times.size)
     d_all = np.empty((n_paths, times.size)) if (record_distances or record_paths) else None
     pX = np.empty((n_paths, times.size, N)) if record_paths else None
     pY = np.empty((n_paths, times.size, N)) if record_paths else None
+    outputs = [a for a in (sup_err, final_X, final_Y, d_all, pX, pY) if a is not None]
 
-    for i0 in range(0, n_paths, CHUNK_PATHS):
-        i1 = min(i0 + CHUNK_PATHS, n_paths)
-        X = np.tile(xu, (i1 - i0, 1))
-        Y = np.tile(yu, (i1 - i0, 1))
-        d = d_all[i0:i1] if d_all is not None else np.empty((i1 - i0, times.size))
-        d[:, 0] = _unit_distance(spec.kind, X, Y)
-        if record_paths:
-            pX[i0:i1, 0] = X
-            pY[i0:i1, 0] = Y
-        for i, z in enumerate(step_gaussians(seed, first_path_index + i0, i1 - i0, M, 2 * N)):
-            X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
-                                  taus[i + 1] - taus[i], z[:, :N], z[:, N:])
-            if enforce_distance:
-                Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i + 1])
-            d[:, i + 1] = _unit_distance(spec.kind, X, Y)
+    def run_chunks(p0, p1):
+        """Run paths p0 .. p1 - 1, whole chunks, into their rows of ``outputs``;
+        return those rows and each chunk's sum of distances."""
+        sums = []
+        for i0 in range(p0, p1, CHUNK_PATHS):
+            i1 = min(i0 + CHUNK_PATHS, p1)
+            X = np.tile(xu, (i1 - i0, 1))
+            Y = np.tile(yu, (i1 - i0, 1))
+            d = d_all[i0:i1] if d_all is not None else np.empty((i1 - i0, times.size))
+            d[:, 0] = _unit_distance(spec.kind, X, Y)
             if record_paths:
-                pX[i0:i1, i + 1] = X
-                pY[i0:i1, i + 1] = Y
-        d *= r
-        sup_err[i0:i1] = np.max(np.abs(d - target[None, :]), axis=1)
-        final_X[i0:i1] = X
-        final_Y[i0:i1] = Y
-        mean_d += d.sum(axis=0)
+                pX[i0:i1, 0] = X
+                pY[i0:i1, 0] = Y
+            for i, z in enumerate(step_gaussians(seed, first_path_index + i0, i1 - i0, M, 2 * N)):
+                X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
+                                      taus[i + 1] - taus[i], z[:, :N], z[:, N:])
+                if enforce_distance:
+                    Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i + 1])
+                d[:, i + 1] = _unit_distance(spec.kind, X, Y)
+                if record_paths:
+                    pX[i0:i1, i + 1] = X
+                    pY[i0:i1, i + 1] = Y
+            d *= r
+            sup_err[i0:i1] = np.max(np.abs(d - target[None, :]), axis=1)
+            final_X[i0:i1] = X
+            final_Y[i0:i1] = Y
+            sums.append(d.sum(axis=0))
+        return sums, [a[p0:p1] for a in outputs]
+
+    # shards are contiguous groups of whole chunks, so every chunk sum keeps its bits
+    n_chunks = -(-n_paths // CHUNK_PATHS)
+    n_shards = shard_count(n_paths * M, n_chunks)
+    cuts = [min(n_paths, CHUNK_PATHS * (n_chunks * s // n_shards)) for s in range(n_shards + 1)]
+    mean_d = np.zeros(times.size)
+    shard_results = fork_map(lambda s: run_chunks(cuts[s], cuts[s + 1]), range(n_shards))
+    for s, (sums, rows) in enumerate(shard_results):
+        for a, part in zip(outputs, rows):
+            a[cuts[s]:cuts[s + 1]] = part
+        for chunk_sum in sums:          # in chunk order, as one process would add them
+            mean_d += chunk_sum
     mean_d /= n_paths
 
     # map unit-model states back to the space's own coordinates

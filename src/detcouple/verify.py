@@ -13,6 +13,11 @@ Three independent lines of evidence that the constructions are right:
   points), exact up to roundoff, to cross-check the SDE ensembles. Its
   increments come from the simulator's noise stream, ``sde.step_gaussians``.
 
+The identity scans of :func:`identity_scan_all` and the oracle's path
+ranges run on every usable core through ``shards.fork_map``, as the
+simulator's chunks do; each scan runs whole in one process, so no report
+depends on the number of cores.
+
 Each property has one check here, which ``detcouple verify`` and the
 acceptance suite both call.  Statistical tolerances are three standard
 errors of the ensembles compared, derived from the runs themselves.  The
@@ -33,6 +38,7 @@ from .errors import ValidationError, _key_word, _require_positive_int
 from .model_space import SpaceKind, SpaceSpec, canonical_start, sphere, to_unit_model
 from .profiles import envelope
 from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
+from .shards import fork_map, shard_count
 
 SCAN_TOL = 1e-10                   # identity residuals pass at or below this
 SCAN_DIMS = ((2, 0.4), (3, 0.4), (1, 0.1), (5, 0.1))   # identity_scan_all: (n, share of samples)
@@ -220,17 +226,33 @@ def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
 
 
 def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyReport]:
-    """Identity scans over all three spaces, samples split across ``SCAN_DIMS``."""
+    """Identity scans over all three spaces, samples split across ``SCAN_DIMS``.
+
+    The 12 scans are shared out among the usable cores, and the reports come
+    back in the order above: space, then ``SCAN_DIMS``."""
     _require_positive_int("num_samples_per_space", num_samples_per_space)
     seed = _key_word("seed", seed)
     _key_word("last scan seed", seed + 97 * 2 + len(SCAN_DIMS) - 1)
-    reports = []
+    scans = []                          # (spec, samples, seed), in report order
     for offset, kind in enumerate([SpaceKind.EUCLIDEAN, SpaceKind.SPHERE, SpaceKind.HYPERBOLIC]):
         for j, (n, w) in enumerate(SCAN_DIMS):
             spec = SpaceSpec(kind, n, {SpaceKind.EUCLIDEAN: 0.0, SpaceKind.SPHERE: 1.0,
                                        SpaceKind.HYPERBOLIC: -1.0}[kind])
-            size = max(1, int(num_samples_per_space * w))
-            reports.append(identity_scan(spec, size, seed + 97 * offset + j))
+            scans.append((spec, max(1, int(num_samples_per_space * w)), seed + 97 * offset + j))
+    # each scan runs whole in one shard, as a split would change its generator's
+    # stream; the costliest scan left goes to the least loaded shard
+    cost = [size * (spec.n + 1) ** 2 for spec, size, _ in scans]
+    n_shards = shard_count(sum(size for _, size, _ in scans), len(scans))
+    groups, loads = [[] for _ in range(n_shards)], [0] * n_shards
+    for k in sorted(range(len(scans)), key=lambda k: -cost[k]):
+        s = loads.index(min(loads))
+        groups[s].append(k)
+        loads[s] += cost[k]
+    reports = [None] * len(scans)
+    shard_results = fork_map(lambda group: [identity_scan(*scans[k]) for k in group], groups)
+    for group, shard_reports in zip(groups, shard_results):
+        for k, report in zip(group, shard_reports):
+            reports[k] = report
     return reports
 
 
@@ -346,19 +368,31 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     """Both points carried by one Brownian rotation per path: the distance is
     exactly constant and each image is a Brownian motion on the 2-sphere.
 
-    Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).
+    Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).  Contiguous
+    ranges of paths run on every usable core, each drawing its own paths'
+    increments from :func:`step_gaussians`, so the bits do not depend on the
+    number of cores.
     """
     x, y = canonical_start(sphere(2), rho0)
     seed = _key_word("seed", seed)
     _require_positive_int("n_paths", n_paths)
     times = time_grid(dt, T)
-    Z = np.tile(np.eye(3), (n_paths, 1, 1))
-    sup = np.zeros(n_paths)
-    for i, z in enumerate(step_gaussians(seed, 0, n_paths, times.size - 1, 3)):
-        Z = Z @ _rodrigues(np.sqrt(times[i + 1] - times[i]) * z)
-        d = np.arccos(np.clip(np.einsum("pij,j,pik,k->p", Z, x, Z, y), -1.0, 1.0))
-        sup = np.maximum(sup, np.abs(d - rho0))
-    return times, sup, Z @ x, Z @ y
+    M = times.size - 1
+
+    def run_paths(p0, p1):
+        Z = np.tile(np.eye(3), (p1 - p0, 1, 1))
+        sup = np.zeros(p1 - p0)
+        for i, z in enumerate(step_gaussians(seed, p0, p1 - p0, M, 3)):
+            Z = Z @ _rodrigues(np.sqrt(times[i + 1] - times[i]) * z)
+            d = np.arccos(np.clip(np.einsum("pij,j,pik,k->p", Z, x, Z, y), -1.0, 1.0))
+            sup = np.maximum(sup, np.abs(d - rho0))
+        return sup, Z @ x, Z @ y
+
+    n_shards = shard_count(n_paths * M, n_paths)
+    cuts = [n_paths * s // n_shards for s in range(n_shards + 1)]
+    shard_results = fork_map(lambda s: run_paths(cuts[s], cuts[s + 1]), range(n_shards))
+    sup, final_X, final_Y = (np.concatenate(part) for part in zip(*shard_results))
+    return times, sup, final_X, final_Y
 
 
 def oracle_applies(result: EnsembleResult) -> bool:

@@ -162,15 +162,17 @@ def test_criterion_09_convergence():
                   f"log-log slope {rep.details['slope']:.3f} in [0.4, 1.1]")
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(tmp_path, capsys, shards):
     argv = ["simulate", "--space", "sphere", "--dim", "2", "--profile", "constant",
             "--rho0", "1.5707963267948966", "--dt", "1e-3", "--T", "0.2",
             "--paths", "300", "--seed", "5"]
     outputs = []
-    for sub in ("run1", "run2", "run3"):
+    for cores, sub in enumerate(("run1", "run2", "run3"), 1):
+        shards(cores)
         out = tmp_path / sub
         assert cli.main(argv + ["--out", str(out)]) == 0
         outputs.append(((out / "paths.csv").read_bytes(),
                         (out / "summary.json").read_bytes()))
     ok = outputs[0] == outputs[1] == outputs[2]
-    report(10, ok, "three repeated runs produce byte-identical paths.csv and summary.json")
+    report(10, ok, "three repeated runs, on 1, 2 and 3 usable cores, produce byte-identical "
+                   "paths.csv and summary.json")

@@ -10,37 +10,14 @@ import sys
 import numpy as np
 import pytest
 
+import detcouple.sde as sde_mod
 from detcouple import cli
+from detcouple import shards as shards_mod
 from detcouple.errors import ValidationError
 
 
 def run_main(argv):
     return cli.main(argv)
-
-
-@pytest.fixture
-def shards(monkeypatch):
-    """``shards(k)``: paths.csv is written in ``k`` shards when there are ``k`` paths or more.
-
-    Every row may start a shard, and ``k`` cores are usable.  The returned
-    list collects the pid of every fork the writer makes.
-    """
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def set_cores(k):
-        monkeypatch.setattr(cli, "MIN_SHARD_ROWS", 1)
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-        return forks
-
-    return set_cores
 
 
 def test_parse_simulate_flags():
@@ -186,7 +163,7 @@ def test_check_prints_checked_range(extra, table_end, printed, tmp_path, capsys)
 
 
 def test_determinism_across_runs(tmp_path, capsys, shards):
-    # repeat runs written in 1, 2 and 3 shards
+    # repeat runs simulated and written in 1, 2 and 3 shards
     argv = ["simulate", "--space", "sphere", "--dim", "2", "--profile", "constant",
             "--rho0", "1.0", "--dt", "1e-3", "--T", "0.2", "--paths", "300",
             "--seed", "5"]
@@ -304,16 +281,26 @@ _GOLDEN = [  # (case, T, stride, exit status, paths.csv, summary.json)
 
 @pytest.mark.parametrize("case,T,stride,code,csv_sha,json_sha", _GOLDEN,
                          ids=[f"{c}-T{T}-stride{s}" for c, T, s, *_ in _GOLDEN])
-def test_simulate_golden_bytes(tmp_path, capsys, case, T, stride, code, csv_sha, json_sha):
-    rc = run_main(["simulate", *_GOLDEN_ARGS[case], "--dt", "1e-2", "--T", T, "--paths", "3",
-                   "--seed", "7", "--csv-stride", stride, "--out", str(tmp_path)])
-    assert rc == code
-    # samples 0..5 at T=0.05; stride 4 keeps 0, 4 and the final sample 5
-    per_path = 1 if T == "0" else {"1": 6, "4": 3}[stride]
-    text = (tmp_path / "paths.csv").read_bytes()
-    assert text.count(b"\n") == 1 + 3 * per_path
-    assert hashlib.sha256(text).hexdigest() == csv_sha
-    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == json_sha
+def test_simulate_golden_bytes(tmp_path, capsys, case, T, stride, code, csv_sha, json_sha,
+                               shards, monkeypatch):
+    # one path per chunk, so that the simulator shards as well as the writer; neither
+    # file reads mean_d_emp, the one value the chunk size can change
+    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 1)
+    for cores in (1, 2, 3):
+        forks = shards(cores)
+        n_forks = len(forks)
+        out = tmp_path / f"cores{cores}"
+        rc = run_main(["simulate", *_GOLDEN_ARGS[case], "--dt", "1e-2", "--T", T,
+                       "--paths", "3", "--seed", "7", "--csv-stride", stride, "--out", str(out)])
+        assert rc == code
+        # the simulator forks only when there is a step to take
+        assert len(forks) - n_forks == (cores - 1) * (1 if T == "0" else 2)
+        # samples 0..5 at T=0.05; stride 4 keeps 0, 4 and the final sample 5
+        per_path = 1 if T == "0" else {"1": 6, "4": 3}[stride]
+        text = (out / "paths.csv").read_bytes()
+        assert text.count(b"\n") == 1 + 3 * per_path
+        assert hashlib.sha256(text).hexdigest() == csv_sha
+        assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == json_sha
 
 
 def _reference_paths_csv(result, stride):
@@ -384,7 +371,7 @@ def test_write_paths_csv_bytes_do_not_depend_on_shards(cores, tmp_path, shards):
 def test_write_paths_csv_shard_count_is_bounded(min_rows, cores, n_forks, tmp_path,
                                                 shards, monkeypatch):
     forks = shards(cores)
-    monkeypatch.setattr(cli, "MIN_SHARD_ROWS", min_rows)
+    monkeypatch.setattr(shards_mod, "MIN_SHARD_WORK", min_rows)
     res = _special_values_ensemble()
     cli.write_paths_csv(tmp_path / "paths.csv", res)
     assert len(forks) == n_forks
@@ -407,8 +394,8 @@ def test_write_paths_csv_failed_shard_leaves_nothing_behind(failing, tmp_path, s
     # a block-buffered stdout still holds the line when the children fork
     with open(tmp_path / "stdout.txt", "w") as stdout, contextlib.redirect_stdout(stdout):
         print("printed once")
-        with pytest.raises(OSError,
-                           match="path shard 1 of 3" if failing == "child" else "No space"):
+        # a failed child's own exception is raised in the parent
+        with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$"):
             cli.write_paths_csv(tmp_path / "paths.csv", res)
     assert (tmp_path / "stdout.txt").read_text() == "printed once\n"
     assert list(tmp_path.glob("paths.csv.part*")) == []
@@ -519,8 +506,8 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
             if args[-2] > 0:
                 raise OSError(errno.ENOSPC, "No space left on device")
         monkeypatch.setattr(cli, "_write_rows", write_rows)
-        expect = f"cannot write {tmp_path / 'run' / 'paths.csv'}: " \
-                 "path shard 1 of 2 exited with status 1"
+        expect = f"error: cannot write {tmp_path / 'run' / 'paths.csv'}: " \
+                 "No space left on device\n"
     elif case == "table-non-numeric":
         table.write_text("t,rho\n0,1.0\n0.5,wide\n1,1.3\n")
         expect = f"{table}:3"

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -452,13 +454,57 @@ def test_general_curvature_sphere_tracks():
     assert np.allclose(np.linalg.norm(res.final_X, axis=-1), spec.r, atol=1e-12)
 
 
-def test_chunked_ensembles_cross_chunk_boundary(monkeypatch):
-    # fixed chunking: path results must not depend on which chunk ran them
+def test_chunked_ensembles_cross_chunk_boundary(monkeypatch, shards):
+    # fixed chunking: path results must not depend on which chunk or shard ran them
     prof = pf.constant(1.0)
-    big = simulate_ensemble(E2, prof, 1e-2, 0.1, 5, 10, record_distances=True)
-    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 4)
-    small = simulate_ensemble(E2, prof, 1e-2, 0.1, 5, 10, record_distances=True)
-    assert np.array_equal(big.d_emp, small.d_emp)
+    big = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10, record_paths=True)
+    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 3)
+    for cores in (1, 2, 3):
+        forks = shards(cores)
+        n_forks = len(forks)
+        small = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10, record_paths=True)
+        assert len(forks) - n_forks == cores - 1       # 4 chunks of 3, 3, 3 and 1 paths
+        for name in ("d_emp", "paths_X", "paths_Y", "final_X", "final_Y", "sup_err"):
+            assert np.array_equal(getattr(big, name), getattr(small, name)), (cores, name)
+        # the chunk sums are added in chunk order, whatever the shards
+        mean_d = np.zeros(small.times.size)
+        for i0 in range(0, 10, 3):
+            mean_d += small.d_emp[i0:i0 + 3].sum(axis=0)
+        assert np.array_equal(small.mean_d_emp, mean_d / 10), cores
+
+
+def test_failed_simulator_shard_raises_in_the_parent(tmp_path, capsys, shards, monkeypatch):
+    forks = shards(3)
+    parent, forks_before = os.getpid(), []
+    real_advance = sde_mod._advance_batch
+
+    def advance(*args):
+        # shard 1 is the first child forked since the call began
+        if os.getpid() != parent and len(forks) == forks_before[-1]:
+            raise ValidationError("shard 1 cannot step")
+        return real_advance(*args)
+
+    monkeypatch.setattr(sde_mod, "_advance_batch", advance)
+    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
+    # a block-buffered stdout still holds the line when the children fork
+    with open(tmp_path / "stdout.txt", "w") as stdout, contextlib.redirect_stdout(stdout):
+        print("printed once")
+        forks_before.append(len(forks))
+        with pytest.raises(ValidationError, match="^shard 1 cannot step$"):
+            simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 5, 6)
+    assert (tmp_path / "stdout.txt").read_text() == "printed once\n"
+    assert len(forks) == forks_before[-1] + 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    out = tmp_path / "run"
+    forks_before.append(len(forks))
+    assert cli.main(["simulate", "--space", "euclidean", "--profile", "constant", "--rho0", "1",
+                     "--dt", "1e-2", "--T", "0.1", "--paths", "6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: shard 1 cannot step\n"
+    assert list(out.iterdir()) == []        # failed before writing, so no paths.csv.part*
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +586,17 @@ ARRAY_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
-def test_simulate_ensemble_array_digests(case):
+def test_simulate_ensemble_array_digests(case, shards):
     spec, build, P, dt, T, seed, enforce = ARRAY_CASES[case]
-    res = simulate_ensemble(spec, build(spec, 1.0), dt, T, seed, P,
-                            enforce_distance=enforce, record_paths=True)
-    got = {name: hashlib.sha256(np.ascontiguousarray(getattr(res, name), dtype="<f8")
-                                .tobytes()).hexdigest()
-           for name in ARRAY_DIGESTS[case]}
-    assert got == ARRAY_DIGESTS[case]
+    # one shard per chunk of CHUNK_PATHS paths, up to the cores: only e3-260-paths has two
+    n_chunks = -(-P // sde_mod.CHUNK_PATHS)
+    for cores in (1, 2, 3):
+        forks = shards(cores)
+        n_forks = len(forks)
+        res = simulate_ensemble(spec, build(spec, 1.0), dt, T, seed, P,
+                                enforce_distance=enforce, record_paths=True)
+        got = {name: hashlib.sha256(np.ascontiguousarray(getattr(res, name), dtype="<f8")
+                                    .tobytes()).hexdigest()
+               for name in ARRAY_DIGESTS[case]}
+        assert got == ARRAY_DIGESTS[case], cores
+        assert len(forks) - n_forks == min(cores, n_chunks) - 1

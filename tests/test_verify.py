@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,6 +24,35 @@ def test_identity_scan_all_spaces_small():
     for rep in reports:
         assert rep.passed, (rep.name, rep.statistic, rep.details)
         assert rep.statistic <= 1e-10
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards):
+    # recorded when the oracle ran in one process
+    for cores in (1, 2, 3):
+        forks = shards(cores)
+        n_forks = len(forks)
+        out = vf.rotation_ensemble(np.pi / 2, 1e-3, 0.5, 11, 600)
+        assert len(forks) - n_forks == cores - 1
+        assert _sha(*out) == "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928"
+
+
+def test_identity_scan_all_digest_on_1_2_and_3_cores(shards):
+    # recorded when the 12 scans ran in one process; the reports keep their order
+    for cores in (1, 2, 3):
+        forks = shards(cores)
+        n_forks = len(forks)
+        reports = vf.identity_scan_all(30_000, 13)
+        assert len(forks) - n_forks == cores - 1
+        text = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == \
+            "1dab46d8cb7a878e230264ea791c2858702e0b68d9579e7710b1a352834836ff"
 
 
 def test_identity_scan_sphere_n1_rotation_branch():
