@@ -13,6 +13,7 @@ configuration and seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shutil
 import sys
@@ -185,6 +186,10 @@ def parse_config(argv) -> tuple[str, RunConfig]:
     if args.command in ("verify", "converge") and not cfg.T > 0:
         # at T = 0 every statistic is rounding noise
         raise ValidationError(f"field T: {args.command} needs a horizon T > 0, got {cfg.T}")
+    if args.command == "verify" and cfg.seed > 2**64 - 3:
+        # cmd_verify also draws from seed + 1 and seed + 2
+        raise ValidationError(f"field seed: verify needs an integer in [0, 2**64 - 3], "
+                              f"got {cfg.seed}")
     return args.command, cfg
 
 
@@ -220,20 +225,129 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# _fmt in bulk.  For 1e-4 <= x < 1e16, '%.17g' is fixed-point: with
+# e = floor(log10 x) and s = 16 - e, its 17 significant digits are those of
+# D = x * 10**s rounded half-to-even to an integer, and its point goes after
+# digit e of D (after "0." and -1 - e zeros when e < 0).  10**s is an exact
+# double (s <= 20), so x * 10**s = hi + lo exactly, by Veltkamp's split and
+# Dekker's two-product (Numer. Math. 18, 1971), and D is hi + floor(lo) plus
+# the rounding of lo's fraction.  A log10 that rounds across a power of ten
+# leaves D outside [1e16, 1e17); such values, and every value outside the
+# range, are formatted by _fmt.
+FORMAT_PATHS = 16       # paths formatted per block: bounds the formatter's working set
+_WIDTH = 24             # longest '%.17g' text: -1.7976931348623157e+308
+
+
+def _split(a):
+    """Veltkamp's split: ``a = hi + lo`` with ``hi`` and ``lo`` 26 bits each."""
+    c = 134217729.0 * a         # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _format_tables():
+    """The formatter's constants, built on first use so that import stays cheap.
+
+    10**s for s = 0 .. 20 and its split; the four ASCII digits of each of
+    0 .. 9999 as one uint32, and their trailing zeros; and keep[j], 20 bytes
+    of which the first j are 0xff, as five uint32.
+    """
+    pow10 = np.array([float(10**s) for s in range(21)])
+    ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        ascii4[..., k] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - k))
+    zeros = np.zeros(10_000, np.int8)
+    for step in (10, 100, 1000, 10_000):
+        zeros[::step] += 1                  # a multiple of step ends in one more zero
+    keep = np.frombuffer(b"".join(b"\xff" * j + bytes(20 - j) for j in range(21)),
+                         np.uint32).reshape(21, 5)
+    return (pow10, *_split(pow10), ascii4.view(np.uint32).ravel(), zeros, keep)
+
+
+def _fmt_bulk(x: np.ndarray) -> list[bytes]:
+    """``[_fmt(v).encode() for v in x.flat]`` for a float64 array ``x``, computed in bulk."""
+    pow10, pow10_hi, pow10_lo, digits4, zeros4, keep = _format_tables()
+    x = x.ravel()
+    texts = np.zeros(x.size, f"S{_WIDTH}")
+    rows = np.flatnonzero((x >= 1e-4) & (x < 1e16))
+    v = x[rows]
+    e = np.clip(np.floor(np.log10(v)), -4, 15).astype(np.intp)
+    s = 16 - e
+    hi = v * pow10[s]
+    vh, vl = _split(v)
+    ph, pl = pow10_hi[s], pow10_lo[s]
+    lo = ((vh * ph - hi) + vh * pl + vl * ph) + vl * pl
+    floor_lo = np.floor(lo)
+    frac = lo - floor_lo
+    D = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    D += (frac > 0.5) | ((frac == 0.5) & (D % 2 == 1))
+    ok = (D >= 10**16) & (D < 10**17)
+    D, e, rows = D[ok], e[ok], rows[ok]
+
+    # D's 17 digits as five ASCII groups: 1 + 4 + 4 | 4 + 4 digits
+    top = D // 10**8
+    low = (D - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    lead = top // 10**4
+    groups = (lead // 10**4, lead % 10**4, top % 10**4, low // 10**4, low % 10**4)
+    digits = np.empty((D.size, 5), np.uint32)       # bytes: '000', then the 17 digits
+    for k, g in enumerate(groups):
+        digits[:, k] = digits4[g]
+    # cut the fraction's trailing zeros to NUL, and its point if no digit is left
+    zeros = zeros4[groups[4]]
+    more = np.flatnonzero(zeros == 4)
+    for g in groups[3:0:-1]:
+        zeros[more] += zeros4[g[more]]
+        more = more[g[more] == 0]
+    zeros = np.minimum(zeros, 16 - e)
+    cut = np.flatnonzero(zeros)
+    digits[cut] &= keep[20 - zeros[cut]]
+    point = np.where(zeros < 16 - e, ord("."), 0)
+    digits = digits.view("V20").ravel()
+
+    for k in np.flatnonzero(np.bincount(e + 4)) - 4:
+        r = np.flatnonzero(e == k)
+        d = np.take(digits, r).view(np.uint8).reshape(r.size, 20)[:, 3:]
+        text = np.zeros((r.size, _WIDTH), np.uint8)
+        if k >= 0:
+            text[:, :k + 1] = d[:, :k + 1]
+            text[:, k + 1] = point[r]
+            text[:, k + 2:18] = d[:, k + 1:]
+        else:
+            text[:, :1 - k] = np.frombuffer(b"0.000"[:1 - k], np.uint8)
+            text[:, 1 - k:18 - k] = d
+        texts[rows[r]] = text.view(f"S{_WIDTH}").ravel()
+
+    texts = texts.tolist()                  # each without its NUL padding
+    done = np.zeros(x.size, bool)
+    done[rows] = True
+    for i in np.flatnonzero(~done):
+        texts[i] = _fmt(float(x[i])).encode()
+    return texts
+
+
 def _write_rows(fh, d_emp, idx, target, template, p0, p1) -> None:
-    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``."""
-    rows = np.empty((idx.size, 2))
-    for p in range(p0, p1):
-        rows[:, 0] = d_emp[p, idx]
-        np.abs(np.subtract(rows[:, 0], target, out=rows[:, 1]), out=rows[:, 1])
-        fh.write(template.replace("\0", str(p)) % tuple(rows.ravel().tolist()))
+    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``, ``FORMAT_PATHS`` paths at a time."""
+    per_path = 2 * idx.size
+    for b0 in range(p0, p1, FORMAT_PATHS):
+        b1 = min(b0 + FORMAT_PATHS, p1)
+        rows = np.empty((b1 - b0, idx.size, 2))
+        rows[..., 0] = d_emp[b0:b1, idx]
+        np.abs(np.subtract(rows[..., 0], target, out=rows[..., 1]), out=rows[..., 1])
+        texts = _fmt_bulk(rows)
+        for k, p in enumerate(range(b0, b1)):
+            fh.write(template.replace(b"\0", b"%d" % p)
+                     % tuple(texts[k * per_path:(k + 1) * per_path]))
 
 
 def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     """Per-sample rows ``t,path,dist,target,abs_err`` with 17 significant digits.
 
     Rows are path-major: every kept sample of path 0, then of path 1, and so
-    on.  Every ``stride``-th sample is kept, plus the final one.
+    on.  Every ``stride``-th sample is kept, plus the final one.  Each value's
+    text is exactly Python's ``'%.17g' % x`` (``_fmt``), computed in bulk by
+    ``_fmt_bulk`` for ``FORMAT_PATHS`` paths at a time.
 
     The paths are cut into contiguous shards, one per usable core but with at
     least ``shards.MIN_SHARD_WORK`` rows and one path each, and written by
@@ -254,19 +368,18 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     idx = np.array(idx)
     target = result.target[idx]
     # t and target are shared by all paths: format them once into a template
-    # whose \0 takes the path index and whose %-slots take (dist, abs_err).
-    # '%.17g' % x gives the same text as f"{x:.17g}".
-    template = "".join(f"{_fmt(t)},\0,%.17g,{_fmt(g)},%.17g\n"
-                       for t, g in zip(result.times[idx], target))
+    # whose \0 takes the path index and whose %b slots take (dist, abs_err).
+    template = "".join(f"{_fmt(t)},\0,%b,{_fmt(g)},%b\n"
+                       for t, g in zip(result.times[idx], target)).encode()
 
     n = shard_count(result.n_paths * idx.size, result.n_paths)
     bounds = [result.n_paths * i // n for i in range(n + 1)]
     parts = [path] + [f"{path}.part{i}" for i in range(1, n)]
 
     def write_shard(i):
-        with open(parts[i], "w", newline="") as fh:
+        with open(parts[i], "wb") as fh:
             if i == 0:
-                fh.write("t,path,dist,target,abs_err\n")
+                fh.write(b"t,path,dist,target,abs_err\n")
             _write_rows(fh, result.d_emp, idx, target, template, bounds[i], bounds[i + 1])
 
     try:

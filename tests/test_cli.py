@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detcouple.sde as sde_mod
 from detcouple import cli
@@ -29,6 +31,15 @@ def test_parse_simulate_flags():
     assert cfg.rho0 == pytest.approx(1.5707963)
     assert cfg.dt == 1e-4 and cfg.T == 1.0 and cfg.paths == 100 and cfg.seed == 42
     assert not cfg.enforce_distance
+
+
+def test_parse_seed_range_per_command():
+    base = "--space euclidean --dim 2 --profile constant --rho0 1 --seed".split()
+    assert cli.parse_config(["simulate", *base, str(2**64 - 1)])[1].seed == 2**64 - 1
+    # verify draws from seed, seed + 1 and seed + 2
+    assert cli.parse_config(["verify", *base, str(2**64 - 3)])[1].seed == 2**64 - 3
+    with pytest.raises(ValidationError, match=r"^field seed: verify"):
+        cli.parse_config(["verify", *base, str(2**64 - 2)])
 
 
 def test_parse_rejects_bad_dim():
@@ -362,6 +373,80 @@ def test_write_paths_csv_bytes_do_not_depend_on_shards(cores, tmp_path, shards):
         sorted(f"paths-{stride}.csv" for stride in (1, 3, 13, 100))
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("block", [2, 3])
+def test_write_paths_csv_bytes_do_not_depend_on_format_blocks(block, cores, tmp_path, shards,
+                                                             monkeypatch):
+    # 5 paths in blocks of 2 or 3: blocks end inside a shard and at its end
+    shards(cores)
+    monkeypatch.setattr(cli, "FORMAT_PATHS", block)
+    res = _special_values_ensemble()
+    for stride in (1, 3, 13, 100):
+        out = tmp_path / f"paths-{stride}.csv"
+        cli.write_paths_csv(out, res, stride)
+        assert out.read_bytes() == _reference_paths_csv(res, stride), stride
+
+
+def _assert_python_text(x):
+    """``cli._fmt_bulk(x)`` is ``'%.17g' % v`` for every value ``v`` of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    got = cli._fmt_bulk(x)
+    values = x.ravel().tolist()
+    want = [b"%.17g" % v for v in values]
+    bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+    assert len(got) == x.size and not bad, bad[:5]
+
+
+def _neighbours(x, steps=2):
+    """``x`` and the ``steps`` doubles on each side of every value."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.concatenate(out)
+
+
+def test_fmt_bulk_random_bit_patterns():
+    # uniform in the bit pattern, so every exponent of the fixed-point range is covered
+    rng = np.random.default_rng(16)
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    _assert_python_text(rng.integers(lo, hi, 1_000_000).view(np.float64))
+
+
+def test_fmt_bulk_edge_values():
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    # the nearest doubles to 18-digit decimal ties ...5, which round either way
+    near_ties = np.array([float(f"{d}5e{k}") for d, k in
+                          zip(rng.integers(10**16, 10**17, 3000), rng.integers(-21, -1, 3000))])
+    # exact ties: m * 2**-j with m odd has the digits of m * 5**j, which end in 5;
+    # with 18 of them, '%.17g' rounds half to even
+    exact_ties = np.concatenate([
+        np.ldexp((rng.integers(-(-10**17 // 5**j), min(10**18 // 5**j, 2**53), 300) | 1)
+                 .astype(np.float64), -j) for j in range(2, 21)])
+    dyadic = np.concatenate([np.ldexp(rng.integers(1, 2**53, 200).astype(np.float64), -j)
+                             for j in range(0, 110, 3)])
+    integers = np.concatenate([np.arange(1.0, 10_001.0),
+                               rng.integers(1, 10**16, 10_000).astype(np.float64)])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = np.array([0.0, -0.0, -1.0, -0.5, -1e-4, -123.456, -1e300, np.nan, -np.nan,
+                         np.inf, -np.inf, tiny, 3 * tiny, np.finfo(np.float64).tiny / 2,
+                         -tiny, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    for x in (_neighbours(powers), _neighbours(near_ties, 1), _neighbours(exact_ties, 1),
+              dyadic, integers, specials, _neighbours(np.array([1e-4, 1e16]), 64)):
+        _assert_python_text(x)
+    # every value of a block in one call, in any shape
+    _assert_python_text(np.concatenate([specials, powers]).reshape(2, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_fmt_bulk_any_float(values):
+    _assert_python_text(values)
+
+
 @pytest.mark.parametrize("min_rows,cores,n_forks", [
     (100_000, 3, 0),    # 70 rows: too few for a second shard
     (30, 3, 1),         # 70 // 30 = 2 shards
@@ -422,7 +507,8 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "flag-dts-negative", "flag-rho0-inf",
                                   "out-not-a-directory", "out-is-a-file", "out-shard-fails",
                                   "check-out-is-a-file", "verify-out-is-a-file",
-                                  "converge-out-is-a-file", "converge-T-0", "verify-T-0"])
+                                  "converge-out-is-a-file", "converge-T-0", "verify-T-0",
+                                  "verify-seed-max"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -483,11 +569,15 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
             raise AssertionError("simulated before the output directory was made")
         monkeypatch.setattr(cli, "simulate_ensemble", no_simulation)
     elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file",
-                  "converge-T-0", "verify-T-0"):
+                  "converge-T-0", "verify-T-0", "verify-seed-max"):
         argv[0] = case.split("-")[0]
         if case.endswith("T-0"):
             argv[argv.index("--T") + 1] = "0"
             expect = f"field T: {argv[0]} needs a horizon T > 0"
+        elif case == "verify-seed-max":
+            # a valid seed for simulate, but verify also draws from seed + 1 and seed + 2
+            argv += ["--seed", str(2**64 - 1)]
+            expect = f"field seed: verify needs an integer in [0, 2**64 - 3], got {2**64 - 1}"
         else:
             argv[argv.index("--out") + 1] = str(table)
             expect = f"cannot write {table}: File exists"
