@@ -27,7 +27,7 @@ import numpy as np
 from . import model_space as ms
 from . import profiles as pf
 from .errors import DetcoupleError, ValidationError
-from .sde import EnsembleResult, simulate_ensemble
+from .sde import EnsembleResult, check_run, simulate_ensemble
 from .shards import fork_map, shard_count
 from .verify import (MIN_DECAY_PATHS, VerifyReport, convergence_study, distance_error_stats,
                      envelope_check, identity_scan, mean_decay_check, oracle_applies,
@@ -96,8 +96,9 @@ FIELDS = {
     "csv_stride": Field(COUNT, "1", "write every k-th sample to paths.csv"),
     "samples": Field(COUNT, "20000", "identity-scan sample count (verify)"),
     "dts": Field(Kind(lambda text: tuple(float(s) for s in text.split(",") if s.strip()),
-                      "comma-separated finite numbers > 0",
-                      lambda value: all(0 < dt < np.inf for dt in value)),
+                      "at least 3 comma-separated, strictly decreasing finite numbers > 0",
+                      lambda value: len(value) >= 3 and all(0 < dt < np.inf for dt in value)
+                      and all(b < a for a, b in zip(value, value[1:]))),
                  "1e-2,3e-3,1e-3,3e-4,1e-4", "comma-separated dt list (converge)"),
     "out": Field(Kind(Path, "a path"), ".", "output directory"),
 }
@@ -432,6 +433,12 @@ def cmd_simulate(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile
     return 0 if passed else 1
 
 
+def _least(margin):
+    """The least margin of the points (or segments) in range; None when none is."""
+    margin = margin[~np.isnan(margin)]
+    return float(margin.min()) if margin.size else None
+
+
 def cmd_check(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) -> int:
     report = pf.check_admissibility(spec, profile, T=cfg.T if cfg.T > 0 else None)
     payload = {
@@ -441,8 +448,8 @@ def cmd_check(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile) -
         "reasons": list(report.reasons),
         "lo_active": report.lo_active,
         "hi_active": report.hi_active,
-        "min_lo_margin": float(np.nanmin(report.lo_margin)),
-        "min_hi_margin": float(np.nanmin(report.hi_margin)),
+        "min_lo_margin": _least(report.lo_margin),
+        "min_hi_margin": _least(report.hi_margin),
     }
     _write_json(cfg.out / "admissibility.json", payload)
     if report.admissible:
@@ -504,6 +511,8 @@ def main(argv=None) -> int:
         command, cfg = parse_config(argv if argv is not None else sys.argv[1:])
         spec = build_space(cfg)
         profile = build_profile(cfg, spec)
+        for dt in {"simulate": [cfg.dt], "verify": [cfg.dt], "converge": cfg.dts}.get(command, []):
+            check_run(spec, profile, dt, cfg.T)
         # the input is good: make the output directory before any work
         with _writing(cfg.out):
             cfg.out.mkdir(parents=True, exist_ok=True)

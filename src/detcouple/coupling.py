@@ -30,10 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateStateError, ValidationError
-from .model_space import SpaceKind
+from .model_space import ON_MANIFOLD_TOL, SpaceKind
 
 BAND_TOL = 1e-10        # admissible-band slack absorbed before raising
 DEGENERATE_ETA = 1e-9   # sphere states with |X.Y| >= 1 - this are rejected
+VERTICAL_TOL = 1e-13    # half-space pairs with |Z-tilde| <= this * (X_1 + Y_1) are vertical
 
 
 def eta_from_rho(kind: SpaceKind, rho, rho_prime):
@@ -157,7 +158,7 @@ def _hyperbolic_plane(X, Y, eta, eta_prime):
     x1, y1 = X[..., 0], Y[..., 0]
     m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
     gamma = 1.0 + eta - eta_prime / k
-    small = u <= 1e-13 * (x1 + y1)
+    small = u <= VERTICAL_TOL * (x1 + y1)
     M2 = np.where(small, 1.0, m * m + l * l)
     phi = -eta_prime / k + (x1 * x1 + y1 * y1) / (x1 * y1)
     denom = (1.0 + eta) * l * q + m * p
@@ -191,7 +192,7 @@ def _checked(kind: SpaceKind, X, Y, eta, eta_prime):
             raise DegenerateStateError("coincident points")
         lo, hi = 0.0, 2.0 * k
     elif kind is SpaceKind.SPHERE:
-        if not np.all(np.abs(np.linalg.norm(np.stack([X, Y]), axis=-1) - 1.0) <= 1e-9):
+        if not np.all(np.abs(np.linalg.norm(np.stack([X, Y]), axis=-1) - 1.0) <= ON_MANIFOLD_TOL):
             raise ValidationError("sphere points must be unit vectors")
         if not np.all(np.abs(_dots(X, Y)) < 1.0 - DEGENERATE_ETA):
             raise DegenerateStateError("coincident or antipodal points on the sphere")

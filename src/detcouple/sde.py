@@ -14,14 +14,14 @@ positivity) and remaining coordinates by Euler with the pre-step X1.
 
 Noise is counter-based: the increments of a path are a pure function of
 (seed, path_index, step index), so a path's trajectory does not depend on
-which chunk of the ensemble runs it. Every ensemble, the rotation oracle's
+which shard of the ensemble runs it. Every ensemble, the rotation oracle's
 included, steps through :func:`step_gaussians`, the one owner of how draws
 are blocked in memory.
 
-An ensemble runs on every usable core: its chunks are cut into contiguous
-groups, one per core, and ``shards.fork_map`` runs each group but the first
-in a forked child.  The chunk sums of the distance are added in chunk order
-whatever the grouping, so no output bit depends on the number of cores.
+An ensemble runs on every usable core: its paths are cut into contiguous
+shards of whole sum blocks, one per core, each stepped as one batch, and
+``shards.fork_map`` runs each but the first in a forked child.  The block
+sums of the distance are added in block order, so no bit depends on the cores.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 from .shards import fork_map, shard_count
 
-# Paths are simulated in fixed-size chunks, whose one job is to fix the order
-# in which mean_d_emp sums the paths (chunk sums, added in chunk order).  A
-# shard is a group of whole chunks, so fewer chunks also mean fewer shards.
+# The sum block: mean_d_emp adds each block's paths in order, then the block
+# sums in block order.  A shard, which steps as one batch, holds whole blocks.
 CHUNK_PATHS = 256
 # Most bytes of normals step_gaussians holds at once; the block shape changes no value.
 NOISE_BLOCK_BYTES = 32 * 2**20
@@ -183,6 +182,20 @@ def time_grid(dt: float, T: float) -> np.ndarray:
 # ensembles
 
 
+def check_run(spec: SpaceSpec, profile, dt: float, T: float):
+    """(times, x0, y0) of a run to ``T`` in steps of ``dt``, after the checks that need no
+    path: the grid, the start distance, the horizon and admissibility on the grid."""
+    times = time_grid(dt, T)
+    x0, y0 = canonical_start(spec, profile.rho0)
+    if np.isfinite(profile.end_time) and T > profile.end_time * (1 + 1e-12):
+        raise ValidationError(f"profile only defined up to t = {profile.end_time:.6g}")
+    if times.size > 1:
+        rep = check_admissibility(spec, profile, grid=times)
+        if not rep.admissible:
+            raise ValidationError("profile not admissible on [0, T]: " + "; ".join(rep.reasons))
+    return times, x0, y0
+
+
 def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
                       n_paths: int, enforce_distance: bool = False,
                       record_distances: bool = False, record_paths: bool = False,
@@ -190,28 +203,20 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     """Simulate ``n_paths`` independent coupled pairs on a common grid.
 
     Every pair starts from ``canonical_start(spec, profile.rho0)``: the spaces
-    are two-point homogeneous, so only rho(0) matters.  Paths
-    ``first_path_index``, ... run in fixed chunks of CHUNK_PATHS, and each
-    path's noise depends only on (seed, path index, step).  Groups of whole
-    chunks run on every usable core, with at least ``shards.MIN_SHARD_WORK``
-    path-steps each; the result has the same bits on any number of cores.
+    are two-point homogeneous, so only rho(0) matters.  Path ``first_path_index
+    + j``'s noise depends only on (seed, its index, step).  Groups of whole sum
+    blocks of CHUNK_PATHS run on every usable core, with at least
+    ``shards.MIN_SHARD_WORK`` path-steps each, and each group steps as one
+    batch; the result has the same bits on any number of cores.
     """
     _require_positive_int("n_paths", n_paths)
     seed = _key_word("seed", seed)
     first_path_index = _key_word("first_path_index", first_path_index)
     _key_word("last path index", first_path_index + n_paths - 1)
-    times = time_grid(dt, T)
-    x0, y0 = canonical_start(spec, profile.rho0)
-    if np.isfinite(profile.end_time) and T > profile.end_time * (1 + 1e-12):
-        raise ValidationError(f"profile only defined up to t = {profile.end_time:.6g}")
+    times, x0, y0 = check_run(spec, profile, dt, T)
     target, drho = profile.eval(times)
 
     r = spec.r
-    if times.size > 1:
-        rep = check_admissibility(spec, profile, grid=times)
-        if not rep.admissible:
-            raise ValidationError("profile not admissible on [0, T]: " + "; ".join(rep.reasons))
-
     xu, yu = to_unit_model(spec, x0), to_unit_model(spec, y0)
     taus = times / r**2
     # the profile's (rho, rho') at every grid time, in unit-model units
@@ -219,55 +224,49 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     N = spec.ambient_dim
     M = times.size - 1
 
-    sup_err = np.empty(n_paths)
-    final_X = np.empty((n_paths, N))
-    final_Y = np.empty((n_paths, N))
+    sup_err, final_X, final_Y = np.empty(n_paths), np.empty((n_paths, N)), np.empty((n_paths, N))
     d_all = np.empty((n_paths, times.size)) if (record_distances or record_paths) else None
     pX = np.empty((n_paths, times.size, N)) if record_paths else None
     pY = np.empty((n_paths, times.size, N)) if record_paths else None
     outputs = [a for a in (sup_err, final_X, final_Y, d_all, pX, pY) if a is not None]
 
-    def run_chunks(p0, p1):
-        """Run paths p0 .. p1 - 1, whole chunks, into their rows of ``outputs``;
-        return those rows and each chunk's sum of distances."""
-        sums = []
-        for i0 in range(p0, p1, CHUNK_PATHS):
-            i1 = min(i0 + CHUNK_PATHS, p1)
-            X = np.tile(xu, (i1 - i0, 1))
-            Y = np.tile(yu, (i1 - i0, 1))
-            d = d_all[i0:i1] if d_all is not None else np.empty((i1 - i0, times.size))
-            d[:, 0] = _unit_distance(spec.kind, X, Y)
-            if record_paths:
-                pX[i0:i1, 0] = X
-                pY[i0:i1, 0] = Y
-            for i, z in enumerate(step_gaussians(seed, first_path_index + i0, i1 - i0, M, 2 * N)):
-                X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i], drho_u[i],
-                                      taus[i + 1] - taus[i], z[:, :N], z[:, N:])
+    def run_shard(p0, p1):
+        """Step paths p0 .. p1 - 1 as one batch into their rows of ``outputs``;
+        return those rows and each sum block's distance sum at every time."""
+        X, Y = np.tile(xu, (p1 - p0, 1)), np.tile(yu, (p1 - p0, 1))
+        sup = np.zeros(p1 - p0)
+        # the last sum block is padded with zero distances, which change no sum
+        padded = np.zeros(-(-(p1 - p0) // CHUNK_PATHS) * CHUNK_PATHS)
+        sums = np.empty((padded.size // CHUNK_PATHS, times.size))
+        noise = step_gaussians(seed, first_path_index + p0, p1 - p0, M, 2 * N)
+        for i in range(times.size):
+            if i:
+                z = next(noise)
+                X, Y = _advance_batch(spec.kind, spec.n, X, Y, rho_u[i - 1], drho_u[i - 1],
+                                      taus[i] - taus[i - 1], z[:, :N], z[:, N:])
                 if enforce_distance:
-                    Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i + 1])
-                d[:, i + 1] = _unit_distance(spec.kind, X, Y)
-                if record_paths:
-                    pX[i0:i1, i + 1] = X
-                    pY[i0:i1, i + 1] = Y
-            d *= r
-            sup_err[i0:i1] = np.max(np.abs(d - target[None, :]), axis=1)
-            final_X[i0:i1] = X
-            final_Y[i0:i1] = Y
-            sums.append(d.sum(axis=0))
+                    Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i])
+            padded[:p1 - p0] = d = _unit_distance(spec.kind, X, Y) * r
+            np.maximum(sup, np.abs(d - target[i]), out=sup)
+            if d_all is not None:
+                d_all[p0:p1, i] = d
+            if record_paths:
+                pX[p0:p1, i], pY[p0:p1, i] = X, Y
+            # a cumsum adds each block's paths in order, one at a time
+            sums[:, i] = np.cumsum(padded.reshape(-1, CHUNK_PATHS), axis=1)[:, -1]
+        sup_err[p0:p1], final_X[p0:p1], final_Y[p0:p1] = sup, X, Y
         return sums, [a[p0:p1] for a in outputs]
 
-    # shards are contiguous groups of whole chunks, so every chunk sum keeps its bits
-    n_chunks = -(-n_paths // CHUNK_PATHS)
-    n_shards = shard_count(n_paths * M, n_chunks)
-    cuts = [min(n_paths, CHUNK_PATHS * (n_chunks * s // n_shards)) for s in range(n_shards + 1)]
-    mean_d = np.zeros(times.size)
-    shard_results = fork_map(lambda s: run_chunks(cuts[s], cuts[s + 1]), range(n_shards))
-    for s, (sums, rows) in enumerate(shard_results):
+    # shards are contiguous groups of whole sum blocks, so every block sum keeps its bits
+    n_blocks = -(-n_paths // CHUNK_PATHS)
+    n_shards = shard_count(n_paths * M, n_blocks)
+    cuts = [min(n_paths, CHUNK_PATHS * (n_blocks * s // n_shards)) for s in range(n_shards + 1)]
+    shard_results = fork_map(lambda s: run_shard(cuts[s], cuts[s + 1]), range(n_shards))
+    for s, (_, rows) in enumerate(shard_results):
         for a, part in zip(outputs, rows):
             a[cuts[s]:cuts[s + 1]] = part
-        for chunk_sum in sums:          # in chunk order, as one process would add them
-            mean_d += chunk_sum
-    mean_d /= n_paths
+    # the block sums, added in block order as one process would add them
+    mean_d = np.cumsum(np.concatenate([sums for sums, _ in shard_results]), axis=0)[-1] / n_paths
 
     # map unit-model states back to the space's own coordinates
     fX, fY = from_unit_model(spec, final_X), from_unit_model(spec, final_Y)

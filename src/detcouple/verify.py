@@ -15,7 +15,7 @@ Three independent lines of evidence that the constructions are right:
 
 The identity scans of :func:`identity_scan_all` and the oracle's path
 ranges run on every usable core through ``shards.fork_map``, as the
-simulator's chunks do; each scan runs whole in one process, so no report
+simulator's shards do; each scan runs whole in one process, so no report
 depends on the number of cores.
 
 Each property has one check here, which ``detcouple verify`` and the
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import hyperu
 
-from .coupling import (euclidean_matrices, hyperbolic_matrices, hyperbolic_two_plane_scalars,
-                       sphere_matrices)
+from .coupling import (VERTICAL_TOL, euclidean_matrices, hyperbolic_matrices,
+                       hyperbolic_two_plane_scalars, sphere_matrices)
 from .errors import ValidationError, _key_word, _require_positive_int
 from .model_space import SpaceKind, SpaceSpec, canonical_start, sphere, to_unit_model
 from .profiles import envelope
@@ -179,7 +179,7 @@ def _scan_hyperbolic(n, size, rng):
     m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
     M2 = m * m + l * l
     xi2 = np.zeros_like(X)
-    general = u > 1e-13 * (X[:, 0] + Y[:, 0])
+    general = u > VERTICAL_TOL * (X[:, 0] + Y[:, 0])
     xi2[general, 1:] = zt[general] / u[general, None]
     e1 = np.zeros_like(X)
     e1[:, 0] = 1.0

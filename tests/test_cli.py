@@ -147,6 +147,24 @@ def test_hyperbolic_constant_rejected(tmp_path, capsys):
     assert report["admissible"] is False and report["reasons"]
 
 
+@pytest.mark.parametrize("space,rho0,least", [("sphere", "4", None), ("hyperbolic", "1", -0.46)],
+                         ids=["no-point-in-range", "every-point-in-range"])
+def test_check_writes_strict_json(space, rho0, least, tmp_path, capsys):
+    rc = run_main(["check", "--space", space, "--profile", "constant", "--rho0", rho0,
+                   "--out", str(tmp_path)])
+    assert rc == 1
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+    report = json.loads((tmp_path / "admissibility.json").read_text(), parse_constant=no_constant)
+    # with no point in range there is no least margin
+    if least is None:
+        assert report["min_lo_margin"] is None and report["min_hi_margin"] is None
+    else:
+        assert report["min_lo_margin"] == pytest.approx(least, abs=0.01)
+        assert report["min_hi_margin"] > 0
+
+
 def test_check_contracting_lower_bound_active(tmp_path, capsys):
     rc = run_main(["check", "--space", "sphere", "--dim", "2", "--profile",
                    "sphere-contracting", "--rho0", "1.5707963267948966", "--T", "1",
@@ -508,7 +526,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "out-not-a-directory", "out-is-a-file", "out-shard-fails",
                                   "check-out-is-a-file", "verify-out-is-a-file",
                                   "converge-out-is-a-file", "converge-T-0", "verify-T-0",
-                                  "verify-seed-max"])
+                                  "verify-seed-max", "simulate-inadmissible",
+                                  "simulate-rho0-past-pi", "verify-inadmissible",
+                                  "converge-inadmissible", "converge-dts-increasing"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -569,7 +589,9 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
             raise AssertionError("simulated before the output directory was made")
         monkeypatch.setattr(cli, "simulate_ensemble", no_simulation)
     elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file",
-                  "converge-T-0", "verify-T-0", "verify-seed-max"):
+                  "converge-T-0", "verify-T-0", "verify-seed-max", "simulate-inadmissible",
+                  "simulate-rho0-past-pi", "verify-inadmissible", "converge-inadmissible",
+                  "converge-dts-increasing"):
         argv[0] = case.split("-")[0]
         if case.endswith("T-0"):
             argv[argv.index("--T") + 1] = "0"
@@ -578,11 +600,23 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
             # a valid seed for simulate, but verify also draws from seed + 1 and seed + 2
             argv += ["--seed", str(2**64 - 1)]
             expect = f"field seed: verify needs an integer in [0, 2**64 - 3], got {2**64 - 1}"
+        elif case == "converge-dts-increasing":
+            argv += ["--dts", "1e-3,1e-2,1e-4"]
+            expect = "field dts: expected at least 3 comma-separated, strictly decreasing"
+        elif case.endswith(("-inadmissible", "-past-pi")):
+            # a constant distance is below the hyperbolic band, and 4 is past the sphere's pole
+            space, rho0 = ("sphere", "4") if case.endswith("-past-pi") else ("hyperbolic", "1")
+            argv[argv.index("--space") + 1] = space
+            argv[argv.index("--profile") + 1] = "constant"
+            argv += ["--rho0", rho0]
+            expect = "rho0 must lie in (0, 3.14159), got 4.0" if space == "sphere" else \
+                "profile not admissible on [0, T]: rho' = 0 outside"
         else:
             argv[argv.index("--out") + 1] = str(table)
             expect = f"cannot write {table}: File exists"
         work = {"check": (cli.pf, "check_admissibility"), "verify": (cli, "identity_scan"),
-                "converge": (cli, "convergence_study")}[argv[0]]
+                "converge": (cli, "convergence_study"),
+                "simulate": (cli, "simulate_ensemble")}[argv[0]]
 
         def no_work(*args, **kwargs):
             raise AssertionError(f"{argv[0]} worked before its input was checked "

@@ -454,22 +454,29 @@ def test_general_curvature_sphere_tracks():
     assert np.allclose(np.linalg.norm(res.final_X, axis=-1), spec.r, atol=1e-12)
 
 
-def test_chunked_ensembles_cross_chunk_boundary(monkeypatch, shards):
-    # fixed chunking: path results must not depend on which chunk or shard ran them
+@pytest.mark.parametrize("record", ["nothing", "distances", "paths"])
+def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
+    # path results must not depend on which shard ran them, nor on what is recorded
     prof = pf.constant(1.0)
     big = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10, record_paths=True)
+    # the sums of blocks of 3 paths, each added path by path, then in block order
+    mean_d = np.zeros(big.times.size)
+    for i0 in range(0, 10, 3):
+        mean_d += big.d_emp[i0:i0 + 3].sum(axis=0)
+    recorded = {"nothing": (), "distances": ("d_emp",),
+                "paths": ("d_emp", "paths_X", "paths_Y")}[record]
     monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 3)
     for cores in (1, 2, 3):
         forks = shards(cores)
         n_forks = len(forks)
-        small = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10, record_paths=True)
-        assert len(forks) - n_forks == cores - 1       # 4 chunks of 3, 3, 3 and 1 paths
-        for name in ("d_emp", "paths_X", "paths_Y", "final_X", "final_Y", "sup_err"):
+        small = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10,
+                                  record_distances=record == "distances",
+                                  record_paths=record == "paths")
+        assert len(forks) - n_forks == cores - 1       # 4 blocks of 3, 3, 3 and 1 paths
+        for name in ("final_X", "final_Y", "sup_err") + recorded:
             assert np.array_equal(getattr(big, name), getattr(small, name)), (cores, name)
-        # the chunk sums are added in chunk order, whatever the shards
-        mean_d = np.zeros(small.times.size)
-        for i0 in range(0, 10, 3):
-            mean_d += small.d_emp[i0:i0 + 3].sum(axis=0)
+        for name in {"d_emp", "paths_X", "paths_Y"} - set(recorded):
+            assert getattr(small, name) is None, (cores, name)
         assert np.array_equal(small.mean_d_emp, mean_d / 10), cores
 
 
