@@ -19,9 +19,10 @@ included, steps through :func:`step_gaussians`, the one owner of how draws
 are blocked in memory.
 
 An ensemble runs on every usable core: its paths are cut into contiguous
-shards of whole sum blocks, one per core, each stepped as one batch, and
-``shards.fork_map`` runs each but the first in a forked child.  The block
-sums of the distance are added in block order, so no bit depends on the cores.
+shards of whole sum blocks, one per core, and ``shards.fork_map`` runs each
+but the first in a forked child.  A shard steps its paths in batches of at
+most BATCH_BLOCKS sum blocks.  The block sums of the distance are added in
+block order, so no bit depends on the cores or the batches.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ from .profiles import check_admissibility
 from .shards import fork_map, shard_count
 
 # The sum block: mean_d_emp adds each block's paths in order, then the block
-# sums in block order.  A shard, which steps as one batch, holds whole blocks.
+# sums in block order.  A shard holds whole blocks.
 CHUNK_PATHS = 256
+# A shard steps its paths in batches of at most this many sum blocks, so that
+# a step's arrays and the noise draws per path do not grow with the shard.
+BATCH_BLOCKS = 8
 # Most bytes of normals step_gaussians holds at once; the block shape changes no value.
 NOISE_BLOCK_BYTES = 32 * 2**20
 
@@ -206,8 +210,12 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     are two-point homogeneous, so only rho(0) matters.  Path ``first_path_index
     + j``'s noise depends only on (seed, its index, step).  Groups of whole sum
     blocks of CHUNK_PATHS run on every usable core, with at least
-    ``shards.MIN_SHARD_WORK`` path-steps each, and each group steps as one
-    batch; the result has the same bits on any number of cores.
+    ``shards.MIN_SHARD_WORK`` path-steps each, and each group steps in batches
+    of at most BATCH_BLOCKS blocks; the result has the same bits on any number
+    of cores.
+
+    The run is checked by :func:`check_run` first.  ``cli.main`` runs the same
+    check before it makes the output directory, so a CLI run makes it twice.
     """
     _require_positive_int("n_paths", n_paths)
     seed = _key_word("seed", seed)
@@ -230,9 +238,9 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     pY = np.empty((n_paths, times.size, N)) if record_paths else None
     outputs = [a for a in (sup_err, final_X, final_Y, d_all, pX, pY) if a is not None]
 
-    def run_shard(p0, p1):
+    def step_batch(p0, p1):
         """Step paths p0 .. p1 - 1 as one batch into their rows of ``outputs``;
-        return those rows and each sum block's distance sum at every time."""
+        return each sum block's distance sum at every time."""
         X, Y = np.tile(xu, (p1 - p0, 1)), np.tile(yu, (p1 - p0, 1))
         sup = np.zeros(p1 - p0)
         # the last sum block is padded with zero distances, which change no sum
@@ -255,7 +263,14 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
             # a cumsum adds each block's paths in order, one at a time
             sums[:, i] = np.cumsum(padded.reshape(-1, CHUNK_PATHS), axis=1)[:, -1]
         sup_err[p0:p1], final_X[p0:p1], final_Y[p0:p1] = sup, X, Y
-        return sums, [a[p0:p1] for a in outputs]
+        return sums
+
+    def run_shard(p0, p1):
+        """Paths p0 .. p1 - 1, stepped in batches of whole sum blocks: their rows of
+        ``outputs`` and their block sums."""
+        size = BATCH_BLOCKS * CHUNK_PATHS
+        sums = [step_batch(q, min(q + size, p1)) for q in range(p0, p1, size)]
+        return np.concatenate(sums), [a[p0:p1] for a in outputs]
 
     # shards are contiguous groups of whole sum blocks, so every block sum keeps its bits
     n_blocks = -(-n_paths // CHUNK_PATHS)

@@ -431,6 +431,14 @@ def oracle_check(result: EnsembleResult, seed: int) -> list[VerifyReport]:
 # dt-convergence of the tracking error
 
 
+def check_dts(dt_list) -> list:
+    """The step sizes of a convergence study, as a list: at least 3, strictly decreasing."""
+    dt_list = list(dt_list)
+    if len(dt_list) < 3 or any(b >= a for a, b in zip(dt_list, dt_list[1:])):
+        raise ValidationError("need at least 3 strictly decreasing dt values")
+    return dt_list
+
+
 def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed: int,
                       T: float = 1.0) -> VerifyReport:
     """Mean sup tracking error per dt, with the fitted log-log slope.
@@ -441,9 +449,7 @@ def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed
     """
     if not T > 0:
         raise ValidationError(f"a convergence study needs a horizon T > 0, got T = {T}")
-    dt_list = list(dt_list)
-    if len(dt_list) < 3 or any(b >= a for a, b in zip(dt_list, dt_list[1:])):
-        raise ValidationError("need at least 3 strictly decreasing dt values")
+    dt_list = check_dts(dt_list)
     errors = []
     for level, dt in enumerate(dt_list):
         res = simulate_ensemble(spec, profile, dt, T, seed, paths_per_dt,

@@ -602,7 +602,7 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
             expect = f"field seed: verify needs an integer in [0, 2**64 - 3], got {2**64 - 1}"
         elif case == "converge-dts-increasing":
             argv += ["--dts", "1e-3,1e-2,1e-4"]
-            expect = "field dts: expected at least 3 comma-separated, strictly decreasing"
+            expect = "need at least 3 strictly decreasing dt values"
         elif case.endswith(("-inadmissible", "-past-pi")):
             # a constant distance is below the hyperbolic band, and 4 is past the sphere's pole
             space, rho0 = ("sphere", "4") if case.endswith("-past-pi") else ("hyperbolic", "1")

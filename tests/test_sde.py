@@ -466,7 +466,9 @@ def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
     recorded = {"nothing": (), "distances": ("d_emp",),
                 "paths": ("d_emp", "paths_X", "paths_Y")}[record]
     monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 3)
-    for cores in (1, 2, 3):
+    # batches of one block each, of 3 blocks (a shard of 4 ends in a 1-path batch), whole shards
+    for cores, batch in [(c, b) for c in (1, 2, 3) for b in (1, 3, 8)]:
+        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", batch)
         forks = shards(cores)
         n_forks = len(forks)
         small = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10,
@@ -474,10 +476,36 @@ def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
                                   record_paths=record == "paths")
         assert len(forks) - n_forks == cores - 1       # 4 blocks of 3, 3, 3 and 1 paths
         for name in ("final_X", "final_Y", "sup_err") + recorded:
-            assert np.array_equal(getattr(big, name), getattr(small, name)), (cores, name)
+            assert np.array_equal(getattr(big, name), getattr(small, name)), (cores, batch, name)
         for name in {"d_emp", "paths_X", "paths_Y"} - set(recorded):
-            assert getattr(small, name) is None, (cores, name)
-        assert np.array_equal(small.mean_d_emp, mean_d / 10), cores
+            assert getattr(small, name) is None, (cores, batch, name)
+        assert np.array_equal(small.mean_d_emp, mean_d / 10), (cores, batch)
+
+
+def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(monkeypatch, shards):
+    draws, widths = [], []
+
+    def counted(seed, path_index, counter, n_draws, words):
+        draws.append(path_index)
+        return block_gaussians(seed, path_index, counter, n_draws, words)
+
+    def advance(kind, n, X, *args):
+        widths.append(len(X))
+        return _advance_batch(kind, n, X, *args)
+
+    monkeypatch.setattr(sde_mod, "block_gaussians", counted)
+    monkeypatch.setattr(sde_mod, "_advance_batch", advance)
+    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
+    monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", 2)
+    # a batch of 4 paths holds 5 of its 20 steps of normals (6 words each) at a time
+    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", 4 * 5 * 6 * 8)
+    shards(1)
+    for P in (4, 40):
+        draws.clear()
+        widths.clear()
+        simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.2, 3, P)
+        assert sorted(draws) == sorted(list(range(P)) * 4), P     # 4 draws per path
+        assert max(widths) == 4 and len(widths) == 20 * P // 4, P
 
 
 def test_failed_simulator_shard_raises_in_the_parent(tmp_path, capsys, shards, monkeypatch):
