@@ -28,7 +28,7 @@ from . import model_space as ms
 from . import profiles as pf
 from .errors import DetcoupleError, ValidationError
 from .sde import EnsembleResult, check_run, simulate_ensemble
-from .shards import fork_map, shard_count
+from .shards import cuts, fork_map
 from .verify import (MIN_DECAY_PATHS, VerifyReport, check_dts, convergence_study,
                      distance_error_stats, envelope_check, identity_scan, mean_decay_check,
                      oracle_applies, oracle_check)
@@ -349,11 +349,11 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     text is exactly Python's ``'%.17g' % x`` (``_fmt``), computed in bulk by
     ``_fmt_bulk`` for ``FORMAT_PATHS`` paths at a time.
 
-    The paths are cut into contiguous shards, one per usable core but with at
-    least ``shards.MIN_SHARD_WORK`` rows and one path each, and written by
-    ``shards.fork_map``: shard 0 in this process straight into ``path``, each
-    other shard ``i`` by a forked child into ``<path>.part<i>``, which is
-    appended in order and removed.  Every shard runs the same ``_write_rows``,
+    The paths are cut into contiguous shards by ``shards.cuts``, one per usable
+    core but with at least ``shards.MIN_SHARD_WORK`` rows and one path each,
+    and written by ``shards.fork_map``: shard 0 in this process straight into
+    ``path``, each other shard ``i`` by a forked child into ``<path>.part<i>``,
+    which is appended in order and removed.  Every shard runs the same ``_write_rows``,
     so the bytes do not depend on the number of cores.  A failed shard raises
     its own exception here; no part file outlives the call.
     """
@@ -372,9 +372,8 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     template = "".join(f"{_fmt(t)},\0,%b,{_fmt(g)},%b\n"
                        for t, g in zip(result.times[idx], target)).encode()
 
-    n = shard_count(result.n_paths * idx.size, result.n_paths)
-    bounds = [result.n_paths * i // n for i in range(n + 1)]
-    parts = [path] + [f"{path}.part{i}" for i in range(1, n)]
+    bounds = cuts(result.n_paths, result.n_paths * idx.size)
+    parts = [path] + [f"{path}.part{i}" for i in range(1, len(bounds) - 1)]
 
     def write_shard(i):
         with open(parts[i], "wb") as fh:
@@ -383,7 +382,7 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
             _write_rows(fh, result.d_emp, idx, target, template, bounds[i], bounds[i + 1])
 
     try:
-        fork_map(write_shard, range(n))
+        fork_map(write_shard, range(len(parts)))
         with open(path, "ab") as fh:
             for part in parts[1:]:
                 with open(part, "rb") as src:

@@ -18,11 +18,11 @@ which shard of the ensemble runs it. Every ensemble, the rotation oracle's
 included, steps through :func:`step_gaussians`, the one owner of how draws
 are blocked in memory.
 
-An ensemble runs on every usable core: its paths are cut into contiguous
-shards of whole sum blocks, one per core, and ``shards.fork_map`` runs each
-but the first in a forked child.  A shard steps its paths in batches of at
-most BATCH_BLOCKS sum blocks.  The block sums of the distance are added in
-block order, so no bit depends on the cores or the batches.
+An ensemble, the rotation oracle's included, runs through ``shards.map_ranges``:
+its paths are cut into contiguous shards of whole sum blocks, one per core, and
+each shard steps in batches of at most BATCH_BLOCKS * CHUNK_PATHS paths.  The
+block sums of the distance are added in block order, so no bit depends on the
+cores or the batches.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .model_space import (SpaceKind, SpaceSpec, canonical_start, from_unit_model
                           unit_point_at_distance)
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
-from .shards import fork_map, shard_count
+from .shards import map_ranges
 
 # The sum block: mean_d_emp adds each block's paths in order, then the block
 # sums in block order.  A shard holds whole blocks.
 CHUNK_PATHS = 256
-# A shard steps its paths in batches of at most this many sum blocks, so that
-# a step's arrays and the noise draws per path do not grow with the shard.
+# Every ensemble, the oracle's included, steps a shard in batches of at most
+# this many sum blocks: a step's arrays and draws per path do not grow with it.
 BATCH_BLOCKS = 8
 # Most bytes of normals step_gaussians holds at once; the block shape changes no value.
 NOISE_BLOCK_BYTES = 32 * 2**20
@@ -211,8 +211,8 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     + j``'s noise depends only on (seed, its index, step).  Groups of whole sum
     blocks of CHUNK_PATHS run on every usable core, with at least
     ``shards.MIN_SHARD_WORK`` path-steps each, and each group steps in batches
-    of at most BATCH_BLOCKS blocks; the result has the same bits on any number
-    of cores.
+    of at most BATCH_BLOCKS * CHUNK_PATHS paths (``shards.map_ranges``); the
+    result has the same bits on any number of cores.
 
     The run is checked by :func:`check_run` first.  ``cli.main`` runs the same
     check before it makes the output directory, so a CLI run makes it twice.
@@ -240,7 +240,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
 
     def step_batch(p0, p1):
         """Step paths p0 .. p1 - 1 as one batch into their rows of ``outputs``;
-        return each sum block's distance sum at every time."""
+        return (p0, p1, each sum block's distance sum at every time, the rows)."""
         X, Y = np.tile(xu, (p1 - p0, 1)), np.tile(yu, (p1 - p0, 1))
         sup = np.zeros(p1 - p0)
         # the last sum block is padded with zero distances, which change no sum
@@ -263,25 +263,15 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
             # a cumsum adds each block's paths in order, one at a time
             sums[:, i] = np.cumsum(padded.reshape(-1, CHUNK_PATHS), axis=1)[:, -1]
         sup_err[p0:p1], final_X[p0:p1], final_Y[p0:p1] = sup, X, Y
-        return sums
+        return p0, p1, sums, [a[p0:p1] for a in outputs]
 
-    def run_shard(p0, p1):
-        """Paths p0 .. p1 - 1, stepped in batches of whole sum blocks: their rows of
-        ``outputs`` and their block sums."""
-        size = BATCH_BLOCKS * CHUNK_PATHS
-        sums = [step_batch(q, min(q + size, p1)) for q in range(p0, p1, size)]
-        return np.concatenate(sums), [a[p0:p1] for a in outputs]
-
-    # shards are contiguous groups of whole sum blocks, so every block sum keeps its bits
-    n_blocks = -(-n_paths // CHUNK_PATHS)
-    n_shards = shard_count(n_paths * M, n_blocks)
-    cuts = [min(n_paths, CHUNK_PATHS * (n_blocks * s // n_shards)) for s in range(n_shards + 1)]
-    shard_results = fork_map(lambda s: run_shard(cuts[s], cuts[s + 1]), range(n_shards))
-    for s, (_, rows) in enumerate(shard_results):
+    # batches are contiguous groups of whole sum blocks, so every block sum keeps its bits
+    batches = map_ranges(step_batch, n_paths, n_paths * M, CHUNK_PATHS, BATCH_BLOCKS)
+    for p0, p1, _, rows in batches:
         for a, part in zip(outputs, rows):
-            a[cuts[s]:cuts[s + 1]] = part
+            a[p0:p1] = part
     # the block sums, added in block order as one process would add them
-    mean_d = np.cumsum(np.concatenate([sums for sums, _ in shard_results]), axis=0)[-1] / n_paths
+    mean_d = np.cumsum(np.concatenate([sums for _, _, sums, _ in batches]), axis=0)[-1] / n_paths
 
     # map unit-model states back to the space's own coordinates
     fX, fY = from_unit_model(spec, final_X), from_unit_model(spec, final_Y)

@@ -3,10 +3,12 @@
 Every ensemble is a set of independent path ranges, because each path's
 noise is keyed by (seed, path index, step), and every identity scan is an
 independent job with its own generator.  Such work is cut into shards, one
-per usable core, and :func:`fork_map` runs each shard but the first in a
-forked child.  A shard runs the same code on the same inputs as it would in
-process, so no output byte depends on the number of cores.  The only core
-control is the process affinity: ``taskset -c 0 detcouple ...`` runs on one.
+per usable core, by :func:`cuts`, and :func:`fork_map` runs each shard but
+the first in a forked child; :func:`map_ranges` does both for an ensemble
+and steps each shard in batches of bounded size.  A shard runs the same
+code on the same inputs as it would in process, so no output byte depends
+on the number of cores.  The only core control is the process affinity:
+``taskset -c 0 detcouple ...`` runs on one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,27 @@ def shard_count(work: int, most: int) -> int:
     """Shards for ``work`` units cut into at most ``most`` pieces: one per
     usable core, with at least MIN_SHARD_WORK units each, and at least one."""
     return max(1, min(usable_cores(), most, work // MIN_SHARD_WORK))
+
+
+def cuts(n: int, work: int, unit: int = 1) -> list[int]:
+    """Bounds of the :func:`shard_count` contiguous shards of items 0 .. n - 1, which
+    hold ``work`` units, in whole blocks of ``unit`` items (the last may be short)."""
+    blocks = -(-n // unit)
+    k = shard_count(work, blocks)
+    return [min(n, unit * (blocks * s // k)) for s in range(k + 1)]
+
+
+def map_ranges(fn, n: int, work: int, unit: int = 1, batch: int | None = None) -> list:
+    """``fn(p0, p1)`` for every batch p0 .. p1 - 1 of items, in item order: each shard of
+    :func:`cuts` runs through :func:`fork_map`, in batches of at most ``batch``
+    blocks of ``unit`` items (the whole shard when None)."""
+    bounds = cuts(n, work, unit)
+    size = unit * batch if batch else max(n, 1)
+
+    def run(s):
+        return [fn(q, min(q + size, bounds[s + 1])) for q in range(bounds[s], bounds[s + 1], size)]
+
+    return [out for shard in fork_map(run, range(len(bounds) - 1)) for out in shard]
 
 
 def fork_map(fn, items) -> list:

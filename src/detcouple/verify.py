@@ -13,10 +13,10 @@ Three independent lines of evidence that the constructions are right:
   points), exact up to roundoff, to cross-check the SDE ensembles. Its
   increments come from the simulator's noise stream, ``sde.step_gaussians``.
 
-The identity scans of :func:`identity_scan_all` and the oracle's path
-ranges run on every usable core through ``shards.fork_map``, as the
-simulator's shards do; each scan runs whole in one process, so no report
-depends on the number of cores.
+The identity scans of :func:`identity_scan_all` run on every usable core
+through ``shards.fork_map``, each whole in one process, and the oracle's
+paths through ``shards.map_ranges``, in batches of at most
+``sde.BATCH_BLOCKS * sde.CHUNK_PATHS`` paths; no report depends on the cores.
 
 Each property has one check here, which ``detcouple verify`` and the
 acceptance suite both call.  Statistical tolerances are three standard
@@ -32,19 +32,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import hyperu
 
+from . import sde
 from .coupling import (VERTICAL_TOL, euclidean_matrices, hyperbolic_matrices,
                        hyperbolic_two_plane_scalars, sphere_matrices)
 from .errors import ValidationError, _key_word, _require_positive_int
 from .model_space import SpaceKind, SpaceSpec, canonical_start, sphere, to_unit_model
 from .profiles import envelope
 from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
-from .shards import fork_map, shard_count
+from .shards import fork_map, map_ranges, shard_count
 
 SCAN_TOL = 1e-10                   # identity residuals pass at or below this
 SCAN_DIMS = ((2, 0.4), (3, 0.4), (1, 0.1), (5, 0.1))   # identity_scan_all: (n, share of samples)
 BOUNDARY_ALIGNED_FRACTION = 0.25   # hyperbolic scan pairs with zero boundary displacement
 SLOPE_RANGE = (0.4, 1.1)           # accepted log-log slope of the dt-convergence study
-MIN_DECAY_PATHS = 500              # smallest ensemble mean_decay_check accepts
+MIN_DECAY_PATHS = 500              # smallest ensemble mean_decay_check and oracle_check accept
 
 
 @dataclass(frozen=True)
@@ -368,10 +369,10 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     """Both points carried by one Brownian rotation per path: the distance is
     exactly constant and each image is a Brownian motion on the 2-sphere.
 
-    Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).  Contiguous
-    ranges of paths run on every usable core, each drawing its own paths'
-    increments from :func:`step_gaussians`, so the bits do not depend on the
-    number of cores.
+    Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).  The paths
+    run on every usable core in batches of at most ``sde.BATCH_BLOCKS *
+    sde.CHUNK_PATHS``, each drawing its increments from :func:`step_gaussians`,
+    so the bits depend on neither the cores nor the batches.
     """
     x, y = canonical_start(sphere(2), rho0)
     seed = _key_word("seed", seed)
@@ -388,10 +389,8 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
             sup = np.maximum(sup, np.abs(d - rho0))
         return sup, Z @ x, Z @ y
 
-    n_shards = shard_count(n_paths * M, n_paths)
-    cuts = [n_paths * s // n_shards for s in range(n_shards + 1)]
-    shard_results = fork_map(lambda s: run_paths(cuts[s], cuts[s + 1]), range(n_shards))
-    sup, final_X, final_Y = (np.concatenate(part) for part in zip(*shard_results))
+    batches = map_ranges(run_paths, n_paths, n_paths * M, batch=sde.BATCH_BLOCKS * sde.CHUNK_PATHS)
+    sup, final_X, final_Y = (np.concatenate(part) for part in zip(*batches))
     return times, sup, final_X, final_Y
 
 
@@ -407,12 +406,14 @@ def oracle_check(result: EnsembleResult, seed: int) -> list[VerifyReport]:
 
     Two reports: the oracle's distance stays constant to 1e-12, and the
     norms of the two ensemble means of X agree within three mutual standard
-    errors.
+    errors, which need at least MIN_DECAY_PATHS paths.
     """
     if not oracle_applies(result):
         raise ValidationError("the rotation oracle needs a constant distance on sphere(2), "
                               f"got {result.spec} with distances {result.target.min():.6g} "
                               f"to {result.target.max():.6g}")
+    if result.n_paths < MIN_DECAY_PATHS:
+        raise ValidationError(f"need at least {MIN_DECAY_PATHS} paths, got {result.n_paths}")
     _, sup, rot_X, _ = rotation_ensemble(result.target[0], result.dt, result.T, seed,
                                          result.n_paths)
     m_sde, se_sde = _mean_norm_and_se(result.final_X)

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import detcouple.sde as sde_mod
+import detcouple.verify as vf_mod
 from detcouple import cli
 from detcouple import coupling as cp
 from detcouple import model_space as ms
@@ -15,7 +16,7 @@ from detcouple import profiles as pf
 from detcouple.errors import ValidationError
 from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, simulate_ensemble,
                            step_gaussians, time_grid)
-from detcouple.verify import rotation_ensemble
+from detcouple.verify import _rodrigues, rotation_ensemble
 from sampling import random_points
 
 S2 = ms.sphere(2)
@@ -482,7 +483,11 @@ def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
         assert np.array_equal(small.mean_d_emp, mean_d / 10), (cores, batch)
 
 
-def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(monkeypatch, shards):
+@pytest.mark.parametrize("run,words", [
+    (lambda P: simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.2, 3, P), 6),
+    (lambda P: rotation_ensemble(1.0, 1e-2, 0.2, 3, P), 3),
+], ids=["simulate_ensemble", "rotation_ensemble"])
+def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(run, words, monkeypatch, shards):
     draws, widths = [], []
 
     def counted(seed, path_index, counter, n_draws, words):
@@ -493,17 +498,22 @@ def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(monkeypatch, sha
         widths.append(len(X))
         return _advance_batch(kind, n, X, *args)
 
+    def rodrigues(delta):
+        widths.append(len(delta))
+        return _rodrigues(delta)
+
     monkeypatch.setattr(sde_mod, "block_gaussians", counted)
     monkeypatch.setattr(sde_mod, "_advance_batch", advance)
+    monkeypatch.setattr(vf_mod, "_rodrigues", rodrigues)
     monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
     monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", 2)
-    # a batch of 4 paths holds 5 of its 20 steps of normals (6 words each) at a time
-    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", 4 * 5 * 6 * 8)
+    # a batch of 4 paths holds 5 of its 20 steps of normals (`words` each) at a time
+    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", 4 * 5 * words * 8)
     shards(1)
     for P in (4, 40):
         draws.clear()
         widths.clear()
-        simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.2, 3, P)
+        run(P)
         assert sorted(draws) == sorted(list(range(P)) * 4), P     # 4 draws per path
         assert max(widths) == 4 and len(widths) == 20 * P // 4, P
 

@@ -1,3 +1,4 @@
+import bisect
 import os
 import signal
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from detcouple import shards as shards_mod
-from detcouple.shards import fork_map, shard_count, usable_cores
+from detcouple.shards import cuts, fork_map, map_ranges, shard_count, usable_cores
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +42,57 @@ def test_usable_cores_is_the_affinity_mask():
 def test_shard_count(cores, work, most, expect, monkeypatch):
     monkeypatch.setattr(shards_mod, "usable_cores", lambda: cores)
     assert shard_count(work, most) == expect
+
+
+@pytest.mark.parametrize("cores,n,work,unit,expect", [
+    (2, 1000, 10**6, 256, [0, 512, 1000]),      # e3-csv's simulator: 4 sum blocks
+    (2, 1000, 10**6, 1, [0, 500, 1000]),        # e3-csv's paths.csv writer
+    (2, 2000, 2 * 10**6, 1, [0, 1000, 2000]),   # verify-scan's oracle
+    (3, 10, 10**6, 3, [0, 3, 6, 10]),           # 4 blocks in 3 shards; the last block is short
+    (4, 10, 10**6, 3, [0, 3, 6, 9, 10]),        # at most one shard per block
+    (4, 1000, 250_000, 1, [0, 500, 1000]),      # at least MIN_SHARD_WORK units each
+    (1, 1000, 10**6, 256, [0, 1000]),
+])
+def test_cuts(cores, n, work, unit, expect, monkeypatch):
+    monkeypatch.setattr(shards_mod, "usable_cores", lambda: cores)
+    assert cuts(n, work, unit) == expect
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n,unit,batch", [
+    (10, 3, 1), (10, 3, 2), (10, 1, 4), (10, 3, None), (7, 7, 1), (7, 2, 100),
+])
+def test_map_ranges_tiles_whole_blocks_in_bounded_batches(cores, n, unit, batch, shards):
+    forks = shards(cores)
+    bounds = cuts(n, n, unit)
+    out = map_ranges(lambda p0, p1: (p0, p1, os.getpid()), n, n, unit, batch)
+    assert len(forks) == len(bounds) - 2
+    # the ranges tile range(n) in order, each non-empty
+    assert all(p1 > p0 for p0, p1, _ in out)
+    assert [p for p0, p1, _ in out for p in range(p0, p1)] == list(range(n))
+    # shards and batches start on whole blocks, so only the block that ends at n may be short
+    assert bounds[-1] == n and all(b % unit == 0 for b in bounds[:-1])
+    for p0, p1, pid in out:
+        s = bisect.bisect_right(bounds, p0) - 1
+        assert p0 % unit == 0 and p1 <= bounds[s + 1], (p0, p1, bounds)
+        assert p1 - p0 <= unit * batch if batch else (p0, p1) == tuple(bounds[s:s + 2])
+        assert pid == ([os.getpid()] + forks)[s]
+    assert _no_child_left()
+
+
+def test_map_ranges_raises_a_batch_exception_unchanged(shards):
+    shards(3)                           # shards [0, 3), [3, 6) and [6, 9), one path per batch
+    for bad in (1, 4):                  # a batch in this process, then in a child
+
+        def fn(p0, p1):
+            if p0 == bad:
+                raise KeyError("batch", p0)
+            return p0
+
+        with pytest.raises(KeyError) as info:
+            map_ranges(fn, 9, 9, 1, 1)
+        assert info.value.args == ("batch", bad)
+        assert _no_child_left()
 
 
 def test_fork_map_runs_the_first_item_here_and_keeps_the_order(shards):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.stats import chi
 
+import detcouple.sde as sde_mod
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple import verify as vf
@@ -33,14 +34,19 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
-def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards):
-    # recorded when the oracle ran in one process
-    for cores in (1, 2, 3):
-        forks = shards(cores)
-        n_forks = len(forks)
-        out = vf.rotation_ensemble(np.pi / 2, 1e-3, 0.5, 11, 600)
-        assert len(forks) - n_forks == cores - 1
-        assert _sha(*out) == "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928"
+def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards, monkeypatch):
+    # recorded when the oracle ran in one process; the second round steps batches of
+    # 7 * 3 = 21 paths, which end inside every shard
+    for chunk, batch in ((sde_mod.CHUNK_PATHS, sde_mod.BATCH_BLOCKS), (7, 3)):
+        monkeypatch.setattr(sde_mod, "CHUNK_PATHS", chunk)
+        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", batch)
+        for cores in (1, 2, 3):
+            forks = shards(cores)
+            n_forks = len(forks)
+            out = vf.rotation_ensemble(np.pi / 2, 1e-3, 0.5, 11, 600)
+            assert len(forks) - n_forks == cores - 1, (chunk, batch, cores)
+            assert _sha(*out) == \
+                "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928", (chunk, batch)
 
 
 def test_identity_scan_all_digest_on_1_2_and_3_cores(shards):
@@ -243,12 +249,17 @@ def test_oracle_check_needs_a_constant_distance_on_the_unit_2_sphere():
     # a constant table is a constant distance too
     res = simulate_ensemble(S2, pf.tabulated([0.0, 1.0], [1.0, 1.0]), 1e-2, 0.1, 3, 4)
     assert vf.oracle_applies(res)
-    res = simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.1, 3, 4)
+    res = simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.1, 3, 500)
     assert vf.oracle_applies(res)
     constancy, agreement = vf.oracle_check(res, 4)
-    assert constancy.passed and constancy.ensemble == 4 and agreement.dt == 1e-2
+    assert constancy.passed and constancy.ensemble == 500 and agreement.dt == 1e-2
     assert set(agreement.details) == {"mean_norm_sde", "mean_norm_oracle",
                                       "standard_error_sde", "standard_error_oracle"}
+    # one or two paths have no standard error to compare
+    for P in (1, 2):
+        res = simulate_ensemble(S2, pf.constant(1.0), 1e-2, 0.1, 0, P)
+        with pytest.raises(ValidationError, match=f"^need at least 500 paths, got {P}$"):
+            vf.oracle_check(res, 0)
 
 
 def test_convergence_study_small():
