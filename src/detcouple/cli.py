@@ -233,7 +233,7 @@ def _fmt(x: float) -> str:
 # Dekker's two-product (Numer. Math. 18, 1971), and D is hi + floor(lo) plus
 # the rounding of lo's fraction.  A log10 that rounds across a power of ten
 # leaves D outside [1e16, 1e17); such values, and every value outside the
-# range, are formatted by _fmt.
+# range, are formatted by _fmt, except exact zeros, whose text is '0' or '-0'.
 FORMAT_PATHS = 16       # paths formatted per block: bounds the formatter's working set
 _WIDTH = 24             # longest '%.17g' text: -1.7976931348623157e+308
 
@@ -319,9 +319,12 @@ def _fmt_bulk(x: np.ndarray) -> list[bytes]:
             text[:, 1 - k:18 - k] = d
         texts[rows[r]] = text.view(f"S{_WIDTH}").ravel()
 
+    zero = np.flatnonzero(x == 0)
+    texts[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
     texts = texts.tolist()                  # each without its NUL padding
     done = np.zeros(x.size, bool)
     done[rows] = True
+    done[zero] = True
     for i in np.flatnonzero(~done):
         texts[i] = _fmt(float(x[i])).encode()
     return texts

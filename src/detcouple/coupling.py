@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateStateError, ValidationError
-from .model_space import ON_MANIFOLD_TOL, SpaceKind
+from .model_space import ON_MANIFOLD_TOL, SpaceKind, _dots, _norm
 
 BAND_TOL = 1e-10        # admissible-band slack absorbed before raising
 DEGENERATE_ETA = 1e-9   # sphere states with |X.Y| >= 1 - this are rejected
@@ -48,10 +48,6 @@ def eta_from_rho(kind: SpaceKind, rho, rho_prime):
 
 # ---------------------------------------------------------------------------
 # the matrix-free kernel
-
-
-def _dots(a, b):
-    return (a * b).sum(axis=-1)
 
 
 def _col(a):
@@ -76,7 +72,7 @@ def drive(kind: SpaceKind, n: int, X, Y, eta, eta_prime, dB, dC):
     if kind is SpaceKind.EUCLIDEAN:
         lam = np.clip(1.0 - eta_prime / k, -1.0, 1.0)
         Z = X - Y
-        xi = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
+        xi = Z / _norm(Z)[..., None]
         a = _dots(xi, dB)
         c = _dots(xi, dC)
         return _col(lam) * dB + ((1.0 - lam) * a)[..., None] * xi \
@@ -89,7 +85,7 @@ def drive(kind: SpaceKind, n: int, X, Y, eta, eta_prime, dB, dC):
         gamma = np.clip(eta + eta_prime / k, -1.0, 1.0) if n >= 2 else np.zeros(np.shape(eta))
         c = _dots(X, Y)                               # cos of the actual angle
         w = Y - c[..., None] * X
-        s = np.linalg.norm(w, axis=-1)
+        s = _norm(w)
         xi2 = w / s[..., None]
         a1 = _dots(X, dB)
         a2 = _dots(xi2, dB)
@@ -139,7 +135,7 @@ def hyperbolic_two_plane_scalars(X, Y):
     Y = np.asarray(Y, dtype=float)
     x1, y1 = X[..., 0], Y[..., 0]
     zt = X[..., 1:] - Y[..., 1:]
-    u = np.linalg.norm(zt, axis=-1)
+    u = _norm(zt)
     m = u * u + x1 * x1 - y1 * y1
     l = 2.0 * y1 * u
     p = -u * u + x1 * x1 - y1 * y1

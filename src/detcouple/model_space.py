@@ -128,6 +128,34 @@ def from_unit_model(spec: SpaceSpec, x_unit) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# dot products and norms over the coordinate axis
+
+
+def _dots(a, b):
+    """Dot products over the last axis, with the bits of ``(a * b).sum(axis=-1)``.
+
+    For 1 <= N < 8 coordinates numpy's pairwise sum adds the N products one
+    at a time, left to right, from +0.0.  Written out, that sum skips the
+    generic reduction, which costs several times the multiply at these
+    lengths.  From N = 8 on numpy adds in unrolled blocks, in an order of its
+    own, and N = 0 has no first term, so both keep the reduction.
+    """
+    p = a * b
+    N = p.shape[-1]
+    if not 1 <= N < 8:
+        return p.sum(axis=-1)
+    s = 0.0 + p[..., 0]
+    for k in range(1, N):
+        s += p[..., k]
+    return s
+
+
+def _norm(a):
+    """``np.linalg.norm(a, axis=-1)`` with the same bits: the root of :func:`_dots`."""
+    return np.sqrt(_dots(a, a))
+
+
+# ---------------------------------------------------------------------------
 # distances
 
 
@@ -136,13 +164,14 @@ def unit_distance(kind: SpaceKind, x, y):
     x = np.asarray(x)
     y = np.asarray(y)
     if kind is SpaceKind.EUCLIDEAN:
-        return np.linalg.norm(x - y, axis=-1)
+        return _norm(x - y)
     if kind is SpaceKind.SPHERE:
         # chord form 2*arcsin(|x-y|/2): stable near 0, exact at antipodes
-        chord = np.linalg.norm(x - y, axis=-1)
+        chord = _norm(x - y)
         return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
     # arccosh(1+u) evaluated as log1p for stability near u = 0
-    d2 = ((x - y) ** 2).sum(axis=-1)
+    z = x - y
+    d2 = _dots(z, z)
     u = d2 / (2.0 * x[..., 0] * y[..., 0])
     return np.log1p(u + np.sqrt(u * (u + 2.0)))
 
@@ -176,18 +205,18 @@ def unit_point_at_distance(kind: SpaceKind, x, y, s):
     s = np.asarray(s, dtype=float)
     if kind is SpaceKind.EUCLIDEAN:
         z = y - x
-        norm = np.linalg.norm(z, axis=-1)
+        norm = _norm(z)
         if np.any(norm <= 0):
             raise DegenerateStateError("coincident points have no geodesic direction")
         return x + z * (s / norm)[..., None]
     if kind is SpaceKind.SPHERE:
-        eta = (x * y).sum(axis=-1)
+        eta = _dots(x, y)
         tang = y - eta[..., None] * x
-        tnorm = np.linalg.norm(tang, axis=-1)
+        tnorm = _norm(tang)
         if np.any(tnorm <= 1e-15):
             raise DegenerateStateError("coincident or antipodal points on the sphere")
         out = np.cos(s)[..., None] * x + np.sin(s)[..., None] * (tang / tnorm[..., None])
-        out /= np.linalg.norm(out, axis=-1, keepdims=True)
+        out /= _norm(out)[..., None]
         return out
 
     # Geodesics of the half-space are vertical rays or semicircles centered on
@@ -195,7 +224,7 @@ def unit_point_at_distance(kind: SpaceKind, x, y, s):
     x1 = x[..., 0]
     y1 = y[..., 0]
     zt = y[..., 1:] - x[..., 1:]
-    b = np.linalg.norm(zt, axis=-1)
+    b = _norm(zt)
     vertical = b <= 1e-14 * (x1 + y1)
     if np.any(vertical & (x1 == y1)):
         raise DegenerateStateError("coincident hyperbolic points")

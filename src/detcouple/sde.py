@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .coupling import _dots, drive, eta_from_rho
+from .coupling import drive, eta_from_rho
 from .errors import ValidationError, _key_word, _require_positive_int
-from .model_space import (SpaceKind, SpaceSpec, canonical_start, from_unit_model, to_unit_model,
-                          unit_point_at_distance)
+from .model_space import (SpaceKind, SpaceSpec, _dots, _norm, canonical_start, from_unit_model,
+                          to_unit_model, unit_point_at_distance)
 from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 from .shards import map_ranges
@@ -148,8 +148,8 @@ def _advance_batch(kind: SpaceKind, n: int, X, Y, rho_t, drho_t, dt, zB, zC):
     if kind is SpaceKind.SPHERE:
         Xn = X + (dB - _dots(X, dB)[..., None] * X) - (n / 2.0) * dt * X
         Yn = Y + (dW - _dots(Y, dW)[..., None] * Y) - (n / 2.0) * dt * Y
-        Xn /= np.linalg.norm(Xn, axis=-1, keepdims=True)
-        Yn /= np.linalg.norm(Yn, axis=-1, keepdims=True)
+        Xn /= _norm(Xn)[..., None]
+        Yn /= _norm(Yn)[..., None]
         return Xn, Yn
 
     # hyperbolic half-space

@@ -268,7 +268,9 @@ def test_console_entry_point(tmp_path):
 
 
 # SHA-256 of paths.csv and summary.json for P=3, dt=1e-2, seed 7, recorded
-# with the per-row writer that formatted all five fields of every row.
+# with the per-row writer that formatted all five fields of every row; the
+# enforced S2 case, where 9 of the 18 abs_err values are exact zeros, was
+# recorded before the bulk formatter wrote zeros itself.
 _GOLDEN_ARGS = {
     "e3": ["--space", "euclidean", "--dim", "3", "--profile", "euclidean-max-growth",
            "--rho0", "1.0"],
@@ -276,6 +278,8 @@ _GOLDEN_ARGS = {
            "--rho0", "1.5707963267948966"],
     "h2": ["--space", "hyperbolic", "--dim", "2", "--profile", "hyperbolic-lower",
            "--rho0", "1.0"],
+    "s2-enforced": ["--space", "sphere", "--dim", "2", "--profile", "sphere-contracting",
+                    "--rho0", "1.5707963267948966", "--enforce-distance"],
 }
 _GOLDEN = [  # (case, T, stride, exit status, paths.csv, summary.json)
     ("e3", "0.05", "1", 1,
@@ -305,6 +309,9 @@ _GOLDEN = [  # (case, T, stride, exit status, paths.csv, summary.json)
     ("h2", "0", "1", 0,
      "83664e038356857be9c8f3906d820d8250baf34c6532aace47f8c3fce82ed94d",
      "afd7ec412d1e505e7c1dfbdee9be667688e6aea72e3d79ac76db90dd98bff2aa"),
+    ("s2-enforced", "0.05", "1", 0,
+     "76af345e2bd72ec32ad9fb7cfabe9e8cd6b34dcd2ad76b11aefb33fa10473a16",
+     "93fc2289294a232bc0afd290e77b4b5a58059fa97c0d886a66a34a070eb87c67"),
 ]
 
 
@@ -457,6 +464,12 @@ def test_fmt_bulk_edge_values():
         _assert_python_text(x)
     # every value of a block in one call, in any shape
     _assert_python_text(np.concatenate([specials, powers]).reshape(2, -1))
+
+
+def test_fmt_bulk_writes_exact_zeros_itself(monkeypatch):
+    # half the abs_err values of an enforced run are exact zeros: none goes through _fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: pytest.fail(f"_fmt({v!r}) called"))
+    assert cli._fmt_bulk(np.array([[0.0, -0.0], [1.5, 0.0]])) == [b"0", b"-0", b"1.5", b"0"]
 
 
 @settings(max_examples=200, deadline=None)

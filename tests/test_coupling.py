@@ -37,6 +37,33 @@ def hyperbolic_drift(X, Y, J):
         + (X[0] ** 2 + Y[0] ** 2) / (X[0] * Y[0])
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("N", range(10))
+def test_dots_and_norm_have_the_bits_of_numpy_reductions(N):
+    rng = np.random.default_rng(100 + N)
+    P = 4000
+
+    def wide(*shape):   # random signs and mantissas over exponents 2**-1074 .. 2**1023
+        return rng.choice([-1.0, 1.0], shape) * np.ldexp(rng.random(shape) + 0.5,
+                                                         rng.integers(-1075, 1023, shape))
+    a, b = wide(P, N), wide(P, N)
+    normal = rng.standard_normal((P, N)), rng.standard_normal((P, N))
+    zeros = rng.choice([-0.0, 0.0], (P, N)), rng.choice([-0.0, 0.0], (P, N))
+    special = [rng.choice([-0.0, 0.0, 1.5, -2.0, np.inf, -np.inf, np.nan], (P, N))
+               for _ in range(2)]
+    pairs = [(a, b), normal, zeros, tuple(special), (a.T.copy().T, b),    # strided last axis
+             (a[0], b[0]),                                                # one point
+             (normal[0][:, None, :], np.eye(N))]                          # _read_off's shape
+    with np.errstate(all="ignore"):
+        for x, y in pairs:
+            assert _same_bits(ms._dots(x, y), (x * y).sum(axis=-1))
+            assert _same_bits(ms._norm(x), np.linalg.norm(x, axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # Euclidean
 

@@ -23,6 +23,7 @@ S2 = ms.sphere(2)
 H2 = ms.hyperbolic(2)
 H3 = ms.hyperbolic(3)
 E2 = ms.euclidean(2)
+E3 = ms.euclidean(3)
 
 
 def test_noise_replay_determinism():
@@ -550,6 +551,32 @@ def test_failed_simulator_shard_raises_in_the_parent(tmp_path, capsys, shards, m
     assert list(out.iterdir()) == []        # failed before writing, so no paths.csv.part*
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+_STEP_LOOPS = {
+    "e3": lambda T: simulate_ensemble(E3, pf.euclidean_max_growth(E3, 1.0), 1e-3, T, 5, 8),
+    "s2": lambda T: simulate_ensemble(S2, pf.sphere_contracting(S2, 1.0), 1e-3, T, 5, 8),
+    "h3": lambda T: simulate_ensemble(H3, pf.hyperbolic_lower(H3, 1.0), 1e-3, T, 5, 8),
+    "oracle": lambda T: rotation_ensemble(1.0, 1e-3, T, 5, 8),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_STEP_LOOPS))
+def test_step_loops_make_no_generic_reduction_calls(loop, monkeypatch, shards):
+    # the steps sum their short coordinate axes by hand (model_space._dots and _norm,
+    # verify._cosine, verify._rodrigues): these calls may run per run, never per step
+    calls = []
+    for module, name in ((np, "einsum"), (np, "stack"), (np.linalg, "norm")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    shards(1)
+    _STEP_LOOPS[loop](0.01)
+    short = sorted(calls)
+    calls.clear()
+    _STEP_LOOPS[loop](0.1)                  # 100 steps against 10
+    assert sorted(calls) == short
 
 
 # ---------------------------------------------------------------------------

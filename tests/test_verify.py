@@ -96,6 +96,49 @@ def test_rodrigues_matches_expm():
     assert np.array_equal(_rodrigues(np.zeros(3)), np.eye(3))
 
 
+def _rodrigues_stacked(delta):
+    """The oracle's former rotation step: Kx from np.stack, I where theta = 0 by np.where."""
+    theta = np.linalg.norm(delta, axis=-1)
+    safe = np.where(theta > 0, theta, 1.0)
+    a = delta / safe[..., None]
+    zero = np.zeros_like(theta)
+    Kx = np.stack([
+        np.stack([zero, -a[..., 2], a[..., 1]], axis=-1),
+        np.stack([a[..., 2], zero, -a[..., 0]], axis=-1),
+        np.stack([-a[..., 1], a[..., 0], zero], axis=-1),
+    ], axis=-2)
+    st = np.sin(theta)[..., None, None]
+    ct = (1.0 - np.cos(theta))[..., None, None]
+    R = np.eye(3) + st * Kx + ct * (Kx @ Kx)
+    return np.where((theta > 0)[..., None, None], R, np.eye(3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_rodrigues_keeps_the_bits_of_the_stacked_form():
+    rng = np.random.default_rng(21)
+    delta = 0.05 * rng.standard_normal((1000, 3))
+    delta[::7] = 0.0
+    delta[3::7] = -0.0
+    delta[5::7, 1:] = 0.0
+    for d in (delta, delta[:1], delta[7], delta[1], np.zeros(3)):
+        assert np.array_equal(_bits(_rodrigues(d)), _bits(_rodrigues_stacked(d)))
+
+
+@pytest.mark.parametrize("rho0", [0.3, 1.0, np.pi / 2, 2.5, 3.1])
+def test_oracle_cosine_keeps_the_bits_of_einsum(rho0):
+    x, y = ms.canonical_start(S2, rho0)
+    rng = np.random.default_rng(22)
+    for P in (1, 2, 21, 1000):
+        Z = np.tile(np.eye(3), (P, 1, 1))
+        for _ in range(20):
+            Z = Z @ _rodrigues(0.05 * rng.standard_normal((P, 3)))
+            assert np.array_equal(_bits(vf._cosine(Z, x, y)),
+                                  _bits(np.einsum("pij,j,pik,k->p", Z, x, Z, y))), P
+
+
 def test_rotation_oracle_distance_constant():
     times, sup, fX, fY = vf.rotation_ensemble(np.pi / 2, 1e-3, 1.0, seed=4, n_paths=50)
     assert sup.max() <= 1e-12
