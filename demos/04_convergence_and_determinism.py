@@ -13,7 +13,7 @@ Run:  python demos/04_convergence_and_determinism.py
 import numpy as np
 
 from detcouple import constant, simulate_ensemble, sphere
-from detcouple.sde import block_gaussians
+from detcouple.sde import block_gaussians, noise_stream
 from detcouple.verify import convergence_study
 
 print(__doc__)
@@ -34,7 +34,7 @@ one = simulate_ensemble(spec, constant(np.pi / 2), 1e-3, 0.5, 99, n_paths=1,
 print(f"  path 3 run alone equals path 3 of the ensemble: "
       f"{np.array_equal(one.d_emp[0], ens.d_emp[3])}")
 
-z1 = block_gaussians(99, 3, 0, 2, 6)     # steps 0 and 1 of path 3
-z2 = block_gaussians(99, 3, 2, 1, 6)     # step 1 alone: 6 normals use 2 Philox blocks
+z1 = block_gaussians([noise_stream(99, 3)], 2, 6)             # steps 0 and 1 of path 3
+z2 = block_gaussians([noise_stream(99, 3, counter=2)], 1, 6)  # step 1 alone: 6 normals use 2 Philox blocks
 print(f"  same (seed, path, counter) regenerates identical increments: "
       f"{np.array_equal(z1[1], z2[0])}")

@@ -16,7 +16,10 @@ Noise is counter-based: the increments of a path are a pure function of
 (seed, path_index, step index), so a path's trajectory does not depend on
 which shard of the ensemble runs it. Every ensemble, the rotation oracle's
 included, steps through :func:`step_gaussians`, the one owner of how draws
-are blocked in memory.
+are blocked in memory: a batch opens each path's Philox stream once and
+draws a block of steps for all its paths at a time into a step-major
+(steps, paths, words) buffer, whose raw words and normals stay within
+NOISE_BLOCK_BYTES.
 
 An ensemble, the rotation oracle's included, runs through ``shards.map_ranges``:
 its paths are cut into contiguous shards of whole sum blocks, one per core, and
@@ -46,8 +49,11 @@ CHUNK_PATHS = 256
 # Every ensemble, the oracle's included, steps a shard in batches of at most
 # this many sum blocks: a step's arrays and draws per path do not grow with it.
 BATCH_BLOCKS = 8
-# Most bytes of normals step_gaussians holds at once; the block shape changes no value.
-NOISE_BLOCK_BYTES = 32 * 2**20
+# Most bytes step_gaussians holds in its block of steps (4 MiB, or one step if that is
+# more): per path and step, the draw's raw Philox words (4 * blocks_per_draw(words)
+# doubles) and its normals (words doubles).  Each path's open stream adds about 1 KiB.
+# The block length changes no value; 2 MiB blocks slowed 2,048-path batches.
+NOISE_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -95,34 +101,45 @@ def blocks_per_draw(words: int) -> int:
     return -(-words // 4)
 
 
-def block_gaussians(seed: int, path_index: int, counter: int, n_draws: int, words: int) -> np.ndarray:
-    """(n_draws, words) standard normals keyed by (seed, path_index); draw i
-    starts at Philox block counter + i * blocks_per_draw(words), so a draw is
-    a pure function of its key and counter, whatever was drawn before it."""
-    bpd = blocks_per_draw(words)
-    bg = np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64),
-                          counter=int(counter))
-    raw = bg.random_raw(n_draws * bpd * 4).reshape(n_draws, bpd * 4)[:, :words]
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+def noise_stream(seed: int, path_index: int, counter: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by (seed, path_index), from block ``counter``."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64),
+                                                counter=int(counter)))
+
+
+def block_gaussians(streams, n_draws: int, words: int, out=None) -> np.ndarray:
+    """The next ``n_draws`` draws of ``words`` standard normals from each stream, step-major:
+    row i of the (n_draws, len(streams), words) result holds every stream's draw i.
+
+    A draw takes blocks_per_draw(words) Philox blocks of 4 words and uses its first
+    ``words``, so draw i of a stream opened at block counter c starts at block
+    c + i * blocks_per_draw(words): a pure function of its key and counter, whatever
+    was drawn before it.  ``out``, if given, receives the normals."""
+    raw = np.empty((len(streams), n_draws, 4 * blocks_per_draw(words)))
+    for stream, r in zip(streams, raw):
+        stream.random(out=r)        # (word >> 11) * 2**-53, one 64-bit word per double
+    if out is None:
+        out = np.empty((n_draws, len(streams), words))
+    np.add(raw.transpose(1, 0, 2)[..., :words], 2.0**-54, out=out)
+    return ndtri(out, out=out)
 
 
 def step_gaussians(seed: int, first_path_index: int, n_paths: int, n_steps: int, words: int):
     """Yield the (n_paths, words) normals of steps 0, ..., n_steps - 1 for the
     consecutive paths first_path_index, first_path_index + 1, ...
 
-    Each path's steps are drawn by :func:`block_gaussians` in blocks of as many
-    steps as fit in NOISE_BLOCK_BYTES (at least one). A yielded step is a view
-    into a buffer that the next block overwrites: copy it to keep it."""
-    block = max(1, NOISE_BLOCK_BYTES // (8 * n_paths * words))
-    z = np.empty((n_paths, min(block, n_steps), words))
+    Each path's stream is opened once, at counter 0.  :func:`block_gaussians` draws
+    every path's steps together, a block of as many steps as NOISE_BLOCK_BYTES holds
+    (at least one) at a time, into one step-major (steps, n_paths, words) buffer.  A
+    yielded step is a contiguous row of it that the next block overwrites: copy it
+    to keep it."""
+    streams = [noise_stream(seed, first_path_index + j) for j in range(n_paths)]
+    step_bytes = 8 * n_paths * (4 * blocks_per_draw(words) + words)
+    block = max(1, NOISE_BLOCK_BYTES // step_bytes)
+    z = np.empty((min(block, n_steps), n_paths, words))
     for s0 in range(0, n_steps, block):
-        s1 = min(s0 + block, n_steps)
-        for j in range(n_paths):
-            z[j, :s1 - s0] = block_gaussians(seed, first_path_index + j,
-                                             s0 * blocks_per_draw(words), s1 - s0, words)
-        for i in range(s1 - s0):
-            yield z[:, i]
+        k = min(block, n_steps - s0)
+        yield from block_gaussians(streams, k, words, z[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +191,15 @@ def time_grid(dt: float, T: float) -> np.ndarray:
     T, and a horizon below the snap tolerance is one step."""
     if not (np.isfinite(T) and T >= 0 and np.isfinite(dt) and dt > 0):
         raise ValidationError(f"need finite T >= 0 and finite dt > 0, got T = {T}, dt = {dt}")
-    steps = int(np.floor(T / dt + 1e-9))
-    ts = dt * np.arange(steps + 1)
+    steps = np.floor(float(T) / float(dt) + 1e-9)    # inf, not a warning, past the float range
+    try:
+        # numpy counts an array's bytes in an intp, and the grid holds at most steps + 2 doubles
+        if not steps < np.iinfo(np.intp).max // 8 - 2:
+            raise MemoryError
+        ts = dt * np.arange(int(steps) + 1)
+    except MemoryError:
+        raise ValidationError(f"T = {T:g} in steps of dt = {dt:g} is {steps:g} steps, "
+                              "more than an array can hold") from None
     if T - ts[-1] > 1e-12 * max(1.0, T) or (steps == 0 and T > 0):
         ts = np.append(ts, T)
     ts[-1] = T if T > 0 else 0.0

@@ -147,6 +147,17 @@ def test_hyperbolic_constant_rejected(tmp_path, capsys):
     assert report["admissible"] is False and report["reasons"]
 
 
+@pytest.mark.parametrize("dt,T,steps", [("1e-9", "1e12", "1e+21"), ("1e-300", "1e10", "inf")])
+def test_oversized_grid_exits_2(dt, T, steps, tmp_path, capsys):
+    # step counts past numpy's index limit, so the check allocates nothing
+    out = tmp_path / "run"
+    assert run_main(["simulate", "--space", "euclidean", "--profile", "constant", "--rho0", "1",
+                     "--dt", dt, "--T", T, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: T = {float(T):g} in steps of dt = {float(dt):g} "
+                                       f"is {steps} steps, more than an array can hold\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("space,rho0,least", [("sphere", "4", None), ("hyperbolic", "1", -0.46)],
                          ids=["no-point-in-range", "every-point-in-range"])
 def test_check_writes_strict_json(space, rho0, least, tmp_path, capsys):

@@ -2,10 +2,12 @@ import contextlib
 import hashlib
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 import detcouple.sde as sde_mod
 import detcouple.verify as vf_mod
@@ -14,8 +16,8 @@ from detcouple import coupling as cp
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple.errors import ValidationError
-from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, simulate_ensemble,
-                           step_gaussians, time_grid)
+from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, noise_stream,
+                           simulate_ensemble, step_gaussians, time_grid)
 from detcouple.verify import _rodrigues, rotation_ensemble
 from sampling import random_points
 
@@ -26,68 +28,133 @@ E2 = ms.euclidean(2)
 E3 = ms.euclidean(3)
 
 
+def _draws(seed, path_index, counter, n_draws, words):
+    """(n_draws, words): one call's draws of the stream keyed by (seed, path_index) from ``counter``."""
+    return block_gaussians([noise_stream(seed, path_index, counter)], n_draws, words)[:, 0]
+
+
+def _first_form(seed, path_index, n_draws, words):
+    """The same draws as the noise was first written: one ``random_raw`` call per path,
+    the top 53 bits of each word scaled into (0, 1), then ``ndtri``."""
+    bpd = blocks_per_draw(words)
+    bg = np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64), counter=0)
+    raw = bg.random_raw(n_draws * bpd * 4).reshape(n_draws, bpd * 4)[:, :words]
+    return ndtri((raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54)
+
+
+def _block_bytes(n_steps, n_paths, words):
+    """The NOISE_BLOCK_BYTES that holds ``n_steps`` steps of ``n_paths`` paths: per path
+    and step, 4 * blocks_per_draw(words) raw words and ``words`` normals, 8 bytes each."""
+    return n_steps * n_paths * 8 * (4 * blocks_per_draw(words) + words)
+
+
 def test_noise_replay_determinism():
-    a = block_gaussians(42, 7, 0, 1, 6)
-    assert np.array_equal(a, block_gaussians(42, 7, 0, 1, 6))
+    a = _draws(42, 7, 0, 1, 6)
+    assert np.array_equal(a, _draws(42, 7, 0, 1, 6))
     # six words take two Philox blocks: the next draw starts at counter 2
-    c = block_gaussians(42, 7, 0, 2, 6)[1]
+    c = _draws(42, 7, 0, 2, 6)[1]
     assert blocks_per_draw(6) == 2
-    assert np.array_equal(c, block_gaussians(42, 7, 2, 1, 6)[0])
+    assert np.array_equal(c, _draws(42, 7, 2, 1, 6)[0])
     assert not np.array_equal(a[0], c)
-    assert not np.array_equal(a, block_gaussians(42, 8, 0, 1, 6))
-    assert not np.array_equal(a, block_gaussians(43, 7, 0, 1, 6))
+    assert not np.array_equal(a, _draws(42, 8, 0, 1, 6))
+    assert not np.array_equal(a, _draws(43, 7, 0, 1, 6))
 
 
 def test_block_matches_sequential_draws():
     words = 6
-    batch = block_gaussians(3, 5, 0, 10, words)
-    seq = np.array([block_gaussians(3, 5, i * blocks_per_draw(words), 1, words)[0]
-                    for i in range(10)])
+    batch = _draws(3, 5, 0, 10, words)
+    seq = np.array([_draws(3, 5, i * blocks_per_draw(words), 1, words)[0] for i in range(10)])
     assert np.array_equal(batch, seq)
+    # one call draws every stream's next steps, step-major, each as if drawn alone
+    both = block_gaussians([noise_stream(3, 5), noise_stream(3, 6)], 10, words)
+    assert both.shape == (10, 2, words)
+    assert np.array_equal(both[:, 0], batch) and np.array_equal(both[:, 1], _draws(3, 6, 0, 10, words))
+    # a stream continues where its last call ended
+    stream = noise_stream(3, 5)
+    assert np.array_equal(np.concatenate([block_gaussians([stream], k, words)[:, 0]
+                                          for k in (3, 1, 6)]), batch)
     # the stacked steps are the per-path draws
     steps = [z.copy() for z in step_gaussians(3, 4, 3, 10, words)]
-    assert len(steps) == 10 and steps[0].shape == (3, words)
+    assert len(steps) == 10 and steps[0].shape == (3, words) and steps[0].flags.c_contiguous
     z = np.stack(steps, axis=1)
     for j in range(3):
-        assert np.array_equal(z[j], block_gaussians(3, 4 + j, 0, 10, words))
+        assert np.array_equal(z[j], _draws(3, 4 + j, 0, 10, words))
 
 
-def test_small_noise_blocks_change_no_value(monkeypatch):
-    # 3 steps per block for the simulator's 6 words, 6 for the oracle's 3: many block
-    # boundaries and a partial last block
+def test_small_noise_blocks_change_no_value(monkeypatch, shards):
+    # the simulator and the oracle at blocks of 1, 2 and 3 steps on 1, 2 and 3 cores, in
+    # 2-path batches (the 7th path is a batch of its own, whose blocks are twice as long)
     prof = pf.sphere_contracting(S2, 1.0)
 
     def run():
-        res = simulate_ensemble(S2, prof, 1e-2, 0.2, 9, 3, record_paths=True)
-        oracle = rotation_ensemble(1.0, 1e-2, 0.2, 9, 3)
-        steps = np.stack([z.copy() for z in step_gaussians(9, 0, 3, 20, 6)])
-        return [res.paths_X, res.paths_Y, res.d_emp, res.mean_d_emp, *oracle, steps]
+        res = simulate_ensemble(S2, prof, 1e-2, 0.2, 9, 7, record_paths=True)
+        oracle = rotation_ensemble(1.0, 1e-2, 0.2, 9, 7)
+        return [res.paths_X, res.paths_Y, res.d_emp, res.mean_d_emp, *oracle]
 
+    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
+    monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", 1)
     whole = run()
-    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", 3 * 3 * 6 * 8)
-    blocked = run()
-    for a, b in zip(whole, blocked):
-        assert np.array_equal(a, b)
+    for cores in (1, 2, 3):
+        forks = shards(cores)
+        for block in (1, 2, 3):
+            n_forks = len(forks)
+            # block steps of the simulator's 6 words; the oracle's 3 words get 2 * block
+            monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", _block_bytes(block, 2, 6))
+            blocked = run()
+            assert len(forks) - n_forks == 2 * (cores - 1), (cores, block)
+            for a, b in zip(whole, blocked):
+                assert np.array_equal(a, b), (cores, block)
+
+    # every path's steps at those blocks (20 steps: a partial last block) are its own
+    # stream drawn in one call, with the bits of the form first written
+    for words in (3, 4, 6):
+        want = [_draws(9, 4 + j, 0, 20, words) for j in range(5)]
+        for j in range(5):
+            assert np.array_equal(want[j], _first_form(9, 4 + j, 20, words)), (words, j)
+        for block in (1, 2, 3):
+            monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", _block_bytes(block, 5, words))
+            steps = np.stack([z.copy() for z in step_gaussians(9, 4, 5, 20, words)])
+            for j in range(5):
+                assert np.array_equal(steps[:, j], want[j]), (words, block, j)
 
 
 def test_step_gaussians_holds_at_most_the_cap(monkeypatch):
-    draws = []
+    calls = []
 
-    def counted(seed, path_index, counter, n_draws, words):
-        draws.append(n_draws)
-        return block_gaussians(seed, path_index, counter, n_draws, words)
+    def counted(streams, n_draws, words, out=None):
+        calls.append((len(streams), n_draws))
+        return block_gaussians(streams, n_draws, words, out)
 
     monkeypatch.setattr(sde_mod, "block_gaussians", counted)
     P, M, words = 2000, 1000, 3
     for _ in step_gaussians(0, 0, P, M, words):
         pass
-    assert max(draws) * P * words * 8 <= sde_mod.NOISE_BLOCK_BYTES
-    assert sum(draws) == P * M and len(draws) == 2 * P   # two blocks per path
+    block = max(n_draws for _, n_draws in calls)
+    assert _block_bytes(block, P, words) <= sde_mod.NOISE_BLOCK_BYTES
+    # one call per block draws every path's steps
+    assert all(n_streams == P for n_streams, _ in calls)
+    assert sum(n_draws for _, n_draws in calls) == M and len(calls) == -(-M // block) > 1
+
+
+@pytest.mark.parametrize("words", [3, 6])
+def test_noise_working_set_stays_within_the_cap(words):
+    # the NOISE_BLOCK_BYTES comment: a block of at most 4 MiB or one step, and about
+    # 1 KiB per open stream
+    for P in (1, 7, 512, 2048):
+        bound = max(4 * 2**20, _block_bytes(1, P, words)) + 1024 * P
+        tracemalloc.start()
+        try:
+            for _ in step_gaussians(3, 0, P, 1000, words):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (P, peak, bound)
 
 
 def test_driving_increment_moments():
     dt = 1e-3
-    z = block_gaussians(123, 0, 0, 1_000_000, 4) * np.sqrt(dt)
+    z = _draws(123, 0, 0, 1_000_000, 4) * np.sqrt(dt)
     dB, dC = z[:, :2], z[:, 2:]
     n = z.shape[0]
     for col in range(2):
@@ -195,7 +262,7 @@ def test_general_curvature_step_equals_matrix_step(spec, prof):
     dt, P, seed = 1e-2, 5, 3
     res = simulate_ensemble(spec, profile, dt, dt, seed, P)
     r, N = spec.r, spec.ambient_dim
-    z = np.stack([block_gaussians(seed, j, 0, 1, 2 * N)[0] for j in range(P)])
+    z = block_gaussians([noise_stream(seed, j) for j in range(P)], 1, 2 * N)[0]
     xu = ms.to_unit_model(spec, x0)
     yu = ms.to_unit_model(spec, y0)
     rho, drho = profile.eval(0.0)
@@ -221,11 +288,11 @@ def test_out_of_range_seed_rejected(seed):
 def test_large_seeds_do_not_alias():
     # seeds are Philox key words: every value in [0, 2**64) is its own stream
     seeds = (0, 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
-    draws = [block_gaussians(s, 0, 0, 1, 4) for s in seeds]
+    draws = [_draws(s, 0, 0, 1, 4) for s in seeds]
     for i in range(len(draws)):
         for j in range(i):
             assert not np.array_equal(draws[i], draws[j])
-    assert np.array_equal(block_gaussians(2**63 + 1, 0, 0, 1, 4), draws[3])
+    assert np.array_equal(_draws(2**63 + 1, 0, 0, 1, 4), draws[3])
     with pytest.raises(ValidationError):   # the last path index would pass 2**64
         simulate_ensemble(E2, pf.constant(1.0), 1e-2, 0.1, 0, 3, first_path_index=2**64 - 2)
 
@@ -255,6 +322,16 @@ def test_bad_grid_and_ensemble_inputs_rejected(dt, T, n_paths):
             time_grid(dt, T)
     with pytest.raises(ValidationError):
         simulate_ensemble(E2, pf.constant(1.0), dt, T, 0, n_paths)
+
+
+def test_grid_memory_error_is_a_validation_error(monkeypatch):
+    def arange(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "arange", arange)
+    with pytest.raises(ValidationError, match="^T = 1 in steps of dt = 0.001 is 1000 steps, "
+                                              "more than an array can hold$"):
+        time_grid(1e-3, 1.0)
 
 
 def test_non_integer_n_paths_rejected():
@@ -491,9 +568,10 @@ def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
 def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(run, words, monkeypatch, shards):
     draws, widths = [], []
 
-    def counted(seed, path_index, counter, n_draws, words):
-        draws.append(path_index)
-        return block_gaussians(seed, path_index, counter, n_draws, words)
+    def counted(streams, n_draws, words, out=None):
+        # a stream's Philox key is (seed, path index)
+        draws.extend(int(s.bit_generator.state["state"]["key"][1]) for s in streams)
+        return block_gaussians(streams, n_draws, words, out)
 
     def advance(kind, n, X, *args):
         widths.append(len(X))
@@ -508,14 +586,14 @@ def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(run, words, monk
     monkeypatch.setattr(vf_mod, "_rodrigues", rodrigues)
     monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
     monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", 2)
-    # a batch of 4 paths holds 5 of its 20 steps of normals (`words` each) at a time
-    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", 4 * 5 * words * 8)
+    # a batch of 4 paths holds 5 of its 20 steps of noise at a time
+    monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", _block_bytes(5, 4, words))
     shards(1)
     for P in (4, 40):
         draws.clear()
         widths.clear()
         run(P)
-        assert sorted(draws) == sorted(list(range(P)) * 4), P     # 4 draws per path
+        assert sorted(draws) == sorted(list(range(P)) * 4), P     # 4 blocks per path
         assert max(widths) == 4 and len(widths) == 20 * P // 4, P
 
 
