@@ -192,14 +192,15 @@ def time_grid(dt: float, T: float) -> np.ndarray:
     if not (np.isfinite(T) and T >= 0 and np.isfinite(dt) and dt > 0):
         raise ValidationError(f"need finite T >= 0 and finite dt > 0, got T = {T}, dt = {dt}")
     steps = np.floor(float(T) / float(dt) + 1e-9)    # inf, not a warning, past the float range
+    too_many = ValidationError(f"T = {T:g} in steps of dt = {dt:g} is {steps:g} steps, "
+                               "more than an array can hold")
+    # numpy counts an array's bytes in an intp, and the grid holds at most steps + 2 doubles
+    if not steps < np.iinfo(np.intp).max // 8 - 2:
+        raise too_many
     try:
-        # numpy counts an array's bytes in an intp, and the grid holds at most steps + 2 doubles
-        if not steps < np.iinfo(np.intp).max // 8 - 2:
-            raise MemoryError
         ts = dt * np.arange(int(steps) + 1)
     except MemoryError:
-        raise ValidationError(f"T = {T:g} in steps of dt = {dt:g} is {steps:g} steps, "
-                              "more than an array can hold") from None
+        raise too_many from None
     if T - ts[-1] > 1e-12 * max(1.0, T) or (steps == 0 and T > 0):
         ts = np.append(ts, T)
     ts[-1] = T if T > 0 else 0.0
