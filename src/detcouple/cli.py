@@ -186,6 +186,9 @@ def parse_config(argv) -> tuple[str, RunConfig]:
     if args.command in ("verify", "converge") and not cfg.T > 0:
         # at T = 0 every statistic is rounding noise
         raise ValidationError(f"field T: {args.command} needs a horizon T > 0, got {cfg.T}")
+    if args.command == "converge" and cfg.enforce_distance:
+        raise ValidationError("field enforce_distance: converge measures the scheme's own "
+                              "error and cannot enforce the distance")
     if args.command == "verify" and cfg.seed > 2**64 - 3:
         # cmd_verify also draws from seed + 1 and seed + 2
         raise ValidationError(f"field seed: verify needs an integer in [0, 2**64 - 3], "
@@ -494,7 +497,8 @@ def cmd_converge(cfg: RunConfig, spec: ms.SpaceSpec, profile: pf.DistanceProfile
         for dt, err in zip(report.details["dt"], report.details["mean_sup_err"]):
             fh.write(f"{_fmt(dt)},{_fmt(err)}\n")
     _write_json(cfg.out / "converge.json", report.to_dict())
-    print(f"slope {report.details['slope']:.3f}; decreasing: "
+    slope = report.details["slope"]
+    print(f"slope {'none' if slope is None else format(slope, '.3f')}; decreasing: "
           f"{report.details['strictly_decreasing']} -> {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

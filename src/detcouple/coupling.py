@@ -20,9 +20,10 @@ works with a function eta of the distance rho (``eta_from_rho``):
 ``drive`` is the only implementation of this algebra.  It returns dW without
 forming J or K, batched over leading axes, and it is what the simulator runs.
 ``euclidean_matrices``, ``sphere_matrices`` and ``hyperbolic_matrices`` are
-the only way to form (J, K).  They validate every state of the batch, then
-read J and K off ``drive`` applied to basis vectors, so the identity scans
-check the same code that the simulator runs.
+the only way to form (J, K).  They validate every state of the batch, the
+half-space two-plane determinant d included, then read J and K off ``drive``
+applied to basis vectors, so the identity scans check the same code that the
+simulator runs.
 """
 
 from __future__ import annotations
@@ -125,14 +126,17 @@ def drive(kind: SpaceKind, n: int, X, Y, eta, eta_prime, dB, dC):
     return np.concatenate([w1[..., None], wt], axis=-1)
 
 
-def hyperbolic_two_plane_scalars(X, Y):
-    """The scalars (m, l, p, q) of the half-space two-plane construction.
+def _hyperbolic_plane(X, Y, eta, eta_prime):
+    """Unclipped transverse eigenvalue gamma and two-plane determinant d.
 
-    The two-plane map sends m e1 + l xi2 to p e1 + q xi2, where xi2 is the
-    unit boundary displacement; m^2 + l^2 = p^2 + q^2.
+    Also returns the plane scalars (m, l, p, q, u, zt): the two-plane map
+    sends m e1 + l xi2 to p e1 + q xi2, where xi2 = zt / u is the unit
+    boundary displacement, and m^2 + l^2 = p^2 + q^2.  Then the mask of
+    vertical pairs (zero boundary displacement, where the plane degenerates
+    and d = gamma) and m^2 + l^2 with those pairs set to 1.  In dimension 1
+    every pair is vertical and J = 1, so gamma = d = 1.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    k = X.shape[-1] - 1
     x1, y1 = X[..., 0], Y[..., 0]
     zt = X[..., 1:] - Y[..., 1:]
     u = _norm(zt)
@@ -140,22 +144,12 @@ def hyperbolic_two_plane_scalars(X, Y):
     l = 2.0 * y1 * u
     p = -u * u + x1 * x1 - y1 * y1
     q = 2.0 * x1 * u
-    return m, l, p, q, u, zt
-
-
-def _hyperbolic_plane(X, Y, eta, eta_prime):
-    """Unclipped transverse eigenvalue gamma and two-plane determinant d (n >= 2).
-
-    Also returns the plane scalars (m, l, p, q, u, zt), the mask of
-    vertical pairs (zero boundary displacement, where the plane degenerates
-    and d = gamma) and m^2 + l^2 with those pairs set to 1.
-    """
-    k = X.shape[-1] - 1
-    x1, y1 = X[..., 0], Y[..., 0]
-    m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
-    gamma = 1.0 + eta - eta_prime / k
     small = u <= VERTICAL_TOL * (x1 + y1)
     M2 = np.where(small, 1.0, m * m + l * l)
+    if k == 0:
+        gamma = d = np.ones(np.broadcast_shapes(small.shape, np.shape(eta), np.shape(eta_prime)))
+        return gamma, d, (m, l, p, q, u, zt, small, M2)
+    gamma = 1.0 + eta - eta_prime / k
     phi = -eta_prime / k + (x1 * x1 + y1 * y1) / (x1 * y1)
     denom = (1.0 + eta) * l * q + m * p
     denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
@@ -174,7 +168,8 @@ def _checked(kind: SpaceKind, X, Y, eta, eta_prime):
     Raises ``ValidationError`` for points of different shapes, non-finite or
     off the manifold, ``DegenerateStateError`` for coincident (or, on the
     sphere, antipodal) points and ``AdmissibilityError`` for eta' outside
-    the band, naming the value and the band at the first bad state.
+    the band or, on the half-space, a two-plane determinant d outside
+    [-1, 1], naming the value and the band at the first bad state.
     """
     X, Y, eta, eta_prime = (np.asarray(a, dtype=float) for a in (X, Y, eta, eta_prime))
     if X.ndim == 0 or X.shape != Y.shape:
@@ -200,6 +195,9 @@ def _checked(kind: SpaceKind, X, Y, eta, eta_prime):
             raise DegenerateStateError("coincident points")
         lo, hi = k * eta, k * eta + 2.0 * k
     _require_band("eta'", eta_prime, lo, hi)
+    if kind is SpaceKind.HYPERBOLIC:
+        _require_band("two-plane determinant d", _hyperbolic_plane(X, Y, eta, eta_prime)[1],
+                      -1.0, 1.0)
     return n, X, Y, eta, eta_prime
 
 
@@ -241,17 +239,5 @@ def sphere_matrices(X, Y, eta, eta_prime):
 
 
 def hyperbolic_matrices(X, Y, eta, eta_prime):
-    """J, K realizing d(eta)/dt = eta' at the half-space state (X, Y).
-
-    Returns (J, K, gamma, d).  J and K are built from gamma and d clipped
-    into [-1, 1]; the returned gamma and d are unclipped (d is 1 in
-    dimension 1).  States with |d| > 1 + BAND_TOL are rejected.
-    """
-    n, X, Y, eta, eta_prime = _checked(SpaceKind.HYPERBOLIC, X, Y, eta, eta_prime)
-    J, K = _read_off(SpaceKind.HYPERBOLIC, n, X, Y, eta, eta_prime)
-    if n == 1:
-        ones = np.ones(J.shape[:-2])
-        return J, K, ones, ones
-    gamma, d, _ = _hyperbolic_plane(X, Y, eta, eta_prime)
-    _require_band("two-plane determinant d", d, -1.0, 1.0)
-    return J, K, gamma, d
+    """J, K realizing d(eta)/dt = eta' at the half-space state (X, Y), eta = cosh rho - 1."""
+    return _read_off(SpaceKind.HYPERBOLIC, *_checked(SpaceKind.HYPERBOLIC, X, Y, eta, eta_prime))

@@ -33,10 +33,10 @@ import numpy as np
 from scipy.special import hyperu
 
 from . import sde
-from .coupling import (VERTICAL_TOL, euclidean_matrices, hyperbolic_matrices,
-                       hyperbolic_two_plane_scalars, sphere_matrices)
+from .coupling import _hyperbolic_plane, euclidean_matrices, hyperbolic_matrices, sphere_matrices
 from .errors import ValidationError, _key_word, _require_positive_int
-from .model_space import SpaceKind, SpaceSpec, _norm, canonical_start, sphere, to_unit_model
+from .model_space import (SpaceKind, SpaceSpec, _norm, canonical_start, euclidean, hyperbolic,
+                          sphere, to_unit_model)
 from .profiles import envelope
 from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
 from .shards import fork_map, map_ranges, shard_count
@@ -109,22 +109,16 @@ def _max_abs(x):
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
-def _scan_euclidean(n, size, rng):
+def _sample_euclidean(n, size, rng):
     Z = rng.standard_normal((size, n))
     norm = np.linalg.norm(Z, axis=-1)
     Z[norm < 1e-3] *= (1e-3 / norm[norm < 1e-3])[:, None]
     rho = np.linalg.norm(Z, axis=-1)
     drho = rng.uniform(0.0, 2.0 * (n - 1) / rho) if n >= 2 else np.zeros(size)
-    J, K = euclidean_matrices(Z, np.zeros_like(Z), 0.5 * rho * rho, rho * drho)
-    res = {
-        "cancel": max(_max_abs(np.einsum("pji,pj->pi", J, Z) - Z),
-                      _max_abs(np.einsum("pji,pj->pi", K, Z))),
-        "drift": _max_abs(n - np.trace(J, axis1=-2, axis2=-1) - rho * drho),
-    }
-    return J, K, res
+    return Z, np.zeros_like(Z), 0.5 * rho * rho, rho * drho
 
 
-def _scan_sphere(n, size, rng):
+def _sample_sphere(n, size, rng):
     N = n + 1
     X = rng.standard_normal((size, N))
     X /= np.linalg.norm(X, axis=-1, keepdims=True)
@@ -146,23 +140,10 @@ def _scan_sphere(n, size, rng):
         etap = rng.uniform(-k * (eta + 1.0), k * (1.0 - eta))
     else:
         etap = np.zeros(size)
-    J, K = sphere_matrices(X, Y, eta, etap)
-    v = X - eta[:, None] * Y
-    eye = np.eye(N)
-    U = eye - X[:, :, None] * X[:, None, :]
-    V = eye - Y[:, :, None] * Y[:, None, :]
-    trUJV = np.einsum("pij,pkj,pki->p", U, J, V)
-    res = {
-        "cancel": max(_max_abs(np.einsum("pji,pj->pi", J, v) - (eta[:, None] * X - Y)),
-                      _max_abs(np.einsum("pji,pj->pi", K, v))),
-        "drift": _max_abs(-n * eta + trUJV - etap),
-    }
-    if n == 1:
-        res["rotation_branch_K"] = _max_abs(K)
-    return J, K, res
+    return X, Y, eta, etap
 
 
-def _scan_hyperbolic(n, size, rng):
+def _sample_hyperbolic(n, size, rng):
     X = 0.8 * rng.standard_normal((size, n))
     Y = 0.8 * rng.standard_normal((size, n))
     X[:, 0] = np.exp(0.4 * rng.standard_normal(size))
@@ -176,54 +157,77 @@ def _scan_hyperbolic(n, size, rng):
     eta = ((X - Y) ** 2).sum(-1) / (2.0 * X[:, 0] * Y[:, 0])
     k = n - 1
     etap = k * eta + rng.uniform(0.0, 2.0 * k, size) if n >= 2 else np.zeros(size)
-    J, K, gamma, d = hyperbolic_matrices(X, Y, eta, etap)
-    m, l, p, q, u, zt = hyperbolic_two_plane_scalars(X, Y)
-    M2 = m * m + l * l
-    xi2 = np.zeros_like(X)
-    general = u > VERTICAL_TOL * (X[:, 0] + Y[:, 0])
-    xi2[general, 1:] = zt[general] / u[general, None]
-    e1 = np.zeros_like(X)
-    e1[:, 0] = 1.0
-    v = m[:, None] * e1 + l[:, None] * xi2
-    rhs = p[:, None] * e1 + q[:, None] * xi2
-    scale = np.maximum(1.0, np.sqrt(M2))[:, None]
-    Jtv = np.einsum("pji,pj->pi", J, v)
-    Ktv = np.einsum("pji,pj->pi", K, v)
-    drift = (1.0 + eta) * (n - 2 - J[:, 0, 0]) \
-        - (np.trace(J, axis1=-2, axis2=-1) - J[:, 0, 0]) \
-        + (X[:, 0] ** 2 + Y[:, 0] ** 2) / (X[:, 0] * Y[:, 0])
-    res = {
-        "cancel": max(_max_abs((Jtv - rhs) / scale), _max_abs(Ktv / scale)),
-        "drift": _max_abs(drift - etap),
-        "two_plane_norm": _max_abs((M2 - (p * p + q * q)) / np.maximum(M2, 1.0)),
-        "d_eq_gamma": _max_abs(d - gamma),
-        "d_bound": max(0.0, float(np.max(np.abs(d))) - 1.0),
+    return X, Y, eta, etap
+
+
+def _residuals(kind: SpaceKind, n: int, X, Y, eta, eta_prime) -> dict:
+    """Every construction identity's worst residual over the states (X, Y, eta, eta').
+
+    J and K come from the space's ``*_matrices``.  The cancellation is
+    J' v = w and K' v = 0, relative to ``scale``; the drift is the rate of
+    eta that J realizes, against eta'.
+    """
+    matrices = {SpaceKind.EUCLIDEAN: euclidean_matrices, SpaceKind.SPHERE: sphere_matrices,
+                SpaceKind.HYPERBOLIC: hyperbolic_matrices}[kind]
+    J, K = matrices(X, Y, eta, eta_prime)
+    # the space-free residuals first, so their temporaries and the space's never coexist
+    unitarity = _max_abs(np.einsum("pij,pkj->pik", J, J) + np.einsum("pij,pkj->pik", K, K)
+                         - np.eye(J.shape[-1]))
+    op_norm_excess = max(0.0, float(np.linalg.svd(J, compute_uv=False).max()) - 1.0)
+    extras, scale = {}, 1.0
+    if kind is SpaceKind.EUCLIDEAN:
+        v = w = X - Y
+        drift = n - np.trace(J, axis1=-2, axis2=-1)
+    elif kind is SpaceKind.SPHERE:
+        v, w = X - eta[:, None] * Y, eta[:, None] * X - Y
+        U = np.eye(n + 1) - X[:, :, None] * X[:, None, :]
+        V = np.eye(n + 1) - Y[:, :, None] * Y[:, None, :]
+        drift = -n * eta + np.einsum("pij,pkj,pki->p", U, J, V)
+        if n == 1:
+            extras["rotation_branch_K"] = _max_abs(K)
+    else:
+        gamma, d, (m, l, p, q, u, zt, vertical, _) = _hyperbolic_plane(X, Y, eta, eta_prime)
+        general = ~vertical
+        xi2 = np.zeros_like(X)
+        xi2[general, 1:] = zt[general] / u[general, None]
+        e1 = np.zeros_like(X)
+        e1[:, 0] = 1.0
+        v = m[:, None] * e1 + l[:, None] * xi2
+        w = p[:, None] * e1 + q[:, None] * xi2
+        M2 = m * m + l * l
+        scale = np.maximum(1.0, np.sqrt(M2))[:, None]
+        drift = (1.0 + eta) * (n - 2 - J[:, 0, 0]) \
+            - (np.trace(J, axis1=-2, axis2=-1) - J[:, 0, 0]) \
+            + (X[:, 0] ** 2 + Y[:, 0] ** 2) / (X[:, 0] * Y[:, 0])
+        extras = {
+            "two_plane_norm": _max_abs((M2 - (p * p + q * q)) / np.maximum(M2, 1.0)),
+            "d_eq_gamma": _max_abs(d - gamma),
+            "d_bound": max(0.0, float(np.max(np.abs(d))) - 1.0),
+        }
+        if np.any(general):
+            # det of the two-plane block equals d
+            Q = np.stack([e1, xi2], axis=-1)[general]
+            B = np.einsum("pia,pij,pjb->pab", Q, J[general].transpose(0, 2, 1), Q)
+            extras["det_block"] = _max_abs(np.linalg.det(B) - d[general])
+    return {
+        "cancel": max(_max_abs((np.einsum("pji,pj->pi", J, v) - w) / scale),
+                      _max_abs(np.einsum("pji,pj->pi", K, v) / scale)),
+        "drift": _max_abs(drift - eta_prime),
+        **extras,
+        "unitarity": unitarity,
+        "op_norm_excess": op_norm_excess,
     }
-    if n >= 2 and np.any(general):
-        # det of the two-plane block equals d
-        Q = np.stack([e1, xi2], axis=-1)[general]
-        B = np.einsum("pia,pij,pjb->pab", Q, J[general].transpose(0, 2, 1), Q)
-        res["det_block"] = _max_abs(np.linalg.det(B) - d[general])
-    return J, K, res
 
 
 def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
     """Residuals of all construction identities at random admissible states."""
     _require_positive_int("num_samples", num_samples)
     rng = np.random.default_rng(_key_word("seed", seed))
-    n = spec.n
-    if spec.kind is SpaceKind.EUCLIDEAN:
-        J, K, res = _scan_euclidean(n, num_samples, rng)
-    elif spec.kind is SpaceKind.SPHERE:
-        J, K, res = _scan_sphere(n, num_samples, rng)
-    else:
-        J, K, res = _scan_hyperbolic(n, num_samples, rng)
-    JK = np.einsum("pij,pkj->pik", J, J) + np.einsum("pij,pkj->pik", K, K)
-    res["unitarity"] = _max_abs(JK - np.eye(J.shape[-1]))
-    res["op_norm_excess"] = max(0.0, float(np.linalg.svd(J, compute_uv=False).max()) - 1.0)
-    worst = max(res.values())
-    return VerifyReport(f"identity-scan-{spec.kind.value}-n{n}", worst, SCAN_TOL,
-                        num_samples, None, res)
+    sample = {SpaceKind.EUCLIDEAN: _sample_euclidean, SpaceKind.SPHERE: _sample_sphere,
+              SpaceKind.HYPERBOLIC: _sample_hyperbolic}[spec.kind]
+    res = _residuals(spec.kind, spec.n, *sample(spec.n, num_samples, rng))
+    return VerifyReport(f"identity-scan-{spec.kind.value}-n{spec.n}", max(res.values()),
+                        SCAN_TOL, num_samples, None, res)
 
 
 def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyReport]:
@@ -235,11 +239,9 @@ def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyRepor
     seed = _key_word("seed", seed)
     _key_word("last scan seed", seed + 97 * 2 + len(SCAN_DIMS) - 1)
     scans = []                          # (spec, samples, seed), in report order
-    for offset, kind in enumerate([SpaceKind.EUCLIDEAN, SpaceKind.SPHERE, SpaceKind.HYPERBOLIC]):
+    for offset, space in enumerate([euclidean, sphere, hyperbolic]):
         for j, (n, w) in enumerate(SCAN_DIMS):
-            spec = SpaceSpec(kind, n, {SpaceKind.EUCLIDEAN: 0.0, SpaceKind.SPHERE: 1.0,
-                                       SpaceKind.HYPERBOLIC: -1.0}[kind])
-            scans.append((spec, max(1, int(num_samples_per_space * w)), seed + 97 * offset + j))
+            scans.append((space(n), max(1, int(num_samples_per_space * w)), seed + 97 * offset + j))
     # each scan runs whole in one shard, as a split would change its generator's
     # stream; the costliest scan left goes to the least loaded shard
     cost = [size * (spec.n + 1) ** 2 for spec, size, _ in scans]
@@ -465,7 +467,7 @@ def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed
 
     Every dt runs from the profile's canonical start, on its own block of
     path indices.  Passes when the errors strictly decrease along decreasing
-    dt and the slope lies inside ``SLOPE_RANGE``.
+    dt and the slope lies inside ``SLOPE_RANGE``; an error of 0 leaves no slope (None).
     """
     if not T > 0:
         raise ValidationError(f"a convergence study needs a horizon T > 0, got T = {T}")
@@ -475,12 +477,10 @@ def convergence_study(spec: SpaceSpec, profile, dt_list, paths_per_dt: int, seed
         res = simulate_ensemble(spec, profile, dt, T, seed, paths_per_dt,
                                 first_path_index=level * paths_per_dt)
         errors.append(res.mean_sup_err)
-    slope = float(np.polyfit(np.log(dt_list), np.log(errors), 1)[0])
+    slope = float(np.polyfit(np.log(dt_list), np.log(errors), 1)[0]) if min(errors) > 0 else None
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    stat = 0.0
-    if not decreasing:
-        stat = 1.0
-    stat += max(0.0, SLOPE_RANGE[0] - slope, slope - SLOPE_RANGE[1])
+    stat = 0.0 if decreasing else 1.0
+    stat += 1.0 if slope is None else max(0.0, SLOPE_RANGE[0] - slope, slope - SLOPE_RANGE[1])
     return VerifyReport(f"convergence-{spec.kind.value}", stat, 0.0, paths_per_dt, None, {
         "dt": list(map(float, dt_list)),
         "mean_sup_err": list(map(float, errors)),

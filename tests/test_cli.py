@@ -22,6 +22,13 @@ def run_main(argv):
     return cli.main(argv)
 
 
+def load_json(path):
+    """The JSON file at ``path``, read strictly: NaN and Infinity fail the test."""
+    def no_constant(name):
+        raise AssertionError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=no_constant)
+
+
 def test_parse_simulate_flags():
     cmd, cfg = cli.parse_config(
         "simulate --space sphere --dim 2 --profile constant --rho0 1.5707963 "
@@ -119,7 +126,7 @@ def test_simulate_csv_round_trip_and_summary(tmp_path, capsys):
         t, p, dist, target, err = row.split(",")
         i = int(round(float(t) / 1e-3))
         assert float(dist) == res.d_emp[int(p), i]       # 17 digits round-trip bit-exactly
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = load_json(tmp_path / "summary.json")
     assert set(summary) == {"space", "n", "K", "profile", "dt", "T", "paths", "seed",
                             "mean_sup_err", "max_sup_err", "rms_err", "pass"}
     assert summary["pass"] is True and summary["mean_sup_err"] == res.mean_sup_err
@@ -130,7 +137,7 @@ def test_simulate_pass_flag_reflects_tolerance(tmp_path, capsys):
                    "--rho0", "1.0", "--dt", "1e-2", "--T", "0.5", "--paths", "4",
                    "--seed", "3", "--tolerance", "1e-9", "--out", str(tmp_path)])
     assert rc == 1
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = load_json(tmp_path / "summary.json")
     assert summary["pass"] is False
 
 
@@ -143,7 +150,7 @@ def test_hyperbolic_constant_rejected(tmp_path, capsys):
     rc = run_main(["check", "--space", "hyperbolic", "--dim", "2", "--profile",
                    "constant", "--rho0", "1.0", "--T", "1", "--out", str(tmp_path)])
     assert rc == 1
-    report = json.loads((tmp_path / "admissibility.json").read_text())
+    report = load_json(tmp_path / "admissibility.json")
     assert report["admissible"] is False and report["reasons"]
 
 
@@ -164,10 +171,7 @@ def test_check_writes_strict_json(space, rho0, least, tmp_path, capsys):
     rc = run_main(["check", "--space", space, "--profile", "constant", "--rho0", rho0,
                    "--out", str(tmp_path)])
     assert rc == 1
-
-    def no_constant(name):
-        raise AssertionError(f"{name} is not JSON")
-    report = json.loads((tmp_path / "admissibility.json").read_text(), parse_constant=no_constant)
+    report = load_json(tmp_path / "admissibility.json")
     # with no point in range there is no least margin
     if least is None:
         assert report["min_lo_margin"] is None and report["min_hi_margin"] is None
@@ -181,7 +185,7 @@ def test_check_contracting_lower_bound_active(tmp_path, capsys):
                    "sphere-contracting", "--rho0", "1.5707963267948966", "--T", "1",
                    "--out", str(tmp_path)])
     assert rc == 0
-    report = json.loads((tmp_path / "admissibility.json").read_text())
+    report = load_json(tmp_path / "admissibility.json")
     assert report["admissible"] is True
     assert report["lo_active"] is True and report["hi_active"] is False
 
@@ -224,8 +228,20 @@ def test_converge_subcommand(tmp_path, capsys):
     rows = (tmp_path / "converge.csv").read_text().splitlines()
     assert rows[0] == "dt,mean_sup_err"
     assert len(rows) == 4
-    data = json.loads((tmp_path / "converge.json").read_text())
+    data = load_json(tmp_path / "converge.json")
     assert data["pass"] is True and data["details"]["strictly_decreasing"] is True
+
+
+def test_converge_zero_error_has_no_slope(tmp_path, capsys):
+    # E^1 moves by translation: the first level's error is exactly 0, which has no logarithm
+    rc = run_main(["converge", "--space", "euclidean", "--dim", "1", "--profile", "constant",
+                   "--rho0", "1", "--paths", "2", "--T", "0.01", "--dts", "1e-2,5e-3,1e-3",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    data = load_json(tmp_path / "converge.json")
+    assert 0.0 in data["details"]["mean_sup_err"]
+    assert data["details"]["slope"] is None and data["pass"] is False
+    assert capsys.readouterr().out.startswith("slope none;")
 
 
 def test_verify_subcommand_euclidean(tmp_path, capsys, monkeypatch):
@@ -237,7 +253,7 @@ def test_verify_subcommand_euclidean(tmp_path, capsys, monkeypatch):
                    "--paths", "64", "--samples", "2000", "--seed", "11",
                    "--tolerance", "0.1", "--out", str(tmp_path)])
     assert rc == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
+    payload = load_json(tmp_path / "verify.json")
     assert payload["pass"] is True
     reports = {r["name"]: r for r in payload["reports"]}
     assert "identity-scan-euclidean-n3" in reports
@@ -265,7 +281,7 @@ def test_tabulated_profile_end_to_end(tmp_path, capsys):
         table.write_text("t,rho\n" + "\n".join(f"{a:.17g},{b:.17g}" for a, b in zip(ts, rho)))
         assert run_main(argv) == code
     assert "of segment [0, 0.0025] leaves the band" in capsys.readouterr().err
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = load_json(tmp_path / "summary.json")
     assert summary["profile"] == "tabulated"
 
 
@@ -552,7 +568,8 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "converge-out-is-a-file", "converge-T-0", "verify-T-0",
                                   "verify-seed-max", "simulate-inadmissible",
                                   "simulate-rho0-past-pi", "verify-inadmissible",
-                                  "converge-inadmissible", "converge-dts-increasing"])
+                                  "converge-inadmissible", "converge-dts-increasing",
+                                  "converge-enforce-distance"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -615,7 +632,7 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file",
                   "converge-T-0", "verify-T-0", "verify-seed-max", "simulate-inadmissible",
                   "simulate-rho0-past-pi", "verify-inadmissible", "converge-inadmissible",
-                  "converge-dts-increasing"):
+                  "converge-dts-increasing", "converge-enforce-distance"):
         argv[0] = case.split("-")[0]
         if case.endswith("T-0"):
             argv[argv.index("--T") + 1] = "0"
@@ -627,6 +644,9 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         elif case == "converge-dts-increasing":
             argv += ["--dts", "1e-3,1e-2,1e-4"]
             expect = "need at least 3 strictly decreasing dt values"
+        elif case == "converge-enforce-distance":
+            argv += ["--enforce-distance"]
+            expect = "field enforce_distance: converge"
         elif case.endswith(("-inadmissible", "-past-pi")):
             # a constant distance is below the hyperbolic band, and 4 is past the sphere's pole
             space, rho0 = ("sphere", "4") if case.endswith("-past-pi") else ("hyperbolic", "1")

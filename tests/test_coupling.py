@@ -241,7 +241,7 @@ def test_sphere_drift_consistent_gamma_vs_one_minus_variant():
 
 def test_hyperbolic_dim1_synchronous():
     # the cancellation identities force J = +1 in dimension 1 (Y = theta X)
-    J, K, _, _ = cp.hyperbolic_matrices(np.array([1.0]), np.array([2.0]), 0.25, 0.0)
+    J, K = cp.hyperbolic_matrices(np.array([1.0]), np.array([2.0]), 0.25, 0.0)
     assert np.array_equal(J, [[1.0]]) and np.array_equal(K, [[0.0]])
     assert hyperbolic_drift(np.array([1.0]), np.array([2.0]), J) == pytest.approx(0.0, abs=1e-15)
 
@@ -250,7 +250,7 @@ def test_hyperbolic_boundary_aligned_lower_extreme():
     X = np.array([1.0, 0.0])
     Y = np.array([2.0, 0.0])
     eta = 0.25   # |Z|^2 / (2 X1 Y1) = 1/4
-    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, eta)   # eta' = (n-1) eta: gamma = 1
+    J, K = cp.hyperbolic_matrices(X, Y, eta, eta)   # eta' = (n-1) eta: gamma = 1
     assert np.allclose(J, np.eye(2), atol=1e-15)
     assert not K.any()
 
@@ -258,12 +258,12 @@ def test_hyperbolic_boundary_aligned_lower_extreme():
 def test_hyperbolic_two_plane_example():
     X = np.array([1.0, 1.0])
     Y = np.array([1.0, 0.0])
-    m, l, p, q, u, _ = cp.hyperbolic_two_plane_scalars(X, Y)
-    assert (m, l, p, q) == (1.0, 2.0, -1.0, 2.0)
-    assert m * m + l * l == p * p + q * q == 5.0
     eta = np.sum((X - Y) ** 2) / (2 * X[0] * Y[0])
     etap = eta + 1.3    # inside [eta, eta + 2] for n = 2
-    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+    m, l, p, q = cp._hyperbolic_plane(X, Y, eta, etap)[2][:4]
+    assert (m, l, p, q) == (1.0, 2.0, -1.0, 2.0)
+    assert m * m + l * l == p * p + q * q == 5.0
+    J, K = cp.hyperbolic_matrices(X, Y, eta, etap)
     gamma = 1 + eta - etap
     # the two-plane determinant equals the transverse eigenvalue; the plane
     # is spanned by e1 and the unit boundary displacement, here e1 and e2
@@ -285,8 +285,8 @@ def test_hyperbolic_cancellation_drift_random():
         eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
         k = n - 1
         etap = k * eta + rng.uniform(0, 2 * k)
-        J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
-        m, l, p, q, u, zt = cp.hyperbolic_two_plane_scalars(X, Y)
+        J, K = cp.hyperbolic_matrices(X, Y, eta, etap)
+        m, l, p, q, u, zt = cp._hyperbolic_plane(X, Y, eta, etap)[2][:6]
         xi2 = np.zeros(n)
         if u > 0:
             xi2[1:] = zt / u
@@ -308,7 +308,7 @@ def test_hyperbolic_gamma_saturation():
     eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
     k = 2
     for etap, gamma in ((k * eta, 1.0), (k * eta + 2 * k, -1.0)):
-        J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+        J, K = cp.hyperbolic_matrices(X, Y, eta, etap)
         # K vanishes transversally at the band endpoints: f is orthogonal to
         # e1 and to the boundary displacement (0, 0.7, -0.3)
         f = np.array([0.0, 0.3, 0.7]) / np.hypot(0.3, 0.7)
@@ -341,7 +341,7 @@ def test_a_phi_fixes_xi1():
     X = np.array([1.0, 0.0])
     Y = np.array([2.0, 0.0])
     eta = 0.25
-    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, 1.0 + eta - d0)   # gamma = d = d0
+    J, K = cp.hyperbolic_matrices(X, Y, eta, 1.0 + eta - d0)   # gamma = d = d0
     assert np.allclose(plane_block(X, Y, J), np.diag([1.0, d0]), atol=1e-15)
 
 
@@ -350,7 +350,7 @@ def test_a_phi_band_center_is_singular():
     Y = np.array([1.5, 0.2, -0.4])
     eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
     k = 2
-    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, k * (eta + 1.0))   # centre of the band: d = 0
+    J, K = cp.hyperbolic_matrices(X, Y, eta, k * (eta + 1.0))   # centre of the band: d = 0
     assert np.linalg.det(plane_block(X, Y, J)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -364,9 +364,9 @@ def test_a_phi_postconditions():
         eta = float(np.sum((X - Y) ** 2) / (2 * X[0] * Y[0]))
         k = n - 1
         etap = k * eta + rng.uniform(0, 2 * k)
-        J, _, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+        J, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
         B = plane_block(X, Y, J)
-        m, l, p, q, _, _ = cp.hyperbolic_two_plane_scalars(X, Y)
+        m, l, p, q = cp._hyperbolic_plane(X, Y, eta, etap)[2][:4]
         norm = np.hypot(m, l)
         phi = -etap / k + (X[0] ** 2 + Y[0] ** 2) / (X[0] * Y[0])
         assert B @ [m, l] == pytest.approx([p, q], abs=1e-10 * max(1, norm))
@@ -409,6 +409,17 @@ def test_matrices_reject_batch_at_first_bad_state():
     # an eta that does not belong to the points can put d outside [-1, 1]
     with pytest.raises(AdmissibilityError, match="two-plane determinant d = 1.94118"):
         cp.hyperbolic_matrices([1.0, 1.0], [1.0, 0.0], 0.1, 0.1)
+
+
+def test_hyperbolic_d_checked_before_the_kernel(monkeypatch):
+    calls = []
+    real = cp.drive
+    monkeypatch.setattr(cp, "drive", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(AdmissibilityError, match="two-plane determinant d = 1.94118"):
+        cp.hyperbolic_matrices([1.0, 1.0], [1.0, 0.0], 0.1, 0.1)
+    assert not calls
+    cp.hyperbolic_matrices([1.0, 1.0], [1.0, 0.0], 0.5, 0.5)   # the pair's own eta
+    assert len(calls) == 2                                       # J, then K
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -461,7 +472,7 @@ def test_hyperbolic_invariants_property(y1, off, frac, n):
         return
     k = n - 1
     etap = k * eta + frac * 2 * k
-    J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+    J, K = cp.hyperbolic_matrices(X, Y, eta, etap)
     assert unitarity(J, K) <= 1e-12
     assert hyperbolic_drift(X, Y, J) == pytest.approx(etap, abs=1e-9)
 
@@ -510,16 +521,21 @@ def _admissible_batch(kind, n, size=48):
 
 
 def test_matrices_digests():
-    # SHA-256 of the bytes of J and K (and gamma, d on half-space); the kernel
-    # uses only elementwise operations and sums, so refactors must keep them
+    # SHA-256 of the bytes of J and K (then the unclipped gamma and d on the
+    # half-space); the kernel uses only elementwise operations and sums, so
+    # refactors must keep them
     build = {ms.SpaceKind.EUCLIDEAN: cp.euclidean_matrices,
              ms.SpaceKind.SPHERE: cp.sphere_matrices,
              ms.SpaceKind.HYPERBOLIC: cp.hyperbolic_matrices}
     got = {}
     for kind, matrices in build.items():
         for n in (1, 2, 3, 5):
+            batch = _admissible_batch(kind, n)
+            arrays = list(matrices(*batch))
+            if kind is ms.SpaceKind.HYPERBOLIC:
+                arrays += cp._hyperbolic_plane(*batch)[:2]
             digest = hashlib.sha256()
-            for a in matrices(*_admissible_batch(kind, n)):
+            for a in arrays:
                 digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
             got[f"{kind.value}-n{n}"] = digest.hexdigest()
     assert got == MATRIX_DIGESTS

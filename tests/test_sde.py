@@ -209,7 +209,7 @@ def _matrix_step(kind, n, X, Y, rho, drho, dt, zB, zC):
     elif kind is ms.SpaceKind.SPHERE:
         J, K = cp.sphere_matrices(X, Y, eta, etap)
     else:
-        J, K, _, _ = cp.hyperbolic_matrices(X, Y, eta, etap)
+        J, K = cp.hyperbolic_matrices(X, Y, eta, etap)
     dW = np.einsum("pij,pj->pi", J, dB) + np.einsum("pij,pj->pi", K, dC)
     if kind is ms.SpaceKind.EUCLIDEAN:
         return X + dB, Y + dW
