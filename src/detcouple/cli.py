@@ -26,7 +26,7 @@ import numpy as np
 
 from . import model_space as ms
 from . import profiles as pf
-from .errors import DetcoupleError, ValidationError
+from .errors import DetcoupleError, ValidationError, _array_rows
 from .sde import EnsembleResult, check_run, simulate_ensemble
 from .shards import cuts, fork_map
 from .verify import (MIN_DECAY_PATHS, VerifyReport, check_dts, convergence_study,
@@ -519,7 +519,13 @@ def main(argv=None) -> int:
         if command == "converge":
             check_dts(cfg.dts)
         for dt in {"simulate": [cfg.dt], "verify": [cfg.dt], "converge": cfg.dts}.get(command, []):
-            check_run(spec, profile, dt, cfg.T)
+            times = check_run(spec, profile, dt, cfg.T)[0]
+            # the widest per-path row simulate_ensemble will check: simulate and verify
+            # record every distance, converge none
+            _array_rows("paths", cfg.paths, spec.ambient_dim if command == "converge"
+                        else max(spec.ambient_dim, times.size))
+        if command == "verify":
+            _array_rows("samples", cfg.samples, spec.ambient_dim)
         # the input is good: make the output directory before any work
         with _writing(cfg.out):
             cfg.out.mkdir(parents=True, exist_ok=True)

@@ -32,3 +32,17 @@ def _key_word(name: str, value) -> int:
 def _require_positive_int(name: str, value) -> None:
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
         raise ValidationError(f"{name} must be a positive integer, got {value}")
+
+
+def _array_rows(noun: str, rows: int, width: int) -> ValidationError:
+    """The error for ``rows`` rows of ``width`` doubles that one array cannot hold.
+
+    It is raised here when the rows would pass numpy's index limit (numpy
+    counts an array's bytes in an intp), before anything is allocated, and
+    returned for the caller to raise should the allocation meet a MemoryError.
+    """
+    too_many = ValidationError(f"{rows} {noun} of {width} doubles each are more than an array "
+                               "can hold")
+    if rows * width * 8 > np.iinfo(np.intp).max:
+        raise too_many
+    return too_many

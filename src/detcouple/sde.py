@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .coupling import drive, eta_from_rho
-from .errors import ValidationError, _key_word, _require_positive_int
+from .errors import ValidationError, _array_rows, _key_word, _require_positive_int
 from .model_space import (SpaceKind, SpaceSpec, _dots, _norm, canonical_start, from_unit_model,
                           to_unit_model, unit_point_at_distance)
 from .model_space import unit_distance as _unit_distance
@@ -257,10 +257,17 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     N = spec.ambient_dim
     M = times.size - 1
 
-    sup_err, final_X, final_Y = np.empty(n_paths), np.empty((n_paths, N)), np.empty((n_paths, N))
-    d_all = np.empty((n_paths, times.size)) if (record_distances or record_paths) else None
-    pX = np.empty((n_paths, times.size, N)) if record_paths else None
-    pY = np.empty((n_paths, times.size, N)) if record_paths else None
+    # the widest of the (n_paths, ...) result arrays, in doubles per path
+    width = N * times.size if record_paths else max(N, times.size) if record_distances else N
+    too_many = _array_rows("paths", n_paths, width)
+    try:
+        sup_err, final_X, final_Y = (np.empty(n_paths), np.empty((n_paths, N)),
+                                     np.empty((n_paths, N)))
+        d_all = np.empty((n_paths, times.size)) if (record_distances or record_paths) else None
+        pX = np.empty((n_paths, times.size, N)) if record_paths else None
+        pY = np.empty((n_paths, times.size, N)) if record_paths else None
+    except MemoryError:
+        raise too_many from None
     outputs = [a for a in (sup_err, final_X, final_Y, d_all, pX, pY) if a is not None]
 
     def step_batch(p0, p1):

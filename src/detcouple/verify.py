@@ -14,9 +14,11 @@ Three independent lines of evidence that the constructions are right:
   increments come from the simulator's noise stream, ``sde.step_gaussians``.
 
 The identity scans of :func:`identity_scan_all` run on every usable core
-through ``shards.fork_map``, each whole in one process, and the oracle's
-paths through ``shards.map_ranges``, in batches of at most
-``sde.BATCH_BLOCKS * sde.CHUNK_PATHS`` paths; no report depends on the cores.
+through ``shards.fork_map``, each whole in one process: a scan draws its
+whole sample, then checks it in batches of at most ``sde.BATCH_BLOCKS *
+sde.CHUNK_PATHS`` states.  The oracle's paths run through
+``shards.map_ranges``, in batches of at most as many paths.  No report
+depends on the cores or the batches.
 
 Each property has one check here, which ``detcouple verify`` and the
 acceptance suite both call.  Statistical tolerances are three standard
@@ -34,7 +36,7 @@ from scipy.special import hyperu
 
 from . import sde
 from .coupling import _hyperbolic_plane, euclidean_matrices, hyperbolic_matrices, sphere_matrices
-from .errors import ValidationError, _key_word, _require_positive_int
+from .errors import ValidationError, _array_rows, _key_word, _require_positive_int
 from .model_space import (SpaceKind, SpaceSpec, _norm, canonical_start, euclidean, hyperbolic,
                           sphere, to_unit_model)
 from .profiles import envelope
@@ -166,6 +168,11 @@ def _residuals(kind: SpaceKind, n: int, X, Y, eta, eta_prime) -> dict:
     J and K come from the space's ``*_matrices``.  The cancellation is
     J' v = w and K' v = 0, relative to ``scale``; the drift is the rate of
     eta that J realizes, against eta'.
+
+    Each residual is the maximum over the states of a value computed from
+    each state alone, and ``det_block`` is reported only when some state is
+    a non-vertical half-space pair.  So the report of a sample is the
+    maximum, key by key, of the reports of any split of it into batches.
     """
     matrices = {SpaceKind.EUCLIDEAN: euclidean_matrices, SpaceKind.SPHERE: sphere_matrices,
                 SpaceKind.HYPERBOLIC: hyperbolic_matrices}[kind]
@@ -220,14 +227,30 @@ def _residuals(kind: SpaceKind, n: int, X, Y, eta, eta_prime) -> dict:
 
 
 def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
-    """Residuals of all construction identities at random admissible states."""
+    """Residuals of all construction identities at random admissible states.
+
+    The states are drawn in one go, as the generator's stream order fixes
+    their bits, and checked by :func:`_residuals` in batches of at most
+    ``sde.BATCH_BLOCKS * sde.CHUNK_PATHS`` states, whose reports are merged
+    key by key by their maximum: the whole sample's report, bit for bit."""
     _require_positive_int("num_samples", num_samples)
     rng = np.random.default_rng(_key_word("seed", seed))
     sample = {SpaceKind.EUCLIDEAN: _sample_euclidean, SpaceKind.SPHERE: _sample_sphere,
               SpaceKind.HYPERBOLIC: _sample_hyperbolic}[spec.kind]
-    res = _residuals(spec.kind, spec.n, *sample(spec.n, num_samples, rng))
-    return VerifyReport(f"identity-scan-{spec.kind.value}-n{spec.n}", max(res.values()),
-                        SCAN_TOL, num_samples, None, res)
+    too_many = _array_rows("samples", num_samples, spec.ambient_dim)
+    try:
+        states = sample(spec.n, num_samples, rng)
+    except MemoryError:
+        raise too_many from None
+    size = sde.BATCH_BLOCKS * sde.CHUNK_PATHS
+    res = {}
+    for q in range(0, num_samples, size):
+        batch = _residuals(spec.kind, spec.n, *(a[q:q + size] for a in states))
+        for key, value in batch.items():
+            # np.maximum, unlike max, keeps a NaN wherever it stands
+            res[key] = float(np.maximum(res.get(key, value), value))
+    return VerifyReport(f"identity-scan-{spec.kind.value}-n{spec.n}",
+                        float(np.max(list(res.values()))), SCAN_TOL, num_samples, None, res)
 
 
 def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyReport]:

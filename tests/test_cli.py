@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detcouple.sde as sde_mod
+import detcouple.verify as verify_mod
 from detcouple import cli
 from detcouple import shards as shards_mod
 from detcouple.errors import ValidationError
@@ -163,6 +164,31 @@ def test_oversized_grid_exits_2(dt, T, steps, tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: T = {float(T):g} in steps of dt = {float(dt):g} "
                                        f"is {steps} steps, more than an array can hold\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("simulate", "--paths"), ("verify", "--samples")])
+def test_count_memory_error_exits_2(command, flag, tmp_path, capsys, monkeypatch):
+    # counts within numpy's index limit whose arrays meet a MemoryError when allocated
+    empty = np.empty
+
+    def no_room(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) >= 10**12:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    def sample(n, size, rng):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", no_room)
+    monkeypatch.setattr(verify_mod, "_sample_euclidean", sample)
+    out = tmp_path / "run"
+    assert run_main([command, "--space", "euclidean", "--profile", "constant", "--rho0", "1",
+                     "--T", "0.1", "--dt", "1e-2", flag, str(10**12), "--out", str(out)]) == 2
+    noun, width = ("paths", 11) if flag == "--paths" else ("samples", 2)
+    assert capsys.readouterr().err == (f"error: {10**12} {noun} of {width} doubles each are "
+                                       "more than an array can hold\n")
+    # the output directory was made before the command ran, and holds nothing
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("space,rho0,least", [("sphere", "4", None), ("hyperbolic", "1", -0.46)],
@@ -569,7 +595,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "verify-seed-max", "simulate-inadmissible",
                                   "simulate-rho0-past-pi", "verify-inadmissible",
                                   "converge-inadmissible", "converge-dts-increasing",
-                                  "converge-enforce-distance"])
+                                  "converge-enforce-distance", "simulate-paths-too-many",
+                                  "verify-samples-too-many", "verify-paths-too-many",
+                                  "converge-paths-too-many"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -632,7 +660,9 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     elif case in ("check-out-is-a-file", "verify-out-is-a-file", "converge-out-is-a-file",
                   "converge-T-0", "verify-T-0", "verify-seed-max", "simulate-inadmissible",
                   "simulate-rho0-past-pi", "verify-inadmissible", "converge-inadmissible",
-                  "converge-dts-increasing", "converge-enforce-distance"):
+                  "converge-dts-increasing", "converge-enforce-distance",
+                  "simulate-paths-too-many", "verify-samples-too-many", "verify-paths-too-many",
+                  "converge-paths-too-many"):
         argv[0] = case.split("-")[0]
         if case.endswith("T-0"):
             argv[argv.index("--T") + 1] = "0"
@@ -647,6 +677,12 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         elif case == "converge-enforce-distance":
             argv += ["--enforce-distance"]
             expect = "field enforce_distance: converge"
+        elif case.endswith("-too-many"):
+            # past numpy's index limit: simulate and verify record 501 distances per path
+            field = case.split("-")[1]
+            argv += [f"--{field}", str(10**19)]
+            width = 501 if field == "paths" and argv[0] != "converge" else 2
+            expect = f"{10**19} {field} of {width} doubles each are more than an array can hold"
         elif case.endswith(("-inadmissible", "-past-pi")):
             # a constant distance is below the hyperbolic band, and 4 is past the sphere's pole
             space, rho0 = ("sphere", "4") if case.endswith("-past-pi") else ("hyperbolic", "1")

@@ -334,6 +334,25 @@ def test_grid_memory_error_is_a_validation_error(monkeypatch):
         time_grid(1e-3, 1.0)
 
 
+def test_paths_memory_error_is_a_validation_error(monkeypatch):
+    empty = np.empty
+
+    def no_room(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=object) * 8 < np.iinfo(np.intp).max, \
+            "allocated past numpy's index limit"
+        if np.prod(shape, dtype=object) >= 10**12:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", no_room)
+    # 10**12 paths of 101 distances each would fit an array, 10**17 would not
+    for n_paths, width, record in ((10**12, 2, False), (10**12, 101, True), (10**17, 101, True)):
+        with pytest.raises(ValidationError, match=f"^{n_paths} paths of {width} doubles each are "
+                                                  "more than an array can hold$"):
+            simulate_ensemble(E2, pf.constant(1.0), 1e-2, 1.0, 0, n_paths,
+                              record_distances=record)
+
+
 def test_non_integer_n_paths_rejected():
     for n_paths in (2.5, True):
         with pytest.raises(ValidationError, match="n_paths"):

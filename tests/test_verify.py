@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,16 +50,76 @@ def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards, monkeypatch):
                 "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928", (chunk, batch)
 
 
-def test_identity_scan_all_digest_on_1_2_and_3_cores(shards):
-    # recorded when the 12 scans ran in one process; the reports keep their order
-    for cores in (1, 2, 3):
-        forks = shards(cores)
-        n_forks = len(forks)
-        reports = vf.identity_scan_all(30_000, 13)
-        assert len(forks) - n_forks == cores - 1
-        text = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()
-        assert hashlib.sha256(text).hexdigest() == \
-            "1dab46d8cb7a878e230264ea791c2858702e0b68d9579e7710b1a352834836ff"
+def test_identity_scan_all_digest_on_1_2_and_3_cores(shards, monkeypatch):
+    # recorded when the 12 scans ran in one process, each on its whole sample; the
+    # reports keep their order, and the second round checks batches of 7 * 3 = 21 states
+    for chunk, batch in ((sde_mod.CHUNK_PATHS, sde_mod.BATCH_BLOCKS), (7, 3)):
+        monkeypatch.setattr(sde_mod, "CHUNK_PATHS", chunk)
+        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", batch)
+        for cores in (1, 2, 3):
+            forks = shards(cores)
+            n_forks = len(forks)
+            reports = vf.identity_scan_all(30_000, 13)
+            assert len(forks) - n_forks == cores - 1
+            text = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()
+            assert hashlib.sha256(text).hexdigest() == \
+                "1dab46d8cb7a878e230264ea791c2858702e0b68d9579e7710b1a352834836ff", (chunk, batch)
+
+
+SAMPLERS = {ms.SpaceKind.EUCLIDEAN: vf._sample_euclidean, ms.SpaceKind.SPHERE: vf._sample_sphere,
+            ms.SpaceKind.HYPERBOLIC: vf._sample_hyperbolic}
+
+
+@pytest.mark.parametrize("space", [ms.euclidean, ms.sphere, ms.hyperbolic])
+@pytest.mark.parametrize("n", [n for n, _ in vf.SCAN_DIMS] + [8])
+def test_identity_scan_is_the_whole_sample_report_at_any_batch_bound(space, n, monkeypatch):
+    # batches of at most 1, 2, 7 and 2,048 states; each sample size leaves a last
+    # batch of one state
+    spec, seed = space(n), 17
+    for chunk, blocks, size in ((1, 1, 43), (1, 2, 43), (7, 1, 43),
+                                (sde_mod.CHUNK_PATHS, sde_mod.BATCH_BLOCKS, 2049)):
+        whole = vf._residuals(spec.kind, n, *SAMPLERS[spec.kind](n, size,
+                                                                 np.random.default_rng(seed)))
+        monkeypatch.setattr(sde_mod, "CHUNK_PATHS", chunk)
+        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", blocks)
+        rep = vf.identity_scan(spec, size, seed)
+        assert rep.details == whole, (chunk, blocks)
+        assert rep.statistic == max(whole.values())
+    if spec.kind is ms.SpaceKind.HYPERBOLIC and n >= 2:
+        # the first batch of 7 holds vertical pairs only, so its report has no det_block:
+        # the scan's comes from the other batches
+        states = SAMPLERS[spec.kind](n, 43, np.random.default_rng(seed))
+        assert "det_block" not in vf._residuals(spec.kind, n, *(a[:7] for a in states))
+        assert "det_block" in rep.details
+
+
+def test_identity_scan_working_set_is_the_sample_and_one_batch():
+    # drawing the S3 sample holds at most 5 arrays of (size, N) doubles (X, Y and their
+    # transients), and a batch's residuals at most 8 (N, N) doubles per state; the
+    # residuals of the whole sample at once peaked at about 30 MiB
+    spec, size = ms.sphere(3), 40_000
+    N = spec.ambient_dim
+    bound = 8 * (5 * size * N + 8 * N * N * sde_mod.BATCH_BLOCKS * sde_mod.CHUNK_PATHS)
+    vf.identity_scan(spec, 10, 3)
+    tracemalloc.start()
+    try:
+        assert vf.identity_scan(spec, size, 3).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
+def test_samples_memory_error_is_a_validation_error(monkeypatch):
+    def sample(n, size, rng):
+        assert size < 10**18, "drew a sample past numpy's index limit"
+        raise MemoryError
+
+    monkeypatch.setattr(vf, "_sample_sphere", sample)
+    for size in (10**12, 10**18):
+        with pytest.raises(ValidationError, match=f"^{size} samples of 3 doubles each are "
+                                                  "more than an array can hold$"):
+            vf.identity_scan(S2, size, 0)
 
 
 def test_identity_scan_sphere_n1_rotation_branch():
