@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import re
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import make_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -237,7 +239,9 @@ def _fmt(x: float) -> str:
 # the rounding of lo's fraction.  A log10 that rounds across a power of ten
 # leaves D outside [1e16, 1e17); such values, and every value outside the
 # range, are formatted by _fmt, except exact zeros, whose text is '0' or '-0'.
-FORMAT_PATHS = 16       # paths formatted per block: bounds the formatter's working set
+# Most values formatted per _fmt_bulk call, at least 2 (one row's dist and abs_err):
+# about 350 bytes each while formatted, so a block's working set is about 2.8 MB.
+FORMAT_VALUES = 8192
 _WIDTH = 24             # longest '%.17g' text: -1.7976931348623157e+308
 
 
@@ -334,17 +338,31 @@ def _fmt_bulk(x: np.ndarray) -> list[bytes]:
 
 
 def _write_rows(fh, d_emp, idx, target, template, p0, p1) -> None:
-    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``, ``FORMAT_PATHS`` paths at a time."""
-    per_path = 2 * idx.size
-    for b0 in range(p0, p1, FORMAT_PATHS):
-        b1 = min(b0 + FORMAT_PATHS, p1)
-        rows = np.empty((b1 - b0, idx.size, 2))
-        rows[..., 0] = d_emp[b0:b1, idx]
-        np.abs(np.subtract(rows[..., 0], target, out=rows[..., 1]), out=rows[..., 1])
-        texts = _fmt_bulk(rows)
-        for k, p in enumerate(range(b0, b1)):
-            fh.write(template.replace(b"\0", b"%d" % p)
-                     % tuple(texts[k * per_path:(k + 1) * per_path]))
+    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``, path-major.
+
+    ``_fmt_bulk`` formats at most ``FORMAT_VALUES`` values at a time: whole
+    paths while a path's kept samples fit, else one path in chunks of
+    samples.  ``template`` is cut into the same chunks once per call.
+    """
+    step = min(idx.size, max(1, FORMAT_VALUES // 2))    # samples per chunk
+    paths = max(1, FORMAT_VALUES // (2 * idx.size))     # paths per block
+    # each sample's text in the template ends in its one newline
+    ends = itertools.islice(re.finditer(b"\n", template), step - 1, idx.size - 1, step)
+    cut = [0, *(m.end() for m in ends), len(template)]
+    for b0 in range(p0, p1, paths):
+        b1 = min(b0 + paths, p1)
+        for s0, a, b in zip(range(0, idx.size, step), cut, cut[1:]):
+            part = template[a:b]
+            cols = idx[s0:s0 + step]
+            rows = np.empty((b1 - b0, cols.size, 2))
+            rows[..., 0] = d_emp[b0:b1, cols]
+            np.abs(np.subtract(rows[..., 0], target[s0:s0 + step], out=rows[..., 1]),
+                   out=rows[..., 1])
+            texts = _fmt_bulk(rows)
+            per_path = 2 * cols.size
+            for k, p in enumerate(range(b0, b1)):
+                fh.write(part.replace(b"\0", b"%d" % p)
+                         % tuple(texts[k * per_path:(k + 1) * per_path]))
 
 
 def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
@@ -353,7 +371,9 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     Rows are path-major: every kept sample of path 0, then of path 1, and so
     on.  Every ``stride``-th sample is kept, plus the final one.  Each value's
     text is exactly Python's ``'%.17g' % x`` (``_fmt``), computed in bulk by
-    ``_fmt_bulk`` for ``FORMAT_PATHS`` paths at a time.
+    ``_fmt_bulk`` for at most ``FORMAT_VALUES`` values at a time, so the
+    writer's working set is a block of values plus the template of one
+    path's ``t`` and ``target`` texts, whatever the number of paths.
 
     The paths are cut into contiguous shards by ``shards.cuts``, one per usable
     core but with at least ``shards.MIN_SHARD_WORK`` rows and one path each,
@@ -368,10 +388,9 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     last = result.times.size - 1
-    idx = list(range(0, last + 1, stride))
+    idx = np.arange(0, last + 1, stride)
     if idx[-1] != last:
-        idx.append(last)
-    idx = np.array(idx)
+        idx = np.append(idx, last)
     target = result.target[idx]
     # t and target are shared by all paths: format them once into a template
     # whose \0 takes the path index and whose %b slots take (dist, abs_err).
@@ -404,6 +423,8 @@ def _write_json(path, payload) -> None:
 
 
 def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: bool) -> None:
+    """The run's settings and error statistics.  ``rms_err`` is computed in place, so
+    ``result.d_emp`` holds the squared errors afterwards: write ``paths.csv`` first."""
     _write_json(path, {
         "space": cfg.space,
         "n": cfg.dim,
@@ -415,7 +436,7 @@ def write_summary_json(path, result: EnsembleResult, cfg: RunConfig, passed: boo
         "seed": cfg.seed,
         "mean_sup_err": result.mean_sup_err,
         "max_sup_err": result.max_sup_err,
-        "rms_err": result.rms_err(),
+        "rms_err": result.rms_err(in_place=True),
         "pass": bool(passed),
     })
 
@@ -512,6 +533,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    made = []                           # the directories this call makes, deepest first
     try:
         command, cfg = parse_config(argv if argv is not None else sys.argv[1:])
         spec = build_space(cfg)
@@ -528,9 +550,15 @@ def main(argv=None) -> int:
             _array_rows("samples", cfg.samples, spec.ambient_dim)
         # the input is good: make the output directory before any work
         with _writing(cfg.out):
+            made = list(itertools.takewhile(lambda d: not d.exists(),
+                                            (cfg.out, *cfg.out.parents)))
             cfg.out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[command](cfg, spec, profile)
     except DetcoupleError as exc:
+        # a failed command leaves no directory of its own making that holds nothing
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

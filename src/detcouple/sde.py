@@ -86,11 +86,17 @@ class EnsembleResult:
     def max_sup_err(self) -> float:
         return float(np.max(self.sup_err))
 
-    def rms_err(self) -> float:
-        """RMS of d_emp - target over every path and sample (needs recorded distances)."""
+    def rms_err(self, in_place: bool = False) -> float:
+        """RMS of d_emp - target over every path and sample (needs recorded distances).
+
+        ``in_place=True`` squares the errors in d_emp's own memory rather than in
+        a second (P, M+1) array, with the same bits, and leaves d_emp holding
+        the squared errors: ask for it only when the distances are no longer
+        needed."""
         if self.d_emp is None:
             raise ValidationError("ensemble was run without recorded distances")
-        return float(np.sqrt(np.mean((self.d_emp - self.target) ** 2)))
+        err = np.subtract(self.d_emp, self.target, out=self.d_emp if in_place else None)
+        return float(np.sqrt(np.mean(np.square(err, out=err))))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from scipy.special import hyperu
 from . import sde
 from .coupling import _hyperbolic_plane, euclidean_matrices, hyperbolic_matrices, sphere_matrices
 from .errors import ValidationError, _array_rows, _key_word, _require_positive_int
-from .model_space import (SpaceKind, SpaceSpec, _norm, canonical_start, euclidean, hyperbolic,
-                          sphere, to_unit_model)
+from .model_space import (SpaceKind, SpaceSpec, _dots, _norm, canonical_start, euclidean,
+                          hyperbolic, sphere, to_unit_model)
 from .profiles import envelope
 from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
 from .shards import fork_map, map_ranges, shard_count
@@ -123,20 +123,25 @@ def _sample_euclidean(n, size, rng):
 def _sample_sphere(n, size, rng):
     N = n + 1
     X = rng.standard_normal((size, N))
-    X /= np.linalg.norm(X, axis=-1, keepdims=True)
+    X /= _norm(X)[:, None]
     tang = rng.standard_normal((size, N))
-    tang -= (tang * X).sum(-1, keepdims=True) * X
+    tang -= _dots(tang, X)[:, None] * X
     # redraw near-radial directions: normalizing them would lose precision
     for _ in range(40):
-        bad = np.linalg.norm(tang, axis=-1) < 0.1
+        bad = _norm(tang) < 0.1
         if not np.any(bad):
             break
-        tang[bad] = rng.standard_normal((int(bad.sum()), N))
-        tang[bad] -= (tang[bad] * X[bad]).sum(-1, keepdims=True) * X[bad]
-    tang /= np.linalg.norm(tang, axis=-1, keepdims=True)
+        redraw, Xb = rng.standard_normal((int(bad.sum()), N)), X[bad]
+        redraw -= _dots(redraw, Xb)[:, None] * Xb
+        tang[bad] = redraw
+    tang /= _norm(tang)[:, None]
     ang = rng.uniform(0.02, np.pi - 0.02, size)
-    Y = np.cos(ang)[:, None] * X + np.sin(ang)[:, None] * tang
-    eta = (X * Y).sum(-1)
+    # Y = cos(ang) X + sin(ang) tang, with tang's memory for the second term
+    Y = np.cos(ang)[:, None] * X
+    tang *= np.sin(ang)[:, None]
+    Y += tang
+    del tang                            # so eta's products take its place
+    eta = _dots(X, Y)
     k = n - 1
     if n >= 2:
         etap = rng.uniform(-k * (eta + 1.0), k * (1.0 - eta))
@@ -266,8 +271,9 @@ def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyRepor
         for j, (n, w) in enumerate(SCAN_DIMS):
             scans.append((space(n), max(1, int(num_samples_per_space * w)), seed + 97 * offset + j))
     # each scan runs whole in one shard, as a split would change its generator's
-    # stream; the costliest scan left goes to the least loaded shard
-    cost = [size * (spec.n + 1) ** 2 for spec, size, _ in scans]
+    # stream; the costliest scan left goes to the least loaded shard.  A scan costs
+    # about the same time per state and ambient coordinate in every space and n.
+    cost = [size * spec.ambient_dim for spec, size, _ in scans]
     n_shards = shard_count(sum(size for _, size, _ in scans), len(scans))
     groups, loads = [[] for _ in range(n_shards)], [0] * n_shards
     for k in sorted(range(len(scans)), key=lambda k: -cost[k]):

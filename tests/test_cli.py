@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,14 +182,16 @@ def test_count_memory_error_exits_2(command, flag, tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(np, "empty", no_room)
     monkeypatch.setattr(verify_mod, "_sample_euclidean", sample)
-    out = tmp_path / "run"
-    assert run_main([command, "--space", "euclidean", "--profile", "constant", "--rho0", "1",
-                     "--T", "0.1", "--dt", "1e-2", flag, str(10**12), "--out", str(out)]) == 2
     noun, width = ("paths", 11) if flag == "--paths" else ("samples", 2)
-    assert capsys.readouterr().err == (f"error: {10**12} {noun} of {width} doubles each are "
-                                       "more than an array can hold\n")
-    # the output directory was made before the command ran, and holds nothing
-    assert list(out.iterdir()) == []
+    for out in (tmp_path / "run", tmp_path / "a" / "b" / "run"):
+        assert run_main([command, "--space", "euclidean", "--profile", "constant", "--rho0",
+                         "1", "--T", "0.1", "--dt", "1e-2", flag, str(10**12),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {10**12} {noun} of {width} doubles each "
+                                           "are more than an array can hold\n")
+        # the output directory and its missing ancestors were made before the command
+        # ran, and are removed again, deepest first, as they hold nothing
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("space,rho0,least", [("sphere", "4", None), ("hyperbolic", "1", -0.46)],
@@ -451,18 +454,96 @@ def test_write_paths_csv_bytes_do_not_depend_on_shards(cores, tmp_path, shards):
         sorted(f"paths-{stride}.csv" for stride in (1, 3, 13, 100))
 
 
+def _format_budget_kept(monkeypatch):
+    """Fail any ``_fmt_bulk`` call of more than ``cli.FORMAT_VALUES`` values."""
+    real_fmt_bulk = cli._fmt_bulk
+
+    def fmt_bulk(x):
+        assert x.size <= cli.FORMAT_VALUES, (x.size, cli.FORMAT_VALUES)
+        return real_fmt_bulk(x)
+    monkeypatch.setattr(cli, "_fmt_bulk", fmt_bulk)
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("block", [2, 3])
 def test_write_paths_csv_bytes_do_not_depend_on_format_blocks(block, cores, tmp_path, shards,
                                                              monkeypatch):
-    # 5 paths in blocks of 2 or 3: blocks end inside a shard and at its end
+    # 5 paths in blocks of 2 or 3 whole paths: blocks end inside a shard and at its end
     shards(cores)
-    monkeypatch.setattr(cli, "FORMAT_PATHS", block)
+    _format_budget_kept(monkeypatch)
+    res = _special_values_ensemble()
+    for stride in (1, 3, 13, 100):
+        kept = len(range(0, res.times.size - 1, stride)) + 1        # and the final sample
+        monkeypatch.setattr(cli, "FORMAT_VALUES", block * 2 * kept)
+        out = tmp_path / f"paths-{stride}.csv"
+        cli.write_paths_csv(out, res, stride)
+        assert out.read_bytes() == _reference_paths_csv(res, stride), stride
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("values", [2, 10])
+def test_write_paths_csv_bytes_do_not_depend_on_sample_chunks(values, cores, tmp_path, shards,
+                                                             monkeypatch):
+    # a path whose kept samples do not fit is written in chunks of values / 2 samples:
+    # 10 values cut 14 kept samples into 5 + 5 + 4 and 6 into 5 + 1, and hold two
+    # paths of 2; 2 values write every sample on its own
+    shards(cores)
+    _format_budget_kept(monkeypatch)
+    monkeypatch.setattr(cli, "FORMAT_VALUES", values)
     res = _special_values_ensemble()
     for stride in (1, 3, 13, 100):
         out = tmp_path / f"paths-{stride}.csv"
         cli.write_paths_csv(out, res, stride)
         assert out.read_bytes() == _reference_paths_csv(res, stride), stride
+
+
+def _traced_peak(run):
+    """The most bytes traced by tracemalloc while ``run()`` runs, and its value."""
+    tracemalloc.start()
+    try:
+        value = run()
+        return tracemalloc.get_traced_memory()[1], value
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("paths,samples", [(2, 100_001), (100, 1001)])
+def test_write_paths_csv_working_set_is_one_block_and_the_template(paths, samples, tmp_path,
+                                                                  shards):
+    # one process writes; d_emp exists before the trace starts.  A block of FORMAT_VALUES
+    # values takes at most 400 bytes each while formatted, and the template about 45
+    # bytes per kept sample, built through a list of its lines: 200 bytes each in all.
+    # Blocks of 16 whole paths peaked at 109 and 10.8 MiB.
+    shards(1)
+    rng = np.random.default_rng(3)
+    times = 1e-3 * np.arange(samples)
+    target = 1.0 + np.sqrt(times)
+    res = dataclasses.replace(_special_values_ensemble(), n_paths=paths, times=times,
+                              target=target,
+                              d_emp=target + 0.01 * rng.standard_normal((paths, samples)))
+    out = tmp_path / "paths.csv"
+    peak, _ = _traced_peak(lambda: cli.write_paths_csv(out, res))
+    bound = 400 * cli.FORMAT_VALUES + 200 * samples
+    assert peak <= bound, (peak, bound)
+    assert out.read_bytes().count(b"\n") == 1 + paths * samples
+
+
+def test_simulate_holds_its_distances_once(tmp_path, capsys, shards):
+    # one process simulates and writes: past d_emp, the noise block (NOISE_BLOCK_BYTES),
+    # 1 KiB per open stream and 1 MiB for a step's arrays.  Formatting 16 whole paths
+    # at a time and squaring the errors into a second (P, M+1) array took d_emp +
+    # 10.9 MiB here
+    shards(1)
+    paths = 200
+    argv = ["simulate", "--space", "euclidean", "--dim", "3", "--profile",
+            "euclidean-max-growth", "--rho0", "1", "--dt", "1e-3", "--T", "1",
+            "--paths", str(paths), "--tolerance", "10", "--out", str(tmp_path)]
+    peak, rc = _traced_peak(lambda: run_main(argv))
+    assert rc == 0
+    d_emp = 8 * paths * 1001
+    bound = d_emp + sde_mod.NOISE_BLOCK_BYTES + 1024 * paths + 2**20
+    assert peak <= bound, (peak - d_emp, bound - d_emp)
+    assert (tmp_path / "paths.csv").read_bytes().count(b"\n") == 1 + paths * 1001
 
 
 def _assert_python_text(x):

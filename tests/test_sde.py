@@ -392,6 +392,10 @@ def test_rms_err_needs_recorded_distances():
     res = simulate_ensemble(S2, prof, 1e-2, 0.2, 4, 5, record_distances=True)
     per_path = np.concatenate([np.abs(row - res.target) for row in res.d_emp])
     assert res.rms_err() == pytest.approx(np.sqrt(np.mean(per_path ** 2)), rel=1e-12)
+    # in place: the same bits, and d_emp left holding the squared errors
+    rms, squares = res.rms_err(), (res.d_emp - res.target) ** 2
+    assert res.rms_err(in_place=True) == rms
+    assert np.array_equal(res.d_emp, squares) and squares.sum() > 0
     bare = simulate_ensemble(S2, prof, 1e-2, 0.2, 4, 5)
     with pytest.raises(ValidationError, match="recorded distances"):
         bare.rms_err()
@@ -645,7 +649,8 @@ def test_failed_simulator_shard_raises_in_the_parent(tmp_path, capsys, shards, m
     assert cli.main(["simulate", "--space", "euclidean", "--profile", "constant", "--rho0", "1",
                      "--dt", "1e-2", "--T", "0.1", "--paths", "6", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: shard 1 cannot step\n"
-    assert list(out.iterdir()) == []        # failed before writing, so no paths.csv.part*
+    # failed before writing, so no paths.csv.part*, and the empty --out is removed
+    assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -110,6 +110,23 @@ def test_identity_scan_working_set_is_the_sample_and_one_batch():
     assert peak <= bound, (peak, bound)
 
 
+@pytest.mark.parametrize("n,size", [(3, 40_000), (5, 100_000)])
+def test_sample_sphere_holds_three_state_arrays(n, size):
+    # at most three (size, N) double arrays live at once (X, and two of tang, Y and
+    # one product) plus three (size,) ones; building Y from cos X + sin tang with tang
+    # still live peaked at 147 and 210 bytes per state here
+    N = n + 1
+    vf._sample_sphere(n, 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        vf._sample_sphere(n, size, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * size * (3 * N + 3)
+    assert peak <= bound, (peak / size, bound / size)
+
+
 def test_samples_memory_error_is_a_validation_error(monkeypatch):
     def sample(n, size, rng):
         assert size < 10**18, "drew a sample past numpy's index limit"
