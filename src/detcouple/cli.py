@@ -16,7 +16,6 @@ import argparse
 import functools
 import itertools
 import json
-import re
 import shutil
 import sys
 from contextlib import contextmanager, suppress
@@ -239,7 +238,7 @@ def _fmt(x: float) -> str:
 # the rounding of lo's fraction.  A log10 that rounds across a power of ten
 # leaves D outside [1e16, 1e17); such values, and every value outside the
 # range, are formatted by _fmt, except exact zeros, whose text is '0' or '-0'.
-# Most values formatted per _fmt_bulk call, at least 2 (one row's dist and abs_err):
+# Most values formatted per _fmt_bulk call, at least 2 (one row's t and target):
 # about 350 bytes each while formatted, so a block's working set is about 2.8 MB.
 FORMAT_VALUES = 8192
 _WIDTH = 24             # longest '%.17g' text: -1.7976931348623157e+308
@@ -328,31 +327,33 @@ def _fmt_bulk(x: np.ndarray) -> list[bytes]:
 
     zero = np.flatnonzero(x == 0)
     texts[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
+    rest = np.flatnonzero(texts == b"")     # no text yet: every other value has one
     texts = texts.tolist()                  # each without its NUL padding
-    done = np.zeros(x.size, bool)
-    done[rows] = True
-    done[zero] = True
-    for i in np.flatnonzero(~done):
+    for i in rest:
         texts[i] = _fmt(float(x[i])).encode()
     return texts
 
 
-def _write_rows(fh, d_emp, idx, target, template, p0, p1) -> None:
-    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``, path-major.
+def _write_rows(fh, d_emp, idx, times, target, p0, p1) -> None:
+    """Write the rows of paths ``p0 .. p1 - 1`` to ``fh``, path-major, given the kept
+    samples' ``times`` and ``target``.
 
-    ``_fmt_bulk`` formats at most ``FORMAT_VALUES`` values at a time: whole
-    paths while a path's kept samples fit, else one path in chunks of
-    samples.  ``template`` is cut into the same chunks once per call.
+    ``_fmt_bulk`` formats every value, at most ``FORMAT_VALUES`` at a time, in chunks
+    of ``FORMAT_VALUES // 2`` samples: whole paths while a path's kept samples fit,
+    else one path a chunk at a time.  Each chunk's t and target texts are formatted
+    once per call, into a template whose \\0 takes the path index and whose %b slots
+    take (dist, abs_err).
     """
     step = min(idx.size, max(1, FORMAT_VALUES // 2))    # samples per chunk
     paths = max(1, FORMAT_VALUES // (2 * idx.size))     # paths per block
-    # each sample's text in the template ends in its one newline
-    ends = itertools.islice(re.finditer(b"\n", template), step - 1, idx.size - 1, step)
-    cut = [0, *(m.end() for m in ends), len(template)]
+    chunks = []
+    for s0 in range(0, idx.size, step):
+        texts = _fmt_bulk(np.stack([times[s0:s0 + step], target[s0:s0 + step]], axis=-1))
+        chunks.append((s0, b"".join(b"%b,\0,%%b,%b,%%b\n" % pair
+                                    for pair in zip(texts[::2], texts[1::2]))))
     for b0 in range(p0, p1, paths):
         b1 = min(b0 + paths, p1)
-        for s0, a, b in zip(range(0, idx.size, step), cut, cut[1:]):
-            part = template[a:b]
+        for s0, part in chunks:
             cols = idx[s0:s0 + step]
             rows = np.empty((b1 - b0, cols.size, 2))
             rows[..., 0] = d_emp[b0:b1, cols]
@@ -371,9 +372,7 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     Rows are path-major: every kept sample of path 0, then of path 1, and so
     on.  Every ``stride``-th sample is kept, plus the final one.  Each value's
     text is exactly Python's ``'%.17g' % x`` (``_fmt``), computed in bulk by
-    ``_fmt_bulk`` for at most ``FORMAT_VALUES`` values at a time, so the
-    writer's working set is a block of values plus the template of one
-    path's ``t`` and ``target`` texts, whatever the number of paths.
+    ``_write_rows``, whose working set does not grow with the number of paths.
 
     The paths are cut into contiguous shards by ``shards.cuts``, one per usable
     core but with at least ``shards.MIN_SHARD_WORK`` rows and one path each,
@@ -391,11 +390,7 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
     idx = np.arange(0, last + 1, stride)
     if idx[-1] != last:
         idx = np.append(idx, last)
-    target = result.target[idx]
-    # t and target are shared by all paths: format them once into a template
-    # whose \0 takes the path index and whose %b slots take (dist, abs_err).
-    template = "".join(f"{_fmt(t)},\0,%b,{_fmt(g)},%b\n"
-                       for t, g in zip(result.times[idx], target)).encode()
+    times, target = result.times[idx], result.target[idx]
 
     bounds = cuts(result.n_paths, result.n_paths * idx.size)
     parts = [path] + [f"{path}.part{i}" for i in range(1, len(bounds) - 1)]
@@ -404,7 +399,7 @@ def write_paths_csv(path, result: EnsembleResult, stride: int = 1) -> None:
         with open(parts[i], "wb") as fh:
             if i == 0:
                 fh.write(b"t,path,dist,target,abs_err\n")
-            _write_rows(fh, result.d_emp, idx, target, template, bounds[i], bounds[i + 1])
+            _write_rows(fh, result.d_emp, idx, times, target, bounds[i], bounds[i + 1])
 
     try:
         fork_map(write_shard, range(len(parts)))
@@ -541,11 +536,8 @@ def main(argv=None) -> int:
         if command == "converge":
             check_dts(cfg.dts)
         for dt in {"simulate": [cfg.dt], "verify": [cfg.dt], "converge": cfg.dts}.get(command, []):
-            times = check_run(spec, profile, dt, cfg.T)[0]
-            # the widest per-path row simulate_ensemble will check: simulate and verify
-            # record every distance, converge none
-            _array_rows("paths", cfg.paths, spec.ambient_dim if command == "converge"
-                        else max(spec.ambient_dim, times.size))
+            # simulate and verify record every distance, converge none
+            check_run(spec, profile, dt, cfg.T, cfg.paths, record_distances=command != "converge")
         if command == "verify":
             _array_rows("samples", cfg.samples, spec.ambient_dim)
         # the input is good: make the output directory before any work

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateStateError, ValidationError
-from .model_space import ON_MANIFOLD_TOL, SpaceKind, _dots, _norm
+from .model_space import COINCIDENT_TOL, ON_MANIFOLD_TOL, SpaceKind, _dots, _norm
 
 BAND_TOL = 1e-10        # admissible-band slack absorbed before raising
 DEGENERATE_ETA = 1e-9   # sphere states with |X.Y| >= 1 - this are rejected
@@ -179,7 +179,7 @@ def _checked(kind: SpaceKind, X, Y, eta, eta_prime):
     n = X.shape[-1] - 1 if kind is SpaceKind.SPHERE else X.shape[-1]
     k = n - 1
     if kind is SpaceKind.EUCLIDEAN:
-        if np.any(np.linalg.norm(X - Y, axis=-1) <= 1e-12):
+        if np.any(np.linalg.norm(X - Y, axis=-1) <= COINCIDENT_TOL):
             raise DegenerateStateError("coincident points")
         lo, hi = 0.0, 2.0 * k
     elif kind is SpaceKind.SPHERE:
@@ -191,7 +191,7 @@ def _checked(kind: SpaceKind, X, Y, eta, eta_prime):
     else:
         if not (np.all(X[..., 0] > 0) and np.all(Y[..., 0] > 0)):
             raise ValidationError("half-space points need a positive first coordinate")
-        if np.any(np.linalg.norm(X - Y, axis=-1) <= 1e-12 * (X[..., 0] + Y[..., 0])):
+        if np.any(np.linalg.norm(X - Y, axis=-1) <= COINCIDENT_TOL * (X[..., 0] + Y[..., 0])):
             raise DegenerateStateError("coincident points")
         lo, hi = k * eta, k * eta + 2.0 * k
     _require_band("eta'", eta_prime, lo, hi)

@@ -29,6 +29,8 @@ from .errors import DegenerateStateError, ValidationError, _require_positive_int
 # On-manifold validation tolerance; post-integration drift before
 # re-projection can exceed machine epsilon.
 ON_MANIFOLD_TOL = 1e-9
+# Points coincide, for the coupling, at |x - y| <= this on E^n and this * (x1 + y1) on H^n.
+COINCIDENT_TOL = 1e-12
 
 
 class SpaceKind(enum.Enum):
@@ -272,4 +274,8 @@ def canonical_start(spec: SpaceSpec, rho0: float) -> tuple[np.ndarray, np.ndarra
         x[0], y[0] = 1.0, np.exp(s)
     else:
         y[0] = s
+    # as the coupling judges it; no later E^n or H^n target is closer (band floor >= 0)
+    scale = x[0] + y[0] if spec.kind is SpaceKind.HYPERBOLIC else 1.0
+    if spec.kind is not SpaceKind.SPHERE and _norm(x - y) <= COINCIDENT_TOL * scale:
+        raise ValidationError(f"rho0 = {rho0:g} is too small: the start points coincide")
     return from_unit_model(spec, x), from_unit_model(spec, y)

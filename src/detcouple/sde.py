@@ -217,9 +217,12 @@ def time_grid(dt: float, T: float) -> np.ndarray:
 # ensembles
 
 
-def check_run(spec: SpaceSpec, profile, dt: float, T: float):
-    """(times, x0, y0) of a run to ``T`` in steps of ``dt``, after the checks that need no
-    path: the grid, the start distance, the horizon and admissibility on the grid."""
+def check_run(spec: SpaceSpec, profile, dt: float, T: float, n_paths: int,
+              record_distances: bool = False, record_paths: bool = False):
+    """(times, x0, y0, too_many) of a run of ``n_paths`` paths to ``T`` in steps of ``dt``,
+    after the checks that need no path: the grid, the start distance, the horizon,
+    admissibility on the grid and the size of the widest result array that the run
+    records.  ``too_many`` is that size's error, for a ``MemoryError`` in the allocation."""
     times = time_grid(dt, T)
     x0, y0 = canonical_start(spec, profile.rho0)
     if np.isfinite(profile.end_time) and T > profile.end_time * (1 + 1e-12):
@@ -228,7 +231,9 @@ def check_run(spec: SpaceSpec, profile, dt: float, T: float):
         rep = check_admissibility(spec, profile, grid=times)
         if not rep.admissible:
             raise ValidationError("profile not admissible on [0, T]: " + "; ".join(rep.reasons))
-    return times, x0, y0
+    N = spec.ambient_dim            # width: the widest result array's doubles per path
+    width = N * times.size if record_paths else max(N, times.size) if record_distances else N
+    return times, x0, y0, _array_rows("paths", n_paths, width)
 
 
 def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
@@ -252,7 +257,8 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     seed = _key_word("seed", seed)
     first_path_index = _key_word("first_path_index", first_path_index)
     _key_word("last path index", first_path_index + n_paths - 1)
-    times, x0, y0 = check_run(spec, profile, dt, T)
+    times, x0, y0, too_many = check_run(spec, profile, dt, T, n_paths, record_distances,
+                                        record_paths)
     target, drho = profile.eval(times)
 
     r = spec.r
@@ -262,10 +268,6 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     rho_u, drho_u = target / r, drho * r
     N = spec.ambient_dim
     M = times.size - 1
-
-    # the widest of the (n_paths, ...) result arrays, in doubles per path
-    width = N * times.size if record_paths else max(N, times.size) if record_distances else N
-    too_many = _array_rows("paths", n_paths, width)
     try:
         sup_err, final_X, final_Y = (np.empty(n_paths), np.empty((n_paths, N)),
                                      np.empty((n_paths, N)))

@@ -40,12 +40,12 @@ def cuts(n: int, work: int, unit: int = 1) -> list[int]:
     return [min(n, unit * (blocks * s // k)) for s in range(k + 1)]
 
 
-def map_ranges(fn, n: int, work: int, unit: int = 1, batch: int | None = None) -> list:
+def map_ranges(fn, n: int, work: int, unit: int, batch: int) -> list:
     """``fn(p0, p1)`` for every batch p0 .. p1 - 1 of items, in item order: each shard of
     :func:`cuts` runs through :func:`fork_map`, in batches of at most ``batch``
-    blocks of ``unit`` items (the whole shard when None)."""
+    blocks of ``unit`` items."""
     bounds = cuts(n, work, unit)
-    size = unit * batch if batch else max(n, 1)
+    size = unit * batch
 
     def run(s):
         return [fn(q, min(q + size, bounds[s + 1])) for q in range(bounds[s], bounds[s + 1], size)]

@@ -439,7 +439,7 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
             sup = np.maximum(sup, np.abs(d - rho0))
         return sup, Z @ x, Z @ y
 
-    batches = map_ranges(run_paths, n_paths, n_paths * M, batch=sde.BATCH_BLOCKS * sde.CHUNK_PATHS)
+    batches = map_ranges(run_paths, n_paths, n_paths * M, 1, sde.BATCH_BLOCKS * sde.CHUNK_PATHS)
     sup, final_X, final_Y = (np.concatenate(part) for part in zip(*batches))
     return times, sup, final_X, final_Y
 

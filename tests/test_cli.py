@@ -511,9 +511,10 @@ def _traced_peak(run):
 def test_write_paths_csv_working_set_is_one_block_and_the_template(paths, samples, tmp_path,
                                                                   shards):
     # one process writes; d_emp exists before the trace starts.  A block of FORMAT_VALUES
-    # values takes at most 400 bytes each while formatted, and the template about 45
-    # bytes per kept sample, built through a list of its lines: 200 bytes each in all.
-    # Blocks of 16 whole paths peaked at 109 and 10.8 MiB.
+    # values takes at most 400 bytes each while formatted, and one path's templates about
+    # 45 bytes per kept sample, each chunk's built from one _fmt_bulk call: 80 bytes each
+    # in all.  Blocks of 16 whole paths peaked at 109 and 10.8 MiB, and a template
+    # formatted by _fmt in one join over the path at 15.3 MiB for 2 x 100,001 samples.
     shards(1)
     rng = np.random.default_rng(3)
     times = 1e-3 * np.arange(samples)
@@ -523,9 +524,24 @@ def test_write_paths_csv_working_set_is_one_block_and_the_template(paths, sample
                               d_emp=target + 0.01 * rng.standard_normal((paths, samples)))
     out = tmp_path / "paths.csv"
     peak, _ = _traced_peak(lambda: cli.write_paths_csv(out, res))
-    bound = 400 * cli.FORMAT_VALUES + 200 * samples
+    bound = 400 * cli.FORMAT_VALUES + 80 * samples
     assert peak <= bound, (peak, bound)
     assert out.read_bytes().count(b"\n") == 1 + paths * samples
+
+
+def test_write_paths_csv_formats_every_value_in_bulk(tmp_path, monkeypatch):
+    # t, target, dist and abs_err all in [1e-4, 1e16) or exact zeros: no value goes
+    # through _fmt, in the template or in the rows
+    monkeypatch.setattr(cli, "_fmt", lambda v: pytest.fail(f"_fmt({v!r}) called"))
+    times = 1e-3 * np.arange(50)
+    target = 1.0 + np.sqrt(times)
+    d_emp = np.stack([target, target + 0.25, np.full(50, 2.0)])
+    res = dataclasses.replace(_special_values_ensemble(), n_paths=3, times=times,
+                              target=target, d_emp=d_emp)
+    for stride in (1, 7):
+        out = tmp_path / f"paths-{stride}.csv"
+        cli.write_paths_csv(out, res, stride)
+        assert out.read_bytes() == _reference_paths_csv(res, stride), stride
 
 
 def test_simulate_holds_its_distances_once(tmp_path, capsys, shards):
@@ -634,10 +650,10 @@ def test_write_paths_csv_failed_shard_leaves_nothing_behind(failing, tmp_path, s
     shards(3)
     real_write_rows = cli._write_rows
 
-    def write_rows(fh, d_emp, idx, target, template, p0, p1):
+    def write_rows(fh, d_emp, idx, times, target, p0, p1):
         if (p0 > 0) == (failing == "child"):
             raise OSError(errno.ENOSPC, "No space left on device")
-        real_write_rows(fh, d_emp, idx, target, template, p0, p1)
+        real_write_rows(fh, d_emp, idx, times, target, p0, p1)
 
     monkeypatch.setattr(cli, "_write_rows", write_rows)
     res = _special_values_ensemble()
@@ -678,7 +694,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "converge-inadmissible", "converge-dts-increasing",
                                   "converge-enforce-distance", "simulate-paths-too-many",
                                   "verify-samples-too-many", "verify-paths-too-many",
-                                  "converge-paths-too-many"])
+                                  "converge-paths-too-many", "simulate-rho0-tiny-euclidean",
+                                  "simulate-rho0-tiny-hyperbolic",
+                                  "simulate-rho0-tiny-max-growth"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -717,6 +735,16 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         argv = ["check", "--space", "euclidean", "--profile", "constant", "--rho0", "inf",
                 "--out", str(tmp_path / "run")]
         expect = "rho0"
+    elif case.startswith("simulate-rho0-tiny-"):
+        # a start pair the coupling would call coincident: E^n gave a NaN distance and
+        # H^n rounded exp(rho0) to 1, a zero distance on every row that passed
+        space, dim, profile, rho0 = {"euclidean": ("euclidean", "2", "constant", "1e-160"),
+                                     "hyperbolic": ("hyperbolic", "3", "lower", "1e-17"),
+                                     "max-growth": ("euclidean", "2", "max-growth", "1e-300"),
+                                     }[case.split("tiny-")[1]]
+        argv = ["simulate", "--space", space, "--dim", dim, "--profile", profile,
+                "--rho0", rho0, "--paths", "2", "--T", "0.01", "--out", str(tmp_path / "run")]
+        expect = f"error: rho0 = {float(rho0):g} is too small: the start points coincide\n"
     elif case == "table-extra-number":
         table.write_text("t,rho\n0,1.0\n0.5,1.2,99\n1,1.3\n")
         expect = f"{table}:3"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcouple import coupling
 from detcouple import model_space as ms
 from detcouple.errors import DegenerateStateError, ValidationError
 from sampling import random_points
@@ -146,6 +147,23 @@ def test_canonical_start():
         assert ms.geodesic_distance(spec, x0, y0) == pytest.approx(rho0, abs=1e-12)
     with pytest.raises(ValidationError):
         ms.canonical_start(S2, 4.0)   # beyond the pole
+
+
+@pytest.mark.parametrize("spec,coincident,apart", [(E2, 1e-12, 2e-12),
+                                                    (ms.hyperbolic(3), 1e-12, 4e-12)])
+def test_canonical_start_rejects_a_pair_the_coupling_calls_coincident(spec, coincident, apart):
+    # one tolerance for both: the pair at rho0 = apart is the coupling's, the pair that
+    # rho0 = coincident would give is not
+    x0, y0 = ms.canonical_start(spec, apart)
+    eta = coupling.eta_from_rho(spec.kind, apart, 0.0)[0]
+    eta_prime = (spec.n - 1) * (eta + 1.0)          # inside both spaces' bands
+    coupling._checked(spec.kind, x0, y0, eta, eta_prime)
+    y = y0.copy()
+    y[0] = coincident if spec.kind is ms.SpaceKind.EUCLIDEAN else np.exp(coincident)
+    with pytest.raises(DegenerateStateError, match="coincident"):
+        coupling._checked(spec.kind, x0, y, eta, eta_prime)
+    with pytest.raises(ValidationError, match=r"^rho0 = 1e-12 is too small"):
+        ms.canonical_start(spec, coincident)
 
 
 def test_spec_invariants():
