@@ -30,6 +30,7 @@ from .errors import DegenerateStateError, ValidationError, _require_positive_int
 # re-projection can exceed machine epsilon.
 ON_MANIFOLD_TOL = 1e-9
 # Points coincide, for the coupling, at |x - y| <= this on E^n and this * (x1 + y1) on H^n.
+# A sphere distance at most this * r is out of range (profiles.check_admissibility).
 COINCIDENT_TOL = 1e-12
 
 
@@ -221,39 +222,15 @@ def unit_point_at_distance(kind: SpaceKind, x, y, s):
         out /= _norm(out)[..., None]
         return out
 
-    # Geodesics of the half-space are vertical rays or semicircles centered on
-    # the boundary; arc length along a semicircle is log(tan(theta/2)).
-    x1 = x[..., 0]
-    y1 = y[..., 0]
-    zt = y[..., 1:] - x[..., 1:]
-    b = _norm(zt)
-    vertical = b <= 1e-14 * (x1 + y1)
-    if np.any(vertical & (x1 == y1)):
+    # x -> e1 by (z - (0, x~)) / x1; (sinh(rho - s) h_x + sinh(s) h_y) / sinh(rho), t = 1/(P0 + Pn)
+    rho = unit_distance(kind, x, y)
+    if np.any(rho <= 0):
         raise DegenerateStateError("coincident hyperbolic points")
-
-    lead = np.broadcast_shapes(x1.shape, y1.shape, np.shape(s))
-    out = np.empty(lead + x.shape[-1:], dtype=float)
-    s = np.broadcast_to(s, lead)
-
-    # vertical ray: only the first coordinate moves, multiplicatively
-    sigma = np.where(y1 >= x1, 1.0, -1.0)
-    out_vert_1 = x1 * np.exp(sigma * s)
-
-    # semicircle of center c (along the boundary direction w) and radius R
-    b_safe = np.where(vertical, 1.0, b)
-    w = zt / b_safe[..., None]
-    c = (b_safe**2 + y1**2 - x1**2) / (2.0 * b_safe)
-    R = np.hypot(c, x1)
-    theta_x = np.arctan2(x1, c)
-    theta_y = np.arctan2(y1, c - b_safe)
-    tau_x = np.tan(0.5 * theta_x)
-    sgn = np.where(theta_y >= theta_x, 1.0, -1.0)
-    theta_new = 2.0 * np.arctan(tau_x * np.exp(sgn * s))
-    new_1 = R * np.sin(theta_new)
-    new_t = x[..., 1:] + (c - R * np.cos(theta_new))[..., None] * w
-
-    out[..., 0] = np.where(vertical, out_vert_1, new_1)
-    out[..., 1:] = np.where(vertical[..., None], np.broadcast_to(x[..., 1:], new_t.shape), new_t)
+    x1 = x[..., 0]
+    sx = x1 * np.sinh(s)
+    D = y[..., 0] * np.sinh(rho - s) + sx
+    out = x + (sx / D)[..., None] * (y - x)
+    out[..., 0] = x1 * y[..., 0] * np.sinh(rho) / D
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model_space import SpaceKind, SpaceSpec
+from .model_space import COINCIDENT_TOL, SpaceKind, SpaceSpec
 
 # distance from the sphere pole at which profiles are declared invalid
 POLE_MARGIN = 1e-6
@@ -253,7 +253,8 @@ def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
     monotone in rho, so a segment keeps its slope in the band iff it does at
     both end values.  Its report's grid is its nodes in range plus the
     range's end, and each margin is a segment's, at its worse end.  Range
-    violations (rho <= 0, or rho at the sphere pole) are reported, not raised.
+    violations (rho <= 0; on spheres rho <= COINCIDENT_TOL * r, or rho at the
+    pole) are reported, not raised.
     """
     if grid is None:
         if T is None:
@@ -272,6 +273,7 @@ def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
     reasons = []
     in_range = rho > 0
     if spec.kind is SpaceKind.SPHERE:
+        in_range &= rho > COINCIDENT_TOL * spec.r
         in_range &= rho < spec.max_distance - POLE_MARGIN * spec.r
     if not np.all(in_range):
         bad = int(np.argmin(in_range))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,10 +316,13 @@ def test_tabulated_profile_end_to_end(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "detcouple.cli", "check", "--space", "sphere", "--dim", "2",
          "--profile", "constant", "--rho0", "1.0", "--T", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "admissible" in proc.stdout
 
@@ -696,7 +700,8 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "verify-samples-too-many", "verify-paths-too-many",
                                   "converge-paths-too-many", "simulate-rho0-tiny-euclidean",
                                   "simulate-rho0-tiny-hyperbolic",
-                                  "simulate-rho0-tiny-max-growth"])
+                                  "simulate-rho0-tiny-max-growth",
+                                  "simulate-sphere-floor-start", "simulate-sphere-floor-later"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -745,6 +750,16 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         argv = ["simulate", "--space", space, "--dim", dim, "--profile", profile,
                 "--rho0", rho0, "--paths", "2", "--T", "0.01", "--out", str(tmp_path / "run")]
         expect = f"error: rho0 = {float(rho0):g} is too small: the start points coincide\n"
+    elif case.startswith("simulate-sphere-floor-"):
+        # a sphere distance at most 1e-12 r, at the start or (contracting, negative band
+        # floor) at t = 41.45: the kernel divided by it and wrote NaN distances
+        profile, rho0, dt, T, t = {"start": ("constant", "1e-17", "1e-3", "0.01", "0"),
+                                   "later": ("sphere-contracting", "1e-3", "1e-2", "60", "41.45"),
+                                   }[case.split("floor-")[1]]
+        argv = ["simulate", "--space", "sphere", "--dim", "2", "--profile", profile,
+                "--rho0", rho0, "--dt", dt, "--paths", "2", "--T", T,
+                "--out", str(tmp_path / "run")]
+        expect = f"error: profile not admissible on [0, T]: rho leaves the valid range at t = {t}\n"
     elif case == "table-extra-number":
         table.write_text("t,rho\n0,1.0\n0.5,1.2,99\n1,1.3\n")
         expect = f"{table}:3"

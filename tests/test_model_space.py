@@ -132,6 +132,26 @@ def test_point_at_distance_postconditions():
         assert np.max(np.abs(ms.geodesic_distance(spec, X, P) - s)) <= 1e-12
         Q = ms.unit_point_at_distance(spec.kind, X, Y, d)
         assert np.max(np.abs(Q - Y)) <= 1e-10
+    # wide half-space pairs, log x1 and log y1 ~ N(0, sigma^2), a quarter of them
+    # vertical and a quarter 1e-9 x1 from vertical; s up to half a unit past y
+    for n in (1, 2, 3, 5):
+        for sigma in (0.4, 2.0, 6.0):
+            X = np.exp(sigma * rng.standard_normal((100, 1))) * rng.standard_normal((100, n))
+            Y = np.exp(sigma * rng.standard_normal((100, 1))) * rng.standard_normal((100, n))
+            X[:, 0], Y[:, 0] = np.exp(sigma * rng.standard_normal((2, 100)))
+            Y[:25, 1:] = X[:25, 1:]
+            Y[25:50, 1:] = X[25:50, 1:] + 1e-9 * X[25:50, :1]
+            d = ms.unit_distance(ms.SpaceKind.HYPERBOLIC, X, Y)
+            for s in (0.3 * d, d, d + 0.5):
+                P = ms.unit_point_at_distance(ms.SpaceKind.HYPERBOLIC, X, Y, s)
+                err = np.abs(ms.unit_distance(ms.SpaceKind.HYPERBOLIC, X, P) - s)
+                assert np.all(err <= 1e-11 * np.maximum(1.0, s)), (n, sigma, np.max(err))
+            Q = ms.unit_point_at_distance(ms.SpaceKind.HYPERBOLIC, X, Y, d)
+            assert np.all(np.abs(Q - Y) <= 1e-10 * np.linalg.norm(Y - X, axis=-1)[:, None])
+    # near-vertical at x = e1: the boundary coordinate of y is reached, not rounded away
+    x, y = np.array([1.0, 0.0]), np.array([np.e, 1e-8])
+    P = ms.unit_point_at_distance(H2.kind, x, y, ms.unit_distance(H2.kind, x, y))
+    assert P[1] == pytest.approx(1e-8, rel=1e-10)
 
 
 def test_point_at_distance_degenerate():
@@ -139,6 +159,8 @@ def test_point_at_distance_degenerate():
         ms.unit_point_at_distance(E2.kind, np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(DegenerateStateError):
         ms.unit_point_at_distance(S2.kind, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5)
+    with pytest.raises(DegenerateStateError):
+        ms.unit_point_at_distance(H2.kind, np.array([2.0, -1.0]), np.array([2.0, -1.0]), 0.5)
 
 
 def test_canonical_start():

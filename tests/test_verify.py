@@ -152,9 +152,16 @@ def test_identity_scan_hyperbolic_details():
         assert rep.details[key] <= 1e-10
 
 
-def test_distance_error_stats_enforced():
-    res = simulate_ensemble(S2, pf.constant(np.pi / 2), 1e-3, 0.5, 3, 16,
-                            enforce_distance=True, record_distances=True)
+@pytest.mark.parametrize("case", ["s2", "h2-upper", "h3-lower"])
+def test_distance_error_stats_enforced(case):
+    # on H^n the pair separates linearly: rho(T) is about 100 on both
+    spec, prof, dt, T, seed, P = {
+        "s2": (S2, pf.constant(np.pi / 2), 1e-3, 0.5, 3, 16),
+        "h2-upper": (H2, pf.hyperbolic_upper(H2, 1.0), 0.1, 100.0, 0, 8),
+        "h3-lower": (ms.hyperbolic(3), pf.hyperbolic_lower(ms.hyperbolic(3), 1.0), 0.1, 50.0, 0, 8),
+    }[case]
+    res = simulate_ensemble(spec, prof, dt, T, seed, P, enforce_distance=True,
+                            record_distances=True)
     rep = vf.distance_error_stats(res, tolerance=1e-12)
     assert rep.passed
     assert rep.details["max_sup_err"] <= 1e-12
