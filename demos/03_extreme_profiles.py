@@ -24,7 +24,7 @@ for spec, builders, rho0 in ((S2, (sphere_contracting, sphere_repulsive), np.pi 
     print(f"--- {spec.kind.value}, n = {spec.n}, rho0 = {rho0:.4f}")
     for build in builders:
         prof = build(spec, rho0)
-        res = simulate_ensemble(spec, prof, dt, T, seed, paths)
+        res = simulate_ensemble(spec, prof, dt, T, seed, paths, record_distances=True)
         lo, hi = envelope(spec, rho0, res.times)
         inside = np.all(res.mean_d_emp >= lo - 0.05) and np.all(res.mean_d_emp <= hi + 0.05)
         print(f"  {prof.kind.value:<22} rho(T) = {res.target[-1]:.4f}  "

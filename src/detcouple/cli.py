@@ -175,6 +175,9 @@ def parse_config(argv) -> tuple[str, RunConfig]:
 
     if cfg.K is None:
         cfg.K = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}[cfg.space]
+    if cfg.profile == "tabulated" and (cfg.rho0, cfg.rho0_deg) != (None, None):
+        name = "rho0" if cfg.rho0 is not None else "rho0-deg"
+        raise ValidationError(f"field {name}: a tabulated profile starts at its table's first rho")
     if cfg.rho0_deg is not None:
         if cfg.space != "sphere":
             raise ValidationError("field rho0-deg: only meaningful on spheres")

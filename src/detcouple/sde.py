@@ -22,10 +22,10 @@ draws a block of steps for all its paths at a time into a step-major
 NOISE_BLOCK_BYTES.
 
 An ensemble, the rotation oracle's included, runs through ``shards.map_ranges``:
-its paths are cut into contiguous shards of whole sum blocks, one per core, and
-each shard steps in batches of at most BATCH_BLOCKS * CHUNK_PATHS paths.  The
-block sums of the distance are added in block order, so no bit depends on the
-cores or the batches.
+its paths are cut into contiguous shards, one per core, which step in batches of
+at most ``shards.BATCH`` paths.  A path's outputs are its own, so shards and
+batches may end at any path and no bit depends on them.  The mean distance is
+summed after stepping, from the recorded distances, in blocks of CHUNK_PATHS.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ from .profiles import check_admissibility
 from .shards import map_ranges
 
 # The sum block: mean_d_emp adds each block's paths in order, then the block
-# sums in block order.  A shard holds whole blocks.
+# sums in block order.
 CHUNK_PATHS = 256
-# Every ensemble, the oracle's included, steps a shard in batches of at most
-# this many sum blocks: a step's arrays and draws per path do not grow with it.
-BATCH_BLOCKS = 8
 # Most bytes step_gaussians holds in its block of steps (4 MiB, or one step if that is
 # more): per path and step, the draw's raw Philox words (4 * blocks_per_draw(words)
 # doubles) and its normals (words doubles).  Each path's open stream adds about 1 KiB.
@@ -73,7 +70,7 @@ class EnsembleResult:
     sup_err: np.ndarray          # (P,) per-path sup |d_emp - target|
     final_X: np.ndarray          # (P, N) states at T
     final_Y: np.ndarray
-    mean_d_emp: np.ndarray       # (M+1,) ensemble mean distance
+    mean_d_emp: np.ndarray | None        # (M+1,) mean distance when distances are recorded
     d_emp: np.ndarray | None = None      # (P, M+1) when distances are recorded
     paths_X: np.ndarray | None = None    # (P, M+1, N) when full paths are recorded
     paths_Y: np.ndarray | None = None
@@ -244,11 +241,11 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
 
     Every pair starts from ``canonical_start(spec, profile.rho0)``: the spaces
     are two-point homogeneous, so only rho(0) matters.  Path ``first_path_index
-    + j``'s noise depends only on (seed, its index, step).  Groups of whole sum
-    blocks of CHUNK_PATHS run on every usable core, with at least
-    ``shards.MIN_SHARD_WORK`` path-steps each, and each group steps in batches
-    of at most BATCH_BLOCKS * CHUNK_PATHS paths (``shards.map_ranges``); the
-    result has the same bits on any number of cores.
+    + j``'s noise depends only on (seed, its index, step).  Contiguous groups of
+    paths run on every usable core, with at least ``shards.MIN_SHARD_WORK``
+    path-steps each, and each group steps in batches of at most ``shards.BATCH``
+    paths (``shards.map_ranges``); the result has the same bits on any number of
+    cores.  ``mean_d_emp`` is None unless distances are recorded.
 
     The run is checked by :func:`check_run` first.  ``cli.main`` runs the same
     check before it makes the output directory, so a CLI run makes it twice.
@@ -280,12 +277,9 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
 
     def step_batch(p0, p1):
         """Step paths p0 .. p1 - 1 as one batch into their rows of ``outputs``;
-        return (p0, p1, each sum block's distance sum at every time, the rows)."""
+        return (p0, p1, the rows)."""
         X, Y = np.tile(xu, (p1 - p0, 1)), np.tile(yu, (p1 - p0, 1))
         sup = np.zeros(p1 - p0)
-        # the last sum block is padded with zero distances, which change no sum
-        padded = np.zeros(-(-(p1 - p0) // CHUNK_PATHS) * CHUNK_PATHS)
-        sums = np.empty((padded.size // CHUNK_PATHS, times.size))
         noise = step_gaussians(seed, first_path_index + p0, p1 - p0, M, 2 * N)
         for i in range(times.size):
             if i:
@@ -294,24 +288,21 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
                                       taus[i] - taus[i - 1], z[:, :N], z[:, N:])
                 if enforce_distance:
                     Y = unit_point_at_distance(spec.kind, X, Y, rho_u[i])
-            padded[:p1 - p0] = d = _unit_distance(spec.kind, X, Y) * r
+            d = _unit_distance(spec.kind, X, Y) * r
             np.maximum(sup, np.abs(d - target[i]), out=sup)
             if d_all is not None:
                 d_all[p0:p1, i] = d
             if record_paths:
                 pX[p0:p1, i], pY[p0:p1, i] = X, Y
-            # a cumsum adds each block's paths in order, one at a time
-            sums[:, i] = np.cumsum(padded.reshape(-1, CHUNK_PATHS), axis=1)[:, -1]
         sup_err[p0:p1], final_X[p0:p1], final_Y[p0:p1] = sup, X, Y
-        return p0, p1, sums, [a[p0:p1] for a in outputs]
+        return p0, p1, [a[p0:p1] for a in outputs]
 
-    # batches are contiguous groups of whole sum blocks, so every block sum keeps its bits
-    batches = map_ranges(step_batch, n_paths, n_paths * M, CHUNK_PATHS, BATCH_BLOCKS)
-    for p0, p1, _, rows in batches:
+    for p0, p1, rows in map_ranges(step_batch, n_paths, n_paths * M):
         for a, part in zip(outputs, rows):
             a[p0:p1] = part
-    # the block sums, added in block order as one process would add them
-    mean_d = np.cumsum(np.concatenate([sums for _, _, sums, _ in batches]), axis=0)[-1] / n_paths
+    # Python's sum adds the rows of a block one at a time, then the block sums in order
+    mean_d = None if d_all is None else sum(
+        sum(d_all[q:q + CHUNK_PATHS]) for q in range(0, n_paths, CHUNK_PATHS)) / n_paths
 
     # map unit-model states back to the space's own coordinates
     fX, fY = from_unit_model(spec, final_X), from_unit_model(spec, final_Y)

@@ -5,10 +5,11 @@ noise is keyed by (seed, path index, step), and every identity scan is an
 independent job with its own generator.  Such work is cut into shards, one
 per usable core, by :func:`cuts`, and :func:`fork_map` runs each shard but
 the first in a forked child; :func:`map_ranges` does both for an ensemble
-and steps each shard in batches of bounded size.  A shard runs the same
-code on the same inputs as it would in process, so no output byte depends
-on the number of cores.  The only core control is the process affinity:
-``taskset -c 0 detcouple ...`` runs on one.
+and runs each shard in batches of at most BATCH items.  Shards and batches
+may end at any item.  A shard runs the same code on the same inputs as it
+would in process, so no output byte depends on the number of cores or on
+BATCH.  The only core control is the process affinity: ``taskset -c 0
+detcouple ...`` runs on one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import pickle
 # Fewer units of work (rows, path-steps or scanned states) than this in a
 # shard do not pay for a fork.
 MIN_SHARD_WORK = 100_000
+# Most items (paths or scanned states) in one batch: an ensemble's step arrays
+# and an identity scan's residuals do not grow with the shard.
+BATCH = 2048
 
 
 def usable_cores() -> int:
@@ -32,25 +36,25 @@ def shard_count(work: int, most: int) -> int:
     return max(1, min(usable_cores(), most, work // MIN_SHARD_WORK))
 
 
-def cuts(n: int, work: int, unit: int = 1) -> list[int]:
+def cuts(n: int, work: int) -> list[int]:
     """Bounds of the :func:`shard_count` contiguous shards of items 0 .. n - 1, which
-    hold ``work`` units, in whole blocks of ``unit`` items (the last may be short)."""
-    blocks = -(-n // unit)
-    k = shard_count(work, blocks)
-    return [min(n, unit * (blocks * s // k)) for s in range(k + 1)]
+    hold ``work`` units; the shards differ in size by at most one item."""
+    k = shard_count(work, n)
+    return [n * s // k for s in range(k + 1)]
 
 
-def map_ranges(fn, n: int, work: int, unit: int, batch: int) -> list:
+def batches(p0: int, p1: int) -> list[tuple[int, int]]:
+    """The consecutive ranges of at most BATCH items that tile items p0 .. p1 - 1."""
+    return [(q, min(q + BATCH, p1)) for q in range(p0, p1, BATCH)]
+
+
+def map_ranges(fn, n: int, work: int) -> list:
     """``fn(p0, p1)`` for every batch p0 .. p1 - 1 of items, in item order: each shard of
-    :func:`cuts` runs through :func:`fork_map`, in batches of at most ``batch``
-    blocks of ``unit`` items."""
-    bounds = cuts(n, work, unit)
-    size = unit * batch
-
-    def run(s):
-        return [fn(q, min(q + size, bounds[s + 1])) for q in range(bounds[s], bounds[s + 1], size)]
-
-    return [out for shard in fork_map(run, range(len(bounds) - 1)) for out in shard]
+    :func:`cuts` runs through :func:`fork_map`, in :func:`batches`."""
+    bounds = cuts(n, work)
+    shards = fork_map(lambda s: [fn(*b) for b in batches(bounds[s], bounds[s + 1])],
+                      range(len(bounds) - 1))
+    return [out for shard in shards for out in shard]
 
 
 def fork_map(fn, items) -> list:

@@ -15,10 +15,9 @@ Three independent lines of evidence that the constructions are right:
 
 The identity scans of :func:`identity_scan_all` run on every usable core
 through ``shards.fork_map``, each whole in one process: a scan draws its
-whole sample, then checks it in batches of at most ``sde.BATCH_BLOCKS *
-sde.CHUNK_PATHS`` states.  The oracle's paths run through
-``shards.map_ranges``, in batches of at most as many paths.  No report
-depends on the cores or the batches.
+whole sample, then checks it in batches of at most ``shards.BATCH`` states.
+The oracle's paths run through ``shards.map_ranges``, in batches of at most
+as many paths.  No report depends on the cores or the batches.
 
 Each property has one check here, which ``detcouple verify`` and the
 acceptance suite both call.  Statistical tolerances are three standard
@@ -34,14 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import hyperu
 
-from . import sde
 from .coupling import _hyperbolic_plane, euclidean_matrices, hyperbolic_matrices, sphere_matrices
 from .errors import ValidationError, _array_rows, _key_word, _require_positive_int
 from .model_space import (SpaceKind, SpaceSpec, _dots, _norm, canonical_start, euclidean,
                           hyperbolic, sphere, to_unit_model)
 from .profiles import envelope
 from .sde import EnsembleResult, simulate_ensemble, step_gaussians, time_grid
-from .shards import fork_map, map_ranges, shard_count
+from .shards import batches, fork_map, map_ranges, shard_count
 
 SCAN_TOL = 1e-10                   # identity residuals pass at or below this
 SCAN_DIMS = ((2, 0.4), (3, 0.4), (1, 0.1), (5, 0.1))   # identity_scan_all: (n, share of samples)
@@ -235,9 +233,9 @@ def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
     """Residuals of all construction identities at random admissible states.
 
     The states are drawn in one go, as the generator's stream order fixes
-    their bits, and checked by :func:`_residuals` in batches of at most
-    ``sde.BATCH_BLOCKS * sde.CHUNK_PATHS`` states, whose reports are merged
-    key by key by their maximum: the whole sample's report, bit for bit."""
+    their bits, and checked by :func:`_residuals` in batches of at most ``shards.BATCH``
+    states, whose reports are merged key by key by their maximum: the whole sample's
+    report, bit for bit."""
     _require_positive_int("num_samples", num_samples)
     rng = np.random.default_rng(_key_word("seed", seed))
     sample = {SpaceKind.EUCLIDEAN: _sample_euclidean, SpaceKind.SPHERE: _sample_sphere,
@@ -247,10 +245,9 @@ def identity_scan(spec: SpaceSpec, num_samples: int, seed: int) -> VerifyReport:
         states = sample(spec.n, num_samples, rng)
     except MemoryError:
         raise too_many from None
-    size = sde.BATCH_BLOCKS * sde.CHUNK_PATHS
     res = {}
-    for q in range(0, num_samples, size):
-        batch = _residuals(spec.kind, spec.n, *(a[q:q + size] for a in states))
+    for q, q1 in batches(0, num_samples):
+        batch = _residuals(spec.kind, spec.n, *(a[q:q1] for a in states))
         for key, value in batch.items():
             # np.maximum, unlike max, keeps a NaN wherever it stands
             res[key] = float(np.maximum(res.get(key, value), value))
@@ -293,8 +290,10 @@ def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyRepor
 
 
 def envelope_check(result: EnsembleResult, tolerance: float) -> VerifyReport:
-    """How far the ensemble-mean distance leaves the reachable envelope from
-    the profile's start value ``result.target[0]``; passes within ``tolerance``."""
+    """How far the ensemble-mean distance of a run with recorded distances leaves the
+    reachable envelope from the start value ``result.target[0]``; passes within ``tolerance``."""
+    if result.mean_d_emp is None:
+        raise ValidationError("ensemble was run without recorded distances")
     env_lo, env_hi = envelope(result.spec, result.target[0], result.times)
     bracket = max(0.0, float(np.max(env_lo - result.mean_d_emp)),
                   float(np.max(result.mean_d_emp - env_hi)))
@@ -420,9 +419,9 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     exactly constant and each image is a Brownian motion on the 2-sphere.
 
     Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).  The paths
-    run on every usable core in batches of at most ``sde.BATCH_BLOCKS *
-    sde.CHUNK_PATHS``, each drawing its increments from :func:`step_gaussians`,
-    so the bits depend on neither the cores nor the batches.
+    run on every usable core in batches of at most ``shards.BATCH``, each
+    drawing its increments from :func:`step_gaussians`, so the bits depend on
+    neither the cores nor the batches.
     """
     x, y = canonical_start(sphere(2), rho0)
     seed = _key_word("seed", seed)
@@ -439,8 +438,8 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
             sup = np.maximum(sup, np.abs(d - rho0))
         return sup, Z @ x, Z @ y
 
-    batches = map_ranges(run_paths, n_paths, n_paths * M, 1, sde.BATCH_BLOCKS * sde.CHUNK_PATHS)
-    sup, final_X, final_Y = (np.concatenate(part) for part in zip(*batches))
+    parts = map_ranges(run_paths, n_paths, n_paths * M)
+    sup, final_X, final_Y = (np.concatenate(part) for part in zip(*parts))
     return times, sup, final_X, final_Y
 
 

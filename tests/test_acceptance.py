@@ -92,12 +92,12 @@ def test_criterion_03_fixed_distance_tracking():
 
 def test_criterion_04_extreme_profile_tracking():
     prof = pf.sphere_contracting(S2, np.pi / 2)
-    res_a = simulate_ensemble(S2, prof, 1e-4, 1.0, SEED + 4, 100)
+    res_a = simulate_ensemble(S2, prof, 1e-4, 1.0, SEED + 4, 100, record_distances=True)
     target_a = 2.0 * np.arcsin(np.exp(-res_a.times / 2.0) * np.sin(np.pi / 4))
     assert np.max(np.abs(res_a.target - target_a)) <= 1e-12
 
     profh = pf.hyperbolic_lower(H3, 1.0)
-    res_b = simulate_ensemble(H3, profh, 1e-4, 1.0, SEED + 5, 100)
+    res_b = simulate_ensemble(H3, profh, 1e-4, 1.0, SEED + 5, 100, record_distances=True)
     target_b = 2.0 * np.arcsinh(np.exp(res_b.times) * np.sinh(0.5))
     assert np.max(np.abs(res_b.target - target_b)) <= 1e-12
 

@@ -229,6 +229,9 @@ def test_check_prints_checked_range(extra, table_end, printed, tmp_path, capsys)
     argv = ["check", "--space", "sphere", "--dim", "2", "--profile", "constant",
             "--rho0", "1.0", "--out", str(tmp_path)]
     if table_end is not None:
+        # a table gives its own start distance
+        argv.remove("--rho0")
+        argv.remove("1.0")
         table = tmp_path / "rho.csv"
         table.write_text(f"t,rho\n0,1.0\n{table_end},1.0\n")
         argv += ["--table", str(table)]
@@ -378,10 +381,8 @@ _GOLDEN = [  # (case, T, stride, exit status, paths.csv, summary.json)
 @pytest.mark.parametrize("case,T,stride,code,csv_sha,json_sha", _GOLDEN,
                          ids=[f"{c}-T{T}-stride{s}" for c, T, s, *_ in _GOLDEN])
 def test_simulate_golden_bytes(tmp_path, capsys, case, T, stride, code, csv_sha, json_sha,
-                               shards, monkeypatch):
-    # one path per chunk, so that the simulator shards as well as the writer; neither
-    # file reads mean_d_emp, the one value the chunk size can change
-    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 1)
+                               shards):
+    # the simulator and the writer both shard the 3 paths
     for cores in (1, 2, 3):
         forks = shards(cores)
         n_forks = len(forks)
@@ -389,10 +390,12 @@ def test_simulate_golden_bytes(tmp_path, capsys, case, T, stride, code, csv_sha,
         rc = run_main(["simulate", *_GOLDEN_ARGS[case], "--dt", "1e-2", "--T", T,
                        "--paths", "3", "--seed", "7", "--csv-stride", stride, "--out", str(out)])
         assert rc == code
-        # the simulator forks only when there is a step to take
-        assert len(forks) - n_forks == (cores - 1) * (1 if T == "0" else 2)
         # samples 0..5 at T=0.05; stride 4 keeps 0, 4 and the final sample 5
         per_path = 1 if T == "0" else {"1": 6, "4": 3}[stride]
+        # the simulator forks only when there is a step to take
+        steps = 0 if T == "0" else 5
+        assert len(forks) - n_forks == shards_mod.shard_count(3 * steps, 3) - 1 + \
+            shards_mod.shard_count(3 * per_path, 3) - 1
         text = (out / "paths.csv").read_bytes()
         assert text.count(b"\n") == 1 + 3 * per_path
         assert hashlib.sha256(text).hexdigest() == csv_sha
@@ -446,9 +449,10 @@ def _special_values_ensemble():
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_write_paths_csv_bytes_do_not_depend_on_shards(cores, tmp_path, shards):
-    # 3 shards of 5 paths are paths [0], [1, 2] and [3, 4]
-    forks = shards(cores)
+    # 3 shards of 5 paths are paths [0], [1, 2] and [3, 4]; the ensemble is
+    # simulated in one process, so every fork counted is the writer's
     res = _special_values_ensemble()
+    forks = shards(cores)
     for stride in (1, 3, 13, 100):
         out = tmp_path / f"paths-{stride}.csv"
         cli.write_paths_csv(out, res, stride)
@@ -640,9 +644,9 @@ def test_fmt_bulk_any_float(values):
 ])
 def test_write_paths_csv_shard_count_is_bounded(min_rows, cores, n_forks, tmp_path,
                                                 shards, monkeypatch):
+    res = _special_values_ensemble()
     forks = shards(cores)
     monkeypatch.setattr(shards_mod, "MIN_SHARD_WORK", min_rows)
-    res = _special_values_ensemble()
     cli.write_paths_csv(tmp_path / "paths.csv", res)
     assert len(forks) == n_forks
     assert (tmp_path / "paths.csv").read_bytes() == _reference_paths_csv(res, 1)
@@ -701,7 +705,9 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "converge-paths-too-many", "simulate-rho0-tiny-euclidean",
                                   "simulate-rho0-tiny-hyperbolic",
                                   "simulate-rho0-tiny-max-growth",
-                                  "simulate-sphere-floor-start", "simulate-sphere-floor-later"])
+                                  "simulate-sphere-floor-start", "simulate-sphere-floor-later",
+                                  "flag-rho0-table", "config-rho0-table",
+                                  "flag-rho0-deg-table"])
 def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     cfgfile, table = tmp_path / "run.cfg", tmp_path / "rho.csv"
     argv = ["simulate", "--space", "euclidean", "--profile", "tabulated", "--table", str(table),
@@ -736,6 +742,19 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
     elif case == "flag-dts-negative":
         argv += ["--dts=-1e-2,-2e-2,-3e-2"]
         expect = "field dts"
+    elif case.endswith("-table"):
+        # a tabulated profile starts at its table's first rho: a start distance beside
+        # it ran from that rho, and nothing said so
+        expect = "error: field rho0: a tabulated profile starts at its table's first rho\n"
+        if case == "config-rho0-table":
+            cfgfile.write_text("rho0 = 5\n")
+            argv += ["--config", str(cfgfile)]
+        elif case == "flag-rho0-table":
+            argv += ["--dim", "3", "--rho0", "5"]
+        else:
+            argv[argv.index("--space") + 1] = "sphere"
+            argv += ["--rho0-deg", "30"]
+            expect = expect.replace("rho0", "rho0-deg", 1)
     elif case == "flag-rho0-inf":
         argv = ["check", "--space", "euclidean", "--profile", "constant", "--rho0", "inf",
                 "--out", str(tmp_path / "run")]

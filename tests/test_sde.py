@@ -10,6 +10,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 import detcouple.sde as sde_mod
+import detcouple.shards as shards_mod
 import detcouple.verify as vf_mod
 from detcouple import cli
 from detcouple import coupling as cp
@@ -83,7 +84,7 @@ def test_block_matches_sequential_draws():
 
 def test_small_noise_blocks_change_no_value(monkeypatch, shards):
     # the simulator and the oracle at blocks of 1, 2 and 3 steps on 1, 2 and 3 cores, in
-    # 2-path batches (the 7th path is a batch of its own, whose blocks are twice as long)
+    # batches of at most 2 paths (a 1-path batch's blocks are twice as long)
     prof = pf.sphere_contracting(S2, 1.0)
 
     def run():
@@ -91,8 +92,7 @@ def test_small_noise_blocks_change_no_value(monkeypatch, shards):
         oracle = rotation_ensemble(1.0, 1e-2, 0.2, 9, 7)
         return [res.paths_X, res.paths_Y, res.d_emp, res.mean_d_emp, *oracle]
 
-    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
-    monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", 1)
+    monkeypatch.setattr(shards_mod, "BATCH", 2)
     whole = run()
     for cores in (1, 2, 3):
         forks = shards(cores)
@@ -534,7 +534,8 @@ def test_kinked_table_tracked_at_its_slopes():
     # the segment slopes, biases it by 0.015)
     ts = np.linspace(0.0, 1.0, 11)
     after = np.maximum(ts - 0.5, 0.0)
-    res = simulate_ensemble(S2, pf.tabulated(ts, np.pi / 2 - 0.6 * after), 1e-4, 1.0, 0, 400)
+    res = simulate_ensemble(S2, pf.tabulated(ts, np.pi / 2 - 0.6 * after), 1e-4, 1.0, 0, 400,
+                            record_distances=True)
     assert np.max(np.abs(res.mean_d_emp - res.target)) <= 0.005
     # the nodes of sphere_contracting after the kink leave the band on [0.5, 0.6]
     kinked = np.where(ts <= 0.5, np.pi / 2, pf.sphere_contracting(S2, np.pi / 2).eval(after)[0])
@@ -558,30 +559,39 @@ def test_general_curvature_sphere_tracks():
 
 @pytest.mark.parametrize("record", ["nothing", "distances", "paths"])
 def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
-    # path results must not depend on which shard ran them, nor on what is recorded
+    # path results must not depend on which shard or batch ran them, nor on what is
+    # recorded, and the mean of the recorded distances keeps its sum order wherever
+    # the shards and batches end
     prof = pf.constant(1.0)
     big = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10, record_paths=True)
-    # the sums of blocks of 3 paths, each added path by path, then in block order
-    mean_d = np.zeros(big.times.size)
-    for i0 in range(0, 10, 3):
-        mean_d += big.d_emp[i0:i0 + 3].sum(axis=0)
     recorded = {"nothing": (), "distances": ("d_emp",),
                 "paths": ("d_emp", "paths_X", "paths_Y")}[record]
     monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 3)
-    # batches of one block each, of 3 blocks (a shard of 4 ends in a 1-path batch), whole shards
-    for cores, batch in [(c, b) for c in (1, 2, 3) for b in (1, 3, 8)]:
-        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", batch)
+    # the sums of blocks of 3 paths, each added path by path, then in block order
+    mean_d = np.zeros(big.times.size)
+    for i0 in range(0, 10, 3):
+        block = np.zeros(big.times.size)
+        for d in big.d_emp[i0:i0 + 3]:
+            block += d
+        mean_d += block
+    # shards of 10, 5 + 5 and 4 + 3 + 3 paths, in batches of 1, 2, 4 and 8 paths:
+    # all but the one-path batches end inside a sum block
+    for cores, batch in [(c, b) for c in (1, 2, 3) for b in (1, 2, 4, 8)]:
+        monkeypatch.setattr(shards_mod, "BATCH", batch)
         forks = shards(cores)
         n_forks = len(forks)
         small = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10,
                                   record_distances=record == "distances",
                                   record_paths=record == "paths")
-        assert len(forks) - n_forks == cores - 1       # 4 blocks of 3, 3, 3 and 1 paths
+        assert len(forks) - n_forks == shards_mod.shard_count(10 * 10, 10) - 1 == cores - 1
         for name in ("final_X", "final_Y", "sup_err") + recorded:
             assert np.array_equal(getattr(big, name), getattr(small, name)), (cores, batch, name)
         for name in {"d_emp", "paths_X", "paths_Y"} - set(recorded):
             assert getattr(small, name) is None, (cores, batch, name)
-        assert np.array_equal(small.mean_d_emp, mean_d / 10), (cores, batch)
+        if record == "nothing":
+            assert small.mean_d_emp is None
+        else:
+            assert np.array_equal(small.mean_d_emp, mean_d / 10), (cores, batch)
 
 
 @pytest.mark.parametrize("run,words", [
@@ -607,8 +617,7 @@ def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(run, words, monk
     monkeypatch.setattr(sde_mod, "block_gaussians", counted)
     monkeypatch.setattr(sde_mod, "_advance_batch", advance)
     monkeypatch.setattr(vf_mod, "_rodrigues", rodrigues)
-    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
-    monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", 2)
+    monkeypatch.setattr(shards_mod, "BATCH", 4)
     # a batch of 4 paths holds 5 of its 20 steps of noise at a time
     monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", _block_bytes(5, 4, words))
     shards(1)
@@ -632,7 +641,6 @@ def test_failed_simulator_shard_raises_in_the_parent(tmp_path, capsys, shards, m
         return real_advance(*args)
 
     monkeypatch.setattr(sde_mod, "_advance_batch", advance)
-    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 2)
     # a block-buffered stdout still holds the line when the children fork
     with open(tmp_path / "stdout.txt", "w") as stdout, contextlib.redirect_stdout(stdout):
         print("printed once")
@@ -762,8 +770,6 @@ ARRAY_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
 def test_simulate_ensemble_array_digests(case, shards):
     spec, build, P, dt, T, seed, enforce = ARRAY_CASES[case]
-    # one shard per chunk of CHUNK_PATHS paths, up to the cores: only e3-260-paths has two
-    n_chunks = -(-P // sde_mod.CHUNK_PATHS)
     for cores in (1, 2, 3):
         forks = shards(cores)
         n_forks = len(forks)
@@ -773,4 +779,4 @@ def test_simulate_ensemble_array_digests(case, shards):
                                     .tobytes()).hexdigest()
                for name in ARRAY_DIGESTS[case]}
         assert got == ARRAY_DIGESTS[case], cores
-        assert len(forks) - n_forks == min(cores, n_chunks) - 1
+        assert len(forks) - n_forks == shards_mod.shard_count(P * (res.times.size - 1), P) - 1

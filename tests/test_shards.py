@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detcouple import shards as shards_mod
-from detcouple.shards import cuts, fork_map, map_ranges, shard_count, usable_cores
+from detcouple.shards import batches, cuts, fork_map, map_ranges, shard_count, usable_cores
 
 
 @pytest.fixture(autouse=True)
@@ -44,44 +44,57 @@ def test_shard_count(cores, work, most, expect, monkeypatch):
     assert shard_count(work, most) == expect
 
 
-@pytest.mark.parametrize("cores,n,work,unit,expect", [
-    (2, 1000, 10**6, 256, [0, 512, 1000]),      # e3-csv's simulator: 4 sum blocks
-    (2, 1000, 10**6, 1, [0, 500, 1000]),        # e3-csv's paths.csv writer
+@pytest.mark.parametrize("cores,n,work,batch,expect", [
+    (2, 1000, 10**6, 256, [0, 500, 1000]),      # e3-csv's simulator and paths.csv writer
+    (2, 1000, 10**6, 1, [0, 500, 1000]),
     (2, 2000, 2 * 10**6, 1, [0, 1000, 2000]),   # verify-scan's oracle
-    (3, 10, 10**6, 3, [0, 3, 6, 10]),           # 4 blocks in 3 shards; the last block is short
-    (4, 10, 10**6, 3, [0, 3, 6, 9, 10]),        # at most one shard per block
+    (3, 10, 10**6, 3, [0, 3, 6, 10]),
+    (4, 10, 10**6, 3, [0, 2, 5, 7, 10]),
     (4, 1000, 250_000, 1, [0, 500, 1000]),      # at least MIN_SHARD_WORK units each
     (1, 1000, 10**6, 256, [0, 1000]),
+    (2, 257, 257_000, 2048, [0, 128, 257]),     # a shard may end inside a 256-path sum block
+    (4, 3, 10**6, 2, [0, 1, 2, 3]),             # at most one shard per item
 ])
-def test_cuts(cores, n, work, unit, expect, monkeypatch):
+def test_cuts(cores, n, work, batch, expect, monkeypatch):
+    # shards differ in size by at most one item, whatever the batch bound, and the
+    # batches of a shard tile it, each of at most BATCH items
     monkeypatch.setattr(shards_mod, "usable_cores", lambda: cores)
-    assert cuts(n, work, unit) == expect
+    monkeypatch.setattr(shards_mod, "BATCH", batch)
+    assert cuts(n, work) == expect
+    sizes = [b - a for a, b in zip(expect, expect[1:])]
+    assert max(sizes) - min(sizes) <= 1
+    for a, b in zip(expect, expect[1:]):
+        ranges = batches(a, b)
+        assert [p for q, q1 in ranges for p in range(q, q1)] == list(range(a, b))
+        assert all(0 < q1 - q <= batch for q, q1 in ranges)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
-@pytest.mark.parametrize("n,unit,batch", [
+@pytest.mark.parametrize("n,batch,work", [
     (10, 3, 1), (10, 3, 2), (10, 1, 4), (7, 7, 1), (7, 2, 100),
 ])
-def test_map_ranges_tiles_whole_blocks_in_bounded_batches(cores, n, unit, batch, shards):
+def test_map_ranges_tiles_whole_blocks_in_bounded_batches(cores, n, batch, work, shards,
+                                                          monkeypatch):
     forks = shards(cores)
-    bounds = cuts(n, n, unit)
-    out = map_ranges(lambda p0, p1: (p0, p1, os.getpid()), n, n, unit, batch)
-    assert len(forks) == len(bounds) - 2
+    monkeypatch.setattr(shards_mod, "BATCH", batch)
+    bounds = cuts(n, work)
+    out = map_ranges(lambda p0, p1: (p0, p1, os.getpid()), n, work)
+    # one unit of work may fill a shard: at most `work` shards, one per core
+    assert len(forks) == len(bounds) - 2 == min(cores, work) - 1
     # the ranges tile range(n) in order, each non-empty
     assert all(p1 > p0 for p0, p1, _ in out)
     assert [p for p0, p1, _ in out for p in range(p0, p1)] == list(range(n))
-    # shards and batches start on whole blocks, so only the block that ends at n may be short
-    assert bounds[-1] == n and all(b % unit == 0 for b in bounds[:-1])
+    # a shard is whole blocks of BATCH items and one shorter last batch
     for p0, p1, pid in out:
         s = bisect.bisect_right(bounds, p0) - 1
-        assert p0 % unit == 0 and p1 <= bounds[s + 1], (p0, p1, bounds)
-        assert p1 - p0 <= unit * batch
+        assert p1 - p0 == min(batch, bounds[s + 1] - p0), (p0, p1, bounds)
         assert pid == ([os.getpid()] + forks)[s]
     assert _no_child_left()
 
 
-def test_map_ranges_raises_a_batch_exception_unchanged(shards):
+def test_map_ranges_raises_a_batch_exception_unchanged(shards, monkeypatch):
     shards(3)                           # shards [0, 3), [3, 6) and [6, 9), one path per batch
+    monkeypatch.setattr(shards_mod, "BATCH", 1)
     for bad in (1, 4):                  # a batch in this process, then in a child
 
         def fn(p0, p1):
@@ -90,7 +103,7 @@ def test_map_ranges_raises_a_batch_exception_unchanged(shards):
             return p0
 
         with pytest.raises(KeyError) as info:
-            map_ranges(fn, 9, 9, 1, 1)
+            map_ranges(fn, 9, 9)
         assert info.value.args == ("batch", bad)
         assert _no_child_left()
 

@@ -1,6 +1,6 @@
-"""Every top-level function and class in ``src/detcouple`` has a caller in
-``src`` or is exported by the package: code only its own tests use belongs
-under ``tests/``.  Every name a module imports is used in it."""
+"""Every top-level function, class and assigned name in ``src/detcouple`` is
+used in ``src`` or exported by the package: code and constants only their own
+tests use belong under ``tests/``.  Every name a module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -19,17 +19,29 @@ def _names(node):
             yield sub.name
 
 
+def _defined(stmt):
+    """The names a module-level statement defines: a function's or class's, or the
+    names it assigns; dunder names such as ``__version__`` are exempt."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("__")]
+
+
 def test_every_definition_has_a_src_caller_or_is_exported():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
     uncalled = []
     for module, tree in trees.items():
         for defn in tree.body:
-            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            # a reference from anywhere in src but the definition's own body
-            if not any(defn.name in _names(stmt) for stmt in statements if stmt is not defn):
-                uncalled.append(f"{module}: {defn.name}")
+            for name in _defined(defn):
+                # a reference from anywhere in src but the defining statement itself
+                if not any(name in _names(stmt) for stmt in statements if stmt is not defn):
+                    uncalled.append(f"{module}: {name}")
     assert not uncalled, f"defined in src, used by no src code and not exported: {uncalled}"
 
 

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.stats import chi
 
-import detcouple.sde as sde_mod
+import detcouple.shards as shards_mod
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple import verify as vf
@@ -37,25 +37,23 @@ def _sha(*arrays):
 
 def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards, monkeypatch):
     # recorded when the oracle ran in one process; the second round steps batches of
-    # 7 * 3 = 21 paths, which end inside every shard
-    for chunk, batch in ((sde_mod.CHUNK_PATHS, sde_mod.BATCH_BLOCKS), (7, 3)):
-        monkeypatch.setattr(sde_mod, "CHUNK_PATHS", chunk)
-        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", batch)
+    # 21 paths, which end inside every shard
+    for batch in (shards_mod.BATCH, 21):
+        monkeypatch.setattr(shards_mod, "BATCH", batch)
         for cores in (1, 2, 3):
             forks = shards(cores)
             n_forks = len(forks)
             out = vf.rotation_ensemble(np.pi / 2, 1e-3, 0.5, 11, 600)
-            assert len(forks) - n_forks == cores - 1, (chunk, batch, cores)
+            assert len(forks) - n_forks == cores - 1, (batch, cores)
             assert _sha(*out) == \
-                "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928", (chunk, batch)
+                "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928", batch
 
 
 def test_identity_scan_all_digest_on_1_2_and_3_cores(shards, monkeypatch):
     # recorded when the 12 scans ran in one process, each on its whole sample; the
-    # reports keep their order, and the second round checks batches of 7 * 3 = 21 states
-    for chunk, batch in ((sde_mod.CHUNK_PATHS, sde_mod.BATCH_BLOCKS), (7, 3)):
-        monkeypatch.setattr(sde_mod, "CHUNK_PATHS", chunk)
-        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", batch)
+    # reports keep their order, and the second round checks batches of 21 states
+    for batch in (shards_mod.BATCH, 21):
+        monkeypatch.setattr(shards_mod, "BATCH", batch)
         for cores in (1, 2, 3):
             forks = shards(cores)
             n_forks = len(forks)
@@ -63,7 +61,7 @@ def test_identity_scan_all_digest_on_1_2_and_3_cores(shards, monkeypatch):
             assert len(forks) - n_forks == cores - 1
             text = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode()
             assert hashlib.sha256(text).hexdigest() == \
-                "1dab46d8cb7a878e230264ea791c2858702e0b68d9579e7710b1a352834836ff", (chunk, batch)
+                "1dab46d8cb7a878e230264ea791c2858702e0b68d9579e7710b1a352834836ff", batch
 
 
 SAMPLERS = {ms.SpaceKind.EUCLIDEAN: vf._sample_euclidean, ms.SpaceKind.SPHERE: vf._sample_sphere,
@@ -76,14 +74,12 @@ def test_identity_scan_is_the_whole_sample_report_at_any_batch_bound(space, n, m
     # batches of at most 1, 2, 7 and 2,048 states; each sample size leaves a last
     # batch of one state
     spec, seed = space(n), 17
-    for chunk, blocks, size in ((1, 1, 43), (1, 2, 43), (7, 1, 43),
-                                (sde_mod.CHUNK_PATHS, sde_mod.BATCH_BLOCKS, 2049)):
+    for batch, size in ((1, 43), (2, 43), (7, 43), (shards_mod.BATCH, 2049)):
         whole = vf._residuals(spec.kind, n, *SAMPLERS[spec.kind](n, size,
                                                                  np.random.default_rng(seed)))
-        monkeypatch.setattr(sde_mod, "CHUNK_PATHS", chunk)
-        monkeypatch.setattr(sde_mod, "BATCH_BLOCKS", blocks)
+        monkeypatch.setattr(shards_mod, "BATCH", batch)
         rep = vf.identity_scan(spec, size, seed)
-        assert rep.details == whole, (chunk, blocks)
+        assert rep.details == whole, batch
         assert rep.statistic == max(whole.values())
     if spec.kind is ms.SpaceKind.HYPERBOLIC and n >= 2:
         # the first batch of 7 holds vertical pairs only, so its report has no det_block:
@@ -99,7 +95,7 @@ def test_identity_scan_working_set_is_the_sample_and_one_batch():
     # residuals of the whole sample at once peaked at about 30 MiB
     spec, size = ms.sphere(3), 40_000
     N = spec.ambient_dim
-    bound = 8 * (5 * size * N + 8 * N * N * sde_mod.BATCH_BLOCKS * sde_mod.CHUNK_PATHS)
+    bound = 8 * (5 * size * N + 8 * N * N * shards_mod.BATCH)
     vf.identity_scan(spec, 10, 3)
     tracemalloc.start()
     try:
@@ -165,6 +161,16 @@ def test_distance_error_stats_enforced(case):
     rep = vf.distance_error_stats(res, tolerance=1e-12)
     assert rep.passed
     assert rep.details["max_sup_err"] <= 1e-12
+
+
+def test_envelope_check_needs_recorded_distances():
+    prof = pf.sphere_contracting(S2, 1.0)
+    recorded = simulate_ensemble(S2, prof, 1e-2, 0.2, 4, 5, record_distances=True)
+    assert vf.envelope_check(recorded, 0.05).statistic >= 0.0
+    bare = simulate_ensemble(S2, prof, 1e-2, 0.2, 4, 5)
+    assert bare.mean_d_emp is None
+    with pytest.raises(ValidationError, match="recorded distances"):
+        vf.envelope_check(bare, 0.05)
 
 
 def test_rodrigues_matches_expm():
