@@ -9,9 +9,10 @@ Three independent lines of evidence that the constructions are right:
   mean distance stays inside the reachable envelope, and the marginals of
   each motion have the exact mean of the scheme that moved it;
 * the rotation oracle: an entirely different construction of the sphere
-  fixed-distance coupling (a common random rotation applied to both start
-  points), exact up to roundoff, to cross-check the SDE ensembles. Its
-  increments come from the simulator's noise stream, ``sde.step_gaussians``.
+  fixed-distance coupling (one random rotation per step turns both points),
+  exact up to roundoff, to cross-check the SDE ensembles.  Its distance,
+  2 atan2(|X - Y|, |X + Y|), is accurate across (0, pi), and its increments
+  come from the simulator's noise stream, ``sde.step_gaussians``.
 
 The identity scans of :func:`identity_scan_all` run on every usable core
 through ``shards.fork_map``, each whole in one process: a scan draws its
@@ -378,45 +379,33 @@ def mean_decay_check(result: EnsembleResult) -> list[VerifyReport]:
 # SO(3) rotation oracle for the sphere fixed-distance coupling
 
 
-def _rodrigues(delta):
-    """Batched closed-form exponential of the antisymmetric matrix [delta]_x:
-    I + sin(theta) Kx + (1 - cos(theta)) Kx^2 with Kx = [delta / theta]_x,
-    and I where theta = |delta| is 0."""
+def _rotate(delta, points):
+    """Each (P, 3) array of ``points`` turned row by row by exp([delta]_x), with
+    Rodrigues' vector formula v cos(theta) + (a x v) sin(theta) + a (a . v)(1 - cos(theta)),
+    where theta = |delta| and a = delta / theta; a = 0 where theta is 0, so v is kept."""
     theta = _norm(delta)
-    a = delta / np.where(theta > 0, theta, 1.0)[..., None]
-    Kx = np.zeros(np.shape(theta) + (3, 3))
-    Kx[..., 0, 1], Kx[..., 0, 2] = -a[..., 2], a[..., 1]
-    Kx[..., 1, 0], Kx[..., 1, 2] = a[..., 2], -a[..., 0]
-    Kx[..., 2, 0], Kx[..., 2, 1] = -a[..., 1], a[..., 0]
-    R = np.sin(theta)[..., None, None] * Kx
-    R += np.eye(3)
-    R += (1.0 - np.cos(theta))[..., None, None] * (Kx @ Kx)
-    R[~(theta > 0)] = np.eye(3)
-    return R
-
-
-def _cosine(Z, x, y):
-    """(Z x) . (Z y) per rotation Z: ``np.einsum("pij,j,pik,k->p", Z, x, Z, y)``
-    with einsum's sum written out, over i, then j, then k, from +0.0.
-
-    A term with x[j] or y[k] exactly 0 is a signed zero for finite Z, and
-    adding one to a sum that starts at +0.0 changes no bit, so it is skipped.
-    For the canonical pair (x = e0, y in span(e0, e1)) that leaves 6 of the
-    27 terms.
-    """
-    d = np.zeros(len(Z))
-    js, ks = np.flatnonzero(x), np.flatnonzero(y)
-    for i in range(3):
-        for j in js:
-            zx = Z[:, i, j] * x[j]
-            for k in ks:
-                d += (zx * Z[:, i, k]) * y[k]
-    return d
+    a = delta / np.where(theta > 0, theta, 1.0)[:, None]
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    turned = []
+    for v in points:
+        axv = np.empty_like(v)
+        axv[:, 0] = a[:, 1] * v[:, 2] - a[:, 2] * v[:, 1]
+        axv[:, 1] = a[:, 2] * v[:, 0] - a[:, 0] * v[:, 2]
+        axv[:, 2] = a[:, 0] * v[:, 1] - a[:, 1] * v[:, 0]
+        turned.append(v * cos + axv * sin + a * (_dots(a, v)[:, None] * (1.0 - cos)))
+    return turned
 
 
 def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int):
-    """Both points carried by one Brownian rotation per path: the distance is
+    """Both points turned by one Brownian rotation per path: the distance is
     exactly constant and each image is a Brownian motion on the 2-sphere.
+
+    Each step turns X and Y by the same exp([sqrt(h) z]_x), with z three normals
+    from :func:`step_gaussians`.  That is the law of carrying a rotation Z and
+    turning it on the right, X = Z x: Z R Z' has the law of R, as
+    Q exp([delta]_x) Q' = exp([Q delta]_x) and delta is isotropic, so (X, Y) is
+    the same Markov chain.  The distance is read as 2 atan2(|X - Y|, |X + Y|),
+    accurate to rounding at every distance in (0, pi).
 
     Returns (times, sup_err (P,), final_X (P,3), final_Y (P,3)).  The paths
     run on every usable core in batches of at most ``shards.BATCH``, each
@@ -430,13 +419,13 @@ def rotation_ensemble(rho0: float, dt: float, T: float, seed: int, n_paths: int)
     M = times.size - 1
 
     def run_paths(p0, p1):
-        Z = np.tile(np.eye(3), (p1 - p0, 1, 1))
+        X, Y = np.tile(x, (p1 - p0, 1)), np.tile(y, (p1 - p0, 1))
         sup = np.zeros(p1 - p0)
         for i, z in enumerate(step_gaussians(seed, p0, p1 - p0, M, 3)):
-            Z = Z @ _rodrigues(np.sqrt(times[i + 1] - times[i]) * z)
-            d = np.arccos(np.clip(_cosine(Z, x, y), -1.0, 1.0))
+            X, Y = _rotate(np.sqrt(times[i + 1] - times[i]) * z, (X, Y))
+            d = 2.0 * np.arctan2(_norm(X - Y), _norm(X + Y))
             sup = np.maximum(sup, np.abs(d - rho0))
-        return sup, Z @ x, Z @ y
+        return sup, X, Y
 
     parts = map_ranges(run_paths, n_paths, n_paths * M)
     sup, final_X, final_Y = (np.concatenate(part) for part in zip(*parts))

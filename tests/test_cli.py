@@ -277,6 +277,16 @@ def test_converge_zero_error_has_no_slope(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("slope none;")
 
 
+def test_verify_sphere_oracle_at_a_small_distance(tmp_path):
+    # the oracle's distance keeps its digits near 0, where an arccos of the cosine
+    # read 1.3e-11 and failed its 1e-12 constancy bound
+    rc = run_main(["verify", "--space", "sphere", "--dim", "2", "--profile", "constant",
+                   "--rho0", "0.001", "--paths", "200", "--out", str(tmp_path)])
+    assert rc == 0
+    reports = {r["name"]: r for r in load_json(tmp_path / "verify.json")["reports"]}
+    assert reports["rotation-oracle-constancy"]["statistic"] <= 1e-12
+
+
 def test_verify_subcommand_euclidean(tmp_path, capsys, monkeypatch):
     real, runs = cli.simulate_ensemble, []       # the dt of every ensemble verify runs
     monkeypatch.setattr(cli, "simulate_ensemble",

@@ -19,7 +19,7 @@ from detcouple import profiles as pf
 from detcouple.errors import ValidationError
 from detcouple.sde import (_advance_batch, block_gaussians, blocks_per_draw, noise_stream,
                            simulate_ensemble, step_gaussians, time_grid)
-from detcouple.verify import _rodrigues, rotation_ensemble
+from detcouple.verify import _rotate, rotation_ensemble
 from sampling import random_points
 
 S2 = ms.sphere(2)
@@ -557,6 +557,21 @@ def test_general_curvature_sphere_tracks():
     assert np.allclose(np.linalg.norm(res.final_X, axis=-1), spec.r, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_flat_limit_euclidean_is_the_hyperbolic_limit_path_by_path(n):
+    # E^n and H^n both draw 2n words per step from starts on the first axis, so one
+    # seed drives both with the same increments, and as K -> 0 each H^n path tends to
+    # its E^n path: the largest distance gap shrinks like sqrt|K| = 1 / r
+    ramp = pf.tabulated([0.0, 1.0], [1.0, 1.5])
+    d_E = simulate_ensemble(ms.euclidean(n), ramp, 1e-3, 1.0, 7, 200,
+                            record_distances=True).d_emp
+    Ks = np.array([1e-4, 1e-6, 1e-8])
+    gaps = [np.max(np.abs(simulate_ensemble(ms.hyperbolic(n, K=-K), ramp, 1e-3, 1.0, 7, 200,
+                                            record_distances=True).d_emp - d_E)) for K in Ks]
+    slope = np.polyfit(np.log(Ks), np.log(gaps), 1)[0]
+    assert abs(slope - 0.5) <= 0.05, (gaps, slope)
+
+
 @pytest.mark.parametrize("record", ["nothing", "distances", "paths"])
 def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
     # path results must not depend on which shard or batch ran them, nor on what is
@@ -610,13 +625,13 @@ def test_noise_draws_and_batch_width_do_not_grow_with_the_shard(run, words, monk
         widths.append(len(X))
         return _advance_batch(kind, n, X, *args)
 
-    def rodrigues(delta):
+    def rotate(delta, points):
         widths.append(len(delta))
-        return _rodrigues(delta)
+        return _rotate(delta, points)
 
     monkeypatch.setattr(sde_mod, "block_gaussians", counted)
     monkeypatch.setattr(sde_mod, "_advance_batch", advance)
-    monkeypatch.setattr(vf_mod, "_rodrigues", rodrigues)
+    monkeypatch.setattr(vf_mod, "_rotate", rotate)
     monkeypatch.setattr(shards_mod, "BATCH", 4)
     # a batch of 4 paths holds 5 of its 20 steps of noise at a time
     monkeypatch.setattr(sde_mod, "NOISE_BLOCK_BYTES", _block_bytes(5, 4, words))
@@ -674,7 +689,8 @@ _STEP_LOOPS = {
 @pytest.mark.parametrize("loop", sorted(_STEP_LOOPS))
 def test_step_loops_make_no_generic_reduction_calls(loop, monkeypatch, shards):
     # the steps sum their short coordinate axes by hand (model_space._dots and _norm,
-    # verify._cosine, verify._rodrigues): these calls may run per run, never per step
+    # which the oracle's verify._rotate and its distance use too): these calls may run
+    # per run, never per step
     calls = []
     for module, name in ((np, "einsum"), (np, "stack"), (np.linalg, "norm")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +18,7 @@ from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple import verify as vf
 from detcouple.errors import ValidationError
-from detcouple.sde import simulate_ensemble
-from detcouple.verify import _rodrigues
+from detcouple.sde import simulate_ensemble, time_grid
 
 S2 = ms.sphere(2)
 H2 = ms.hyperbolic(2)
@@ -35,9 +39,13 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
+# SHA-256 of rotation_ensemble(pi / 2, 1e-3, 0.5, 11, 600): the same at every
+# core count, batch width and numeric platform
+ORACLE_DIGEST = "3ab2787ff7cfb179fbbe1d8ee178de49c2276640f796c0b73e8cc99b7bf4a557"
+
+
 def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards, monkeypatch):
-    # recorded when the oracle ran in one process; the second round steps batches of
-    # 21 paths, which end inside every shard
+    # the second round steps batches of 21 paths, which end inside every shard
     for batch in (shards_mod.BATCH, 21):
         monkeypatch.setattr(shards_mod, "BATCH", batch)
         for cores in (1, 2, 3):
@@ -45,8 +53,32 @@ def test_rotation_ensemble_digest_on_1_2_and_3_cores(shards, monkeypatch):
             n_forks = len(forks)
             out = vf.rotation_ensemble(np.pi / 2, 1e-3, 0.5, 11, 600)
             assert len(forks) - n_forks == cores - 1, (batch, cores)
-            assert _sha(*out) == \
-                "2a38c5c15cae7ec4e764aeee8dad922867b911c13bd9160b0db267b01f958928", batch
+            assert _sha(*out) == ORACLE_DIGEST, batch
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the emulated dispatch levels are x86-64 ones")
+@pytest.mark.parametrize("env", [
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+], ids=["numpy-without-avx512", "openblas-haswell"])
+def test_rotation_ensemble_digest_under_emulated_numeric_platforms(env):
+    # numpy picks SIMD loops, and OpenBLAS its kernels, by CPU; a child process run
+    # with the loops or kernels of an older x86-64 CPU must read the native digest.
+    # numpy ignores a disabled feature that the CPU lacks.
+    src = str(Path(vf.__file__).resolve().parents[1])
+    child_env = {**os.environ, **env,
+                 "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import hashlib, numpy as np\n"
+            "from detcouple.verify import rotation_ensemble\n"
+            "h = hashlib.sha256()\n"
+            "for a in rotation_ensemble(np.pi / 2, 1e-3, 0.5, 11, 600):\n"
+            "    h.update(np.ascontiguousarray(a, dtype='<f8').tobytes())\n"
+            "print(h.hexdigest())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ORACLE_DIGEST
 
 
 def test_identity_scan_all_digest_on_1_2_and_3_cores(shards, monkeypatch):
@@ -175,59 +207,18 @@ def test_envelope_check_needs_recorded_distances():
 
 def test_rodrigues_matches_expm():
     rng = np.random.default_rng(12)
-    for _ in range(50):
-        delta = 0.3 * rng.standard_normal(3)
-        K = np.array([[0, -delta[2], delta[1]],
-                      [delta[2], 0, -delta[0]],
-                      [-delta[1], delta[0], 0]])
-        R = _rodrigues(delta)
-        assert np.max(np.abs(R - expm(K))) <= 1e-12
-        assert np.max(np.abs(R @ R.T - np.eye(3))) <= 1e-14
-        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-13)
-    assert np.array_equal(_rodrigues(np.zeros(3)), np.eye(3))
-
-
-def _rodrigues_stacked(delta):
-    """The oracle's former rotation step: Kx from np.stack, I where theta = 0 by np.where."""
-    theta = np.linalg.norm(delta, axis=-1)
-    safe = np.where(theta > 0, theta, 1.0)
-    a = delta / safe[..., None]
-    zero = np.zeros_like(theta)
-    Kx = np.stack([
-        np.stack([zero, -a[..., 2], a[..., 1]], axis=-1),
-        np.stack([a[..., 2], zero, -a[..., 0]], axis=-1),
-        np.stack([-a[..., 1], a[..., 0], zero], axis=-1),
-    ], axis=-2)
-    st = np.sin(theta)[..., None, None]
-    ct = (1.0 - np.cos(theta))[..., None, None]
-    R = np.eye(3) + st * Kx + ct * (Kx @ Kx)
-    return np.where((theta > 0)[..., None, None], R, np.eye(3))
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
-def test_rodrigues_keeps_the_bits_of_the_stacked_form():
-    rng = np.random.default_rng(21)
-    delta = 0.05 * rng.standard_normal((1000, 3))
-    delta[::7] = 0.0
-    delta[3::7] = -0.0
-    delta[5::7, 1:] = 0.0
-    for d in (delta, delta[:1], delta[7], delta[1], np.zeros(3)):
-        assert np.array_equal(_bits(_rodrigues(d)), _bits(_rodrigues_stacked(d)))
-
-
-@pytest.mark.parametrize("rho0", [0.3, 1.0, np.pi / 2, 2.5, 3.1])
-def test_oracle_cosine_keeps_the_bits_of_einsum(rho0):
-    x, y = ms.canonical_start(S2, rho0)
-    rng = np.random.default_rng(22)
-    for P in (1, 2, 21, 1000):
-        Z = np.tile(np.eye(3), (P, 1, 1))
-        for _ in range(20):
-            Z = Z @ _rodrigues(0.05 * rng.standard_normal((P, 3)))
-            assert np.array_equal(_bits(vf._cosine(Z, x, y)),
-                                  _bits(np.einsum("pij,j,pik,k->p", Z, x, Z, y))), P
+    delta = 0.3 * rng.standard_normal((50, 3))
+    V = rng.standard_normal((50, 3))
+    X, Y = vf._rotate(delta, (np.eye(3)[[0] * 50], V))
+    for p, d in enumerate(delta):
+        R = expm(np.array([[0, -d[2], d[1]], [d[2], 0, -d[0]], [-d[1], d[0], 0]]))
+        assert np.max(np.abs(X[p] - R[:, 0])) <= 1e-12
+        assert np.max(np.abs(Y[p] - R @ V[p])) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(Y, axis=-1) - np.linalg.norm(V, axis=-1))) <= 1e-14
+    # theta = 0, of either sign, keeps the point's bits
+    zero = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
+    (same,) = vf._rotate(zero, (V[:2],))
+    assert np.array_equal(same, V[:2])
 
 
 def test_rotation_oracle_distance_constant():
@@ -236,14 +227,39 @@ def test_rotation_oracle_distance_constant():
     assert np.allclose(np.linalg.norm(fX, axis=-1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho0", [1e-4, 1e-3, 1e-2, np.pi / 2, np.pi - 1e-2, np.pi - 1e-3])
+def test_rotation_oracle_distance_constant_at_both_ends(rho0):
+    # the distance 2 atan2(|X - Y|, |X + Y|) keeps its digits near 0 and near pi,
+    # where an arccos of the cosine is off by up to 1.3e-10
+    _, sup, _, _ = vf.rotation_ensemble(rho0, 1e-3, 1.0, 0, 50)
+    assert sup.max() <= 1e-12
+
+
+def test_rotation_oracle_has_the_exact_mean_of_its_rotations():
+    # a step's rotation exp([delta]_x), delta ~ N(0, h I), has E[R] = c(h) I with
+    # c(h) = (1 + 2 E[cos|delta|]) / 3 and E[cos|delta|] = (1 - h) exp(-h / 2), so
+    # E[X(T)] is the product of c over the steps times the start, and so is E[Y(T)]
+    hs = np.array([1e-3, 1e-2, 0.1, 1.0])
+    e_cos = [quad(lambda s: np.cos(np.sqrt(h) * s) * chi.pdf(s, 3), 0, np.inf)[0] for h in hs]
+    assert np.allclose(e_cos, (1.0 - hs) * np.exp(-hs / 2.0), rtol=0, atol=1e-10)
+
+    P, dt, rho0 = 20_000, 1e-2, 1.0
+    _, _, fX, fY = vf.rotation_ensemble(rho0, dt, 1.0, 5, P)
+    h = np.diff(time_grid(dt, 1.0))
+    decay = np.prod((1.0 + 2.0 * (1.0 - h) * np.exp(-h / 2.0)) / 3.0)
+    for states, start in zip((fX, fY), ms.canonical_start(S2, rho0)):
+        stat = np.linalg.norm(states.mean(axis=0) - decay * start)
+        se = np.sqrt(np.trace(np.cov(states.T)) / P)
+        assert stat <= 3.0 * se, (stat, se)
+
+
 def test_rotation_preserves_coincident_points():
     # the same rotation applied to equal start points keeps them equal
     rng = np.random.default_rng(5)
-    Z = np.eye(3)
-    x = np.array([0.0, 0.0, 1.0])
+    X = Y = np.array([[0.0, 0.0, 1.0]])
     for _ in range(200):
-        Z = Z @ _rodrigues(0.1 * rng.standard_normal(3))
-        assert ms.geodesic_distance(S2, Z @ x, Z @ x) == 0.0
+        X, Y = vf._rotate(0.1 * rng.standard_normal((1, 3)), (X, Y))
+        assert ms.geodesic_distance(S2, X[0], Y[0]) == 0.0
 
 
 def test_rotation_oracle_rho0_validation():
