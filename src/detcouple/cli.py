@@ -237,10 +237,12 @@ def _fmt(x: float) -> str:
 # D = x * 10**s rounded half-to-even to an integer, and its point goes after
 # digit e of D (after "0." and -1 - e zeros when e < 0).  10**s is an exact
 # double (s <= 20), so x * 10**s = hi + lo exactly, by Veltkamp's split and
-# Dekker's two-product (Numer. Math. 18, 1971), and D is hi + floor(lo) plus
-# the rounding of lo's fraction.  A log10 that rounds across a power of ten
-# leaves D outside [1e16, 1e17); such values, and every value outside the
-# range, are formatted by _fmt, except exact zeros, whose text is '0' or '-0'.
+# Dekker's two-product (Numer. Math. 18, 1971), and D is hi + rint(lo): where D
+# lands in [1e16, 1e17), |lo| <= ulp(hi)/2 <= 8 forces hi >= 1e16 - 8 > 2**53,
+# so hi is an even integer and numpy's half-to-even rint of lo rounds hi + lo
+# half to even.  Every other D, as when a log10 rounds across a power of ten,
+# is outside [1e16, 1e17); such values, and every value outside the range, are
+# formatted by _fmt, except exact zeros, whose text is '0' or '-0'.
 # Most values formatted per _fmt_bulk call, at least 2 (one row's t and target):
 # about 350 bytes each while formatted, so a block's working set is about 2.8 MB.
 FORMAT_VALUES = 8192
@@ -287,10 +289,7 @@ def _fmt_bulk(x: np.ndarray) -> list[bytes]:
     vh, vl = _split(v)
     ph, pl = pow10_hi[s], pow10_lo[s]
     lo = ((vh * ph - hi) + vh * pl + vl * ph) + vl * pl
-    floor_lo = np.floor(lo)
-    frac = lo - floor_lo
-    D = hi.astype(np.int64) + floor_lo.astype(np.int64)
-    D += (frac > 0.5) | ((frac == 0.5) & (D % 2 == 1))
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     ok = (D >= 10**16) & (D < 10**17)
     D, e, rows = D[ok], e[ok], rows[ok]
 

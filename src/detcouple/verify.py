@@ -269,20 +269,18 @@ def identity_scan_all(num_samples_per_space: int, seed: int) -> list[VerifyRepor
         for j, (n, w) in enumerate(SCAN_DIMS):
             scans.append((space(n), max(1, int(num_samples_per_space * w)), seed + 97 * offset + j))
     # each scan runs whole in one shard, as a split would change its generator's
-    # stream; the costliest scan left goes to the least loaded shard.  A scan costs
-    # about the same time per state and ambient coordinate in every space and n.
+    # stream.  A scan costs about the same time per state and ambient coordinate in
+    # every space and n; the scans are dealt to the k shards costliest first, back
+    # and forth: to shard 0, 1, .., k - 1, then k - 1, .., 0, and so on
     cost = [size * spec.ambient_dim for spec, size, _ in scans]
-    n_shards = shard_count(sum(size for _, size, _ in scans), len(scans))
-    groups, loads = [[] for _ in range(n_shards)], [0] * n_shards
-    for k in sorted(range(len(scans)), key=lambda k: -cost[k]):
-        s = loads.index(min(loads))
-        groups[s].append(k)
-        loads[s] += cost[k]
+    order = sorted(range(len(scans)), key=lambda j: -cost[j])
+    k = shard_count(sum(size for _, size, _ in scans), len(scans))
+    groups = [order[s::2 * k] + order[2 * k - 1 - s::2 * k] for s in range(k)]
     reports = [None] * len(scans)
-    shard_results = fork_map(lambda group: [identity_scan(*scans[k]) for k in group], groups)
+    shard_results = fork_map(lambda group: [identity_scan(*scans[j]) for j in group], groups)
     for group, shard_reports in zip(groups, shard_results):
-        for k, report in zip(group, shard_reports):
-            reports[k] = report
+        for j, report in zip(group, shard_reports):
+            reports[j] = report
     return reports
 
 

@@ -13,7 +13,8 @@ from detcouple import cli
 from detcouple import model_space as ms
 from detcouple import profiles as pf
 from detcouple import verify as vf
-from detcouple.coupling import sphere_matrices
+from detcouple.coupling import euclidean_matrices, hyperbolic_matrices, sphere_matrices
+from detcouple.errors import AdmissibilityError
 from detcouple.sde import simulate_ensemble
 from sampling import random_points
 
@@ -176,3 +177,93 @@ def test_criterion_10_determinism(tmp_path, capsys, shards):
     ok = outputs[0] == outputs[1] == outputs[2]
     report(10, ok, "three repeated runs, on 1, 2 and 3 usable cores, produce byte-identical "
                    "paths.csv and summary.json")
+
+
+def _ito_band(kind, n, X, Y, eta):
+    """The eta' that a coupling dW = J dB + K dC realizes at unit-model states (X, Y).
+
+    With dX = s_X dB + mu_X dt and dY = s_Y dW + mu_Y dt, Ito's formula gives eta the
+    martingale part (b + J'a).dB + (K'a).dC, b = s_X' grad_X eta, a = s_Y' grad_Y eta,
+    and the drift L_X eta + L_Y eta + tr(M J), M = s_X' grad_X grad_Y eta s_Y.  The
+    distance is deterministic iff J'a^ = -b^ and K'a^ = 0, that is J = -a^ b^' + C
+    with C any contraction from b^-perp to a^-perp, so eta' fills
+    [base - |A|_*, base + |A|_*], base = L_X eta + L_Y eta - b^'M a^ and
+    A = P_{b^-perp} M P_{a^-perp}, whose nuclear norm is the largest tr(A C).
+    """
+    I = np.eye(X.shape[-1])
+    if kind is ms.SpaceKind.EUCLIDEAN:          # eta = |X - Y|^2 / 2; s = I, mu = 0
+        Z = X - Y
+        gX, gY, H = Z, -Z, -I
+        LX = LY = np.full(len(X), n / 2.0)
+        sX = sY = I
+    elif kind is ms.SpaceKind.SPHERE:           # eta = X.Y; s = I - XX', mu = -(n/2) X
+        gX, gY, H = Y, X, I
+        LX = LY = -n / 2.0 * eta
+        sX = I - X[:, :, None] * X[:, None, :]
+        sY = I - Y[:, :, None] * Y[:, None, :]
+    else:                                       # eta = |X - Y|^2 / (2 x1 y1); s = x1 I,
+        x1, y1 = X[:, 0], Y[:, 0]               # mu = -((n - 2)/2) x1 e1
+        Z = X - Y
+        zt2 = np.sum(Z[:, 1:] ** 2, axis=-1)
+        gX = Z / (x1 * y1)[:, None] - I[0] * (eta / x1)[:, None]
+        gY = -Z / (x1 * y1)[:, None] - I[0] * (eta / y1)[:, None]
+        H = -I / (x1 * y1)[:, None, None] - Z[:, :, None] * I[0] / (x1 * y1 * y1)[:, None, None] \
+            - I[0][:, None] * gY[:, None, :] / x1[:, None, None]
+        # the closed-form Euclidean Laplacians of eta in X and in Y
+        lapX = (n - 1) / (x1 * y1) + (y1 ** 2 + zt2) / (x1 ** 3 * y1)
+        lapY = (n - 1) / (x1 * y1) + (x1 ** 2 + zt2) / (y1 ** 3 * x1)
+        LX = 0.5 * x1 ** 2 * lapX - (n - 2) / 2.0 * x1 * gX[:, 0]
+        LY = 0.5 * y1 ** 2 * lapY - (n - 2) / 2.0 * y1 * gY[:, 0]
+        sX, sY = x1[:, None, None] * I, y1[:, None, None] * I
+    b = np.einsum("...ji,...j->...i", sX, gX)
+    a = np.einsum("...ji,...j->...i", sY, gY)
+    M = np.swapaxes(sX, -1, -2) @ H @ sY
+    bh = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    ah = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    base = LX + LY - np.einsum("...i,...ij,...j->...", bh, M, ah)
+    A = (I - bh[:, :, None] * bh[:, None, :]) @ M @ (I - ah[:, :, None] * ah[:, None, :])
+    nuclear = np.linalg.svd(A, compute_uv=False).sum(axis=-1)
+    return base - nuclear, base + nuclear
+
+
+BAND_CASES = [(ms.euclidean, 0.0), (ms.sphere, 1.0), (ms.sphere, 0.3),
+              (ms.hyperbolic, -1.0), (ms.hyperbolic, -0.3)]
+
+
+@pytest.mark.parametrize("space,K", BAND_CASES,
+                         ids=[f"{space.__name__}-K{K:g}" for space, K in BAND_CASES])
+def test_criterion_11_band_derived_from_itos_formula(space, K):
+    # the "only if" half: no coupling realizes an eta' outside the band, and the
+    # band is admissible_bounds in eta form (eta' = deta/drho rho' in the unit model,
+    # where rho = r rho_u and rho_u' = r rho' on the time scale t / r^2)
+    worst = 0.0
+    for n in (1, 2, 3, 5):
+        spec = space(n) if K == 0.0 else space(n, K)
+        kind, r = spec.kind, spec.r
+        sample = {ms.SpaceKind.EUCLIDEAN: vf._sample_euclidean,
+                  ms.SpaceKind.SPHERE: vf._sample_sphere,
+                  ms.SpaceKind.HYPERBOLIC: vf._sample_hyperbolic}[kind]
+        X, Y, eta, _ = sample(n, 10_000, np.random.default_rng(SEED + 11 + n))
+        lo, hi = _ito_band(kind, n, X, Y, eta)
+        if kind is ms.SpaceKind.SPHERE:
+            rho = 2.0 * np.arctan2(np.linalg.norm(X - Y, axis=-1), np.linalg.norm(X + Y, axis=-1))
+        else:
+            rho = ms.unit_distance(kind, X, Y)
+        deta = {ms.SpaceKind.EUCLIDEAN: rho, ms.SpaceKind.SPHERE: -np.sin(rho),
+                ms.SpaceKind.HYPERBOLIC: np.sinh(rho)}[kind]
+        ends = np.sort(np.stack(pf.admissible_bounds(spec, r * rho)) * (r * deta), axis=0)
+        scale = np.maximum(1.0, np.abs(ends))
+        worst = max(worst, float(np.max(np.abs(np.stack([lo, hi]) - ends) / scale)))
+
+        matrices = {ms.SpaceKind.EUCLIDEAN: euclidean_matrices,
+                    ms.SpaceKind.SPHERE: sphere_matrices,
+                    ms.SpaceKind.HYPERBOLIC: hyperbolic_matrices}[kind]
+        for end, beyond in ((lo, -1e-6), (hi, 1e-6)):
+            matrices(X, Y, eta, end)                    # every state, at the derived end
+            for i in range(0, len(X), 100):             # every 100th state, just beyond it
+                with pytest.raises(AdmissibilityError):
+                    matrices(X[i], Y[i], eta[i], end[i] + beyond)
+    report(11, worst <= 1e-10, f"{spec.kind.value} K={K:g}: the eta' band derived from Ito's "
+                               f"formula at 4 x 10^4 states is admissible_bounds to "
+                               f"{worst:.1e} (relative, tol 1e-10), and the kernel takes its "
+                               f"ends and rejects eta' 1e-6 beyond them")

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -632,6 +633,24 @@ def test_fmt_bulk_edge_values():
         _assert_python_text(x)
     # every value of a block in one call, in any shape
     _assert_python_text(np.concatenate([specials, powers]).reshape(2, -1))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the emulated dispatch level is an x86-64 one")
+def test_fmt_bulk_under_numpy_without_avx512():
+    # numpy picks SIMD loops by CPU, and _fmt_bulk's log10 is not known to keep its
+    # bits across them: a child process run with the loops of an older x86-64 CPU
+    # must still format the values of the two tests above as '%.17g'
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+    code = ("import test_cli\n"
+            "test_cli.test_fmt_bulk_random_bit_patterns()\n"
+            "test_cli.test_fmt_bulk_edge_values()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fmt_bulk_writes_exact_zeros_itself(monkeypatch):

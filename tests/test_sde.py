@@ -572,6 +572,24 @@ def test_flat_limit_euclidean_is_the_hyperbolic_limit_path_by_path(n):
     assert abs(slope - 0.5) <= 0.05, (gaps, slope)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_flat_limit_euclidean_is_the_sphere_limit_in_law(n):
+    # S^n draws 2(n + 1) words per step from a start on another axis, so its Brownian
+    # motions are not E^n's: as K -> 0 the laws agree, and so do the mean sup errors,
+    # within 3 combined standard errors
+    ramp = pf.tabulated([0.0, 1.0], [1.0, 1.5])
+
+    def sup_err(spec):
+        sup = simulate_ensemble(spec, ramp, 1e-3, 1.0, 7, 400).sup_err
+        return sup.mean(), sup.var(ddof=1) / sup.size
+
+    mean_E, var_E = sup_err(ms.euclidean(n))
+    for K in (1e-4, 1e-6):
+        mean_S, var_S = sup_err(ms.sphere(n, K))
+        z = (mean_S - mean_E) / np.sqrt(var_S + var_E)
+        assert abs(z) <= 3.0, (K, mean_S, mean_E, z)
+
+
 @pytest.mark.parametrize("record", ["nothing", "distances", "paths"])
 def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
     # path results must not depend on which shard or batch ran them, nor on what is
