@@ -245,12 +245,16 @@ def canonical_start(spec: SpaceSpec, rho0: float) -> tuple[np.ndarray, np.ndarra
     s = rho0 / spec.r
     x = np.zeros(spec.ambient_dim)
     y = np.zeros(spec.ambient_dim)
-    if spec.kind is SpaceKind.SPHERE:
-        x[0], y[0], y[1] = 1.0, np.cos(s), np.sin(s)
-    elif spec.kind is SpaceKind.HYPERBOLIC:
-        x[0], y[0] = 1.0, np.exp(s)
-    else:
-        y[0] = s
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is SpaceKind.SPHERE:
+            x[0], y[0], y[1] = 1.0, np.cos(s), np.sin(s)
+        elif spec.kind is SpaceKind.HYPERBOLIC:
+            x[0], y[0] = 1.0, np.exp(s)
+        else:
+            y[0] = s
+        if not np.isfinite(unit_distance(spec.kind, x, y)):
+            raise ValidationError(f"rho0 = {rho0:g} is too large: "
+                                  "the start points' distance overflows")
     # as the coupling judges it; no later E^n or H^n target is closer (band floor >= 0)
     scale = x[0] + y[0] if spec.kind is SpaceKind.HYPERBOLIC else 1.0
     if spec.kind is not SpaceKind.SPHERE and _norm(x - y) <= COINCIDENT_TOL * scale:

@@ -281,8 +281,7 @@ def check_admissibility(spec: SpaceSpec, profile: DistanceProfile, grid=None,
 
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
-    if np.any(in_range):
-        lo[in_range], hi[in_range] = admissible_bounds(spec, rho[in_range])
+    lo[in_range], hi[in_range] = admissible_bounds(spec, rho[in_range])
     if table:
         # segment j, [grid[j], grid[j + 1]], has slope drho[j]
         drho = drho[:-1]

@@ -25,7 +25,7 @@ An ensemble, the rotation oracle's included, runs through ``shards.map_ranges``:
 its paths are cut into contiguous shards, one per core, which step in batches of
 at most ``shards.BATCH`` paths.  A path's outputs are its own, so shards and
 batches may end at any path and no bit depends on them.  The mean distance is
-summed after stepping, from the recorded distances, in blocks of CHUNK_PATHS.
+one numpy sum over the paths of the recorded distances, taken after stepping.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .model_space import unit_distance as _unit_distance
 from .profiles import check_admissibility
 from .shards import map_ranges
 
-# The sum block: mean_d_emp adds each block's paths in order, then the block
-# sums in block order.
-CHUNK_PATHS = 256
 # Most bytes step_gaussians holds in its block of steps (4 MiB, or one step if that is
 # more): per path and step, the draw's raw Philox words (4 * blocks_per_draw(words)
 # doubles) and its normals (words doubles).  Each path's open stream adds about 1 KiB.
@@ -300,9 +297,7 @@ def simulate_ensemble(spec: SpaceSpec, profile, dt: float, T: float, seed: int,
     for p0, p1, rows in map_ranges(step_batch, n_paths, n_paths * M):
         for a, part in zip(outputs, rows):
             a[p0:p1] = part
-    # Python's sum adds the rows of a block one at a time, then the block sums in order
-    mean_d = None if d_all is None else sum(
-        sum(d_all[q:q + CHUNK_PATHS]) for q in range(0, n_paths, CHUNK_PATHS)) / n_paths
+    mean_d = None if d_all is None else d_all.sum(axis=0) / n_paths
 
     # map unit-model states back to the space's own coordinates
     fX, fY = from_unit_model(spec, final_X), from_unit_model(spec, final_Y)

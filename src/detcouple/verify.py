@@ -115,7 +115,7 @@ def _sample_euclidean(n, size, rng):
     norm = np.linalg.norm(Z, axis=-1)
     Z[norm < 1e-3] *= (1e-3 / norm[norm < 1e-3])[:, None]
     rho = np.linalg.norm(Z, axis=-1)
-    drho = rng.uniform(0.0, 2.0 * (n - 1) / rho) if n >= 2 else np.zeros(size)
+    drho = rng.uniform(0.0, 2.0 * (n - 1) / rho)
     return Z, np.zeros_like(Z), 0.5 * rho * rho, rho * drho
 
 
@@ -142,10 +142,7 @@ def _sample_sphere(n, size, rng):
     del tang                            # so eta's products take its place
     eta = _dots(X, Y)
     k = n - 1
-    if n >= 2:
-        etap = rng.uniform(-k * (eta + 1.0), k * (1.0 - eta))
-    else:
-        etap = np.zeros(size)
+    etap = rng.uniform(-k * (eta + 1.0), k * (1.0 - eta))
     return X, Y, eta, etap
 
 
@@ -162,7 +159,7 @@ def _sample_hyperbolic(n, size, rng):
         Y[same, 0] *= 1.5
     eta = ((X - Y) ** 2).sum(-1) / (2.0 * X[:, 0] * Y[:, 0])
     k = n - 1
-    etap = k * eta + rng.uniform(0.0, 2.0 * k, size) if n >= 2 else np.zeros(size)
+    etap = k * eta + rng.uniform(0.0, 2.0 * k, size)
     return X, Y, eta, etap
 
 

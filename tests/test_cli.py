@@ -734,6 +734,8 @@ def test_write_paths_csv_rejects_bad_stride(tmp_path):
                                   "converge-paths-too-many", "simulate-rho0-tiny-euclidean",
                                   "simulate-rho0-tiny-hyperbolic",
                                   "simulate-rho0-tiny-max-growth",
+                                  "simulate-rho0-huge-euclidean",
+                                  "simulate-rho0-huge-hyperbolic", "simulate-rho0-huge-h1",
                                   "simulate-sphere-floor-start", "simulate-sphere-floor-later",
                                   "flag-rho0-table", "config-rho0-table",
                                   "flag-rho0-deg-table"])
@@ -798,6 +800,17 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys, shards, monkeypatch):
         argv = ["simulate", "--space", space, "--dim", dim, "--profile", profile,
                 "--rho0", rho0, "--paths", "2", "--T", "0.01", "--out", str(tmp_path / "run")]
         expect = f"error: rho0 = {float(rho0):g} is too small: the start points coincide\n"
+    elif case.startswith("simulate-rho0-huge-"):
+        # a start pair whose distance overflows: E^n wrote Infinity into summary.json,
+        # H^2 inf distances and a NaN error, and H^1 called the pair coincident
+        space, dim, profile, rho0 = {"euclidean": ("euclidean", "2", "constant", "1e200"),
+                                     "hyperbolic": ("hyperbolic", "2", "lower", "400"),
+                                     "h1": ("hyperbolic", "1", "constant", "720"),
+                                     }[case.split("huge-")[1]]
+        argv = ["simulate", "--space", space, "--dim", dim, "--profile", profile,
+                "--rho0", rho0, "--paths", "2", "--T", "0.01", "--out", str(tmp_path / "run")]
+        expect = (f"error: rho0 = {float(rho0):g} is too large: "
+                  "the start points' distance overflows\n")
     elif case.startswith("simulate-sphere-floor-"):
         # a sphere distance at most 1e-12 r, at the start or (contracting, negative band
         # floor) at t = 41.45: the kernel divided by it and wrote NaN distances

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,17 @@ def test_canonical_start_rejects_a_pair_the_coupling_calls_coincident(spec, coin
         coupling._checked(spec.kind, x0, y, eta, eta_prime)
     with pytest.raises(ValidationError, match=r"^rho0 = 1e-12 is too small"):
         ms.canonical_start(spec, coincident)
+
+
+@pytest.mark.parametrize("spec,rho0", [(E2, 1e200), (H2, 400.0), (ms.hyperbolic(1), 720.0)])
+def test_canonical_start_rejects_a_pair_whose_distance_overflows(spec, rho0):
+    # E^n's norm and H^n's distance overflow, and H^1's exp(rho0) itself: the pair was
+    # called coincident or ran with inf distances; no warning is raised on the way
+    message = f"rho0 = {rho0:g} is too large: the start points' distance overflows"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ms.canonical_start(spec, rho0)
+    x0, y0 = ms.canonical_start(spec, 140.0)
+    assert ms.geodesic_distance(spec, x0, y0) == pytest.approx(140.0, rel=1e-12)
 
 
 def test_spec_invariants():

@@ -162,6 +162,23 @@ def test_envelope_hyperbolic_linear_growth():
         pf.envelope(ms.hyperbolic(2), 1.0, -1.0)
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 4: w * w overflows while rho is still finite")
+def test_envelope_hyperbolic_finite_far_out():
+    lo, hi = pf.envelope(H3, 1.0, 400.0)
+    assert 1.9 <= lo / 400.0 <= hi / 400.0 <= 2.1
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 4: cosh(u0 / 2), or cos(u0 / 2) on S^n, rounds to 1, "
+                   "so rho(0) = 0 and rho' = k / 0")
+@pytest.mark.parametrize("build,spec", [(pf.hyperbolic_upper, H2), (pf.sphere_repulsive, S2)],
+                         ids=["hyperbolic-upper", "sphere-repulsive"])
+def test_tiny_start_keeps_its_distance(build, spec):
+    rho, drho = build(spec, 1e-9).eval(0.0)
+    assert rho == pytest.approx(1e-9, rel=1e-6) and np.isfinite(drho)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.0, 0.5, np.nan], [0.0, np.inf]],
                          ids=["nan", "inf", "-inf", "grid-nan", "grid-inf"])
 def test_non_finite_times_rejected(t):

@@ -593,22 +593,13 @@ def test_flat_limit_euclidean_is_the_sphere_limit_in_law(n):
 @pytest.mark.parametrize("record", ["nothing", "distances", "paths"])
 def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
     # path results must not depend on which shard or batch ran them, nor on what is
-    # recorded, and the mean of the recorded distances keeps its sum order wherever
-    # the shards and batches end
+    # recorded, and the mean of the recorded distances is one sum over the paths
+    # wherever the shards and batches end
     prof = pf.constant(1.0)
     big = simulate_ensemble(S2, prof, 1e-2, 0.1, 5, 10, record_paths=True)
     recorded = {"nothing": (), "distances": ("d_emp",),
                 "paths": ("d_emp", "paths_X", "paths_Y")}[record]
-    monkeypatch.setattr(sde_mod, "CHUNK_PATHS", 3)
-    # the sums of blocks of 3 paths, each added path by path, then in block order
-    mean_d = np.zeros(big.times.size)
-    for i0 in range(0, 10, 3):
-        block = np.zeros(big.times.size)
-        for d in big.d_emp[i0:i0 + 3]:
-            block += d
-        mean_d += block
-    # shards of 10, 5 + 5 and 4 + 3 + 3 paths, in batches of 1, 2, 4 and 8 paths:
-    # all but the one-path batches end inside a sum block
+    # shards of 10, 5 + 5 and 4 + 3 + 3 paths, in batches of 1, 2, 4 and 8 paths
     for cores, batch in [(c, b) for c in (1, 2, 3) for b in (1, 2, 4, 8)]:
         monkeypatch.setattr(shards_mod, "BATCH", batch)
         forks = shards(cores)
@@ -624,7 +615,7 @@ def test_chunked_ensembles_cross_chunk_boundary(record, monkeypatch, shards):
         if record == "nothing":
             assert small.mean_d_emp is None
         else:
-            assert np.array_equal(small.mean_d_emp, mean_d / 10), (cores, batch)
+            assert np.array_equal(small.mean_d_emp, small.d_emp.sum(axis=0) / 10), (cores, batch)
 
 
 @pytest.mark.parametrize("run,words", [
@@ -739,14 +730,15 @@ ARRAY_CASES = {
     "s3-K0.3-repulsive-enforced": (ms.sphere(3, K=0.3), pf.sphere_repulsive, 5, 1e-3, 1.1, 6,
                                    True),
     "s3-K0.3-tabulated-enforced": (ms.sphere(3, K=0.3), _s3_table, 5, 1e-3, 1.1, 8, True),
-    # 260 paths cross the 256-path chunk boundary
+    # 260 paths: mean_d_emp is the axis-0 sum of every row, added one at a time
     "e3-260-paths": (ms.euclidean(3), pf.euclidean_max_growth, 260, 1e-2, 0.2, 5, False),
 }
 
 # SHA-256 of each little-endian float64 array, recorded before the
 # simulator became one serial loop with a grid-wide profile evaluation (the
 # K=0.3 cases: before the unit-model scaling moved into model_space; the
-# tabulated case: when a table's rho' became its segment slopes)
+# tabulated case: when a table's rho' became its segment slopes; the
+# e3-260-paths mean_d_emp: when it became one sum over all paths)
 ARRAY_DIGESTS = {
     "s2-K2-contracting-enforced": {
         "d_emp": "d5bb83c545ba2e9228368b75bc87e512ee29d3611f191831a3e287008412634b",
@@ -795,7 +787,7 @@ ARRAY_DIGESTS = {
         "final_X": "289f07fb352384e56adfeb733fc89443a9d562b8538ed6b98fd18a56fab45231",
         "final_Y": "29b0d6b6736b3fe35e0494d94faaf328df8b99710ac57339b6939cdd6b64fd5f",
         "sup_err": "50bba46831e23817408d2a6e2aaea7850a510d2632a27370fdbe0000e2a733a6",
-        "mean_d_emp": "6e1ba2209a912a9afde752c5fa7ce3fd741a9a21fdc11f81e246652ff7c98f4b",
+        "mean_d_emp": "2d2026e67296fbb0a8c168a5d7eccb93367ee1083a002d5c3a03b6c032a1bc9c",
         "target": "f84f099c703eb6d8a36ed70b08e3e9af6c92259295bd20665ddc01c8cc53d9b3",
     },
 }

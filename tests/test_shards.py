@@ -52,7 +52,7 @@ def test_shard_count(cores, work, most, expect, monkeypatch):
     (4, 10, 10**6, 3, [0, 2, 5, 7, 10]),
     (4, 1000, 250_000, 1, [0, 500, 1000]),      # at least MIN_SHARD_WORK units each
     (1, 1000, 10**6, 256, [0, 1000]),
-    (2, 257, 257_000, 2048, [0, 128, 257]),     # a shard may end inside a 256-path sum block
+    (2, 257, 257_000, 2048, [0, 128, 257]),     # 257 paths: shards of 128 and 129
     (4, 3, 10**6, 2, [0, 1, 2, 3]),             # at most one shard per item
 ])
 def test_cuts(cores, n, work, batch, expect, monkeypatch):
